@@ -22,13 +22,16 @@ from .rep6 import GeneratorTable6, derive_table, word_image6
 from .verifier import run_suite
 
 
-def even_resolution(text: str) -> int:
+def power_of_two_resolution(text: str) -> int:
+    """Resolutions with an odd factor put grid samples on the surface."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"resolution must be an integer, got {text!r}")
-    if n % 2 != 0 or n < 8:
-        raise argparse.ArgumentTypeError(f"resolution must be even and >= 8, got {n}")
+    if n < 8 or n & (n - 1):
+        raise argparse.ArgumentTypeError(
+            f"resolution must be a power of two and >= 8, got {n}"
+        )
     return n
 
 
@@ -246,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument(
-        "--resolution", type=even_resolution, default=32, help="grid resolution (even, >= 8)"
+        "--resolution",
+        type=power_of_two_resolution,
+        default=32,
+        help="grid resolution (a power of two, >= 8)",
     )
     parser.add_argument("--json", action="store_true", help="structured JSON output")
     parser.add_argument("--table", default=None, help="path to a persisted generator table")
@@ -291,8 +297,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except BrokenPipeError:
         return 0
 

@@ -3,6 +3,7 @@ from .surface import (
     SampleOnSurfaceError,
     TriMesh,
     build_surface,
+    edge_map,
     export_off,
     half_translation_vertex_map,
     load_off_counts,
@@ -14,6 +15,7 @@ __all__ = [
     "SampleOnSurfaceError",
     "TriMesh",
     "build_surface",
+    "edge_map",
     "export_off",
     "half_translation_vertex_map",
     "load_off_counts",

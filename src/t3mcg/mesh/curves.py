@@ -138,16 +138,6 @@ class TubeField:
         d = np.hypot(da, db)
         return np.nonzero((d >= r - slack) & (d <= r + slack))[0].tolist()
 
-    def angle_at(self, p) -> float:
-        a, b = self.trans
-        wa = float(p[a] - self.center[0]) % 1.0
-        wb = float(p[b] - self.center[1]) % 1.0
-        if wa > 0.5:
-            wa -= 1.0
-        if wb > 0.5:
-            wb -= 1.0
-        return math.atan2(wb, wa) % (2 * math.pi)
-
 
 # A point on a triangle edge: (vertex_a, vertex_b, t) with position
 # (1-t)*a + t*b.  Steps pair an entry and an exit point with their triangle.
@@ -156,16 +146,9 @@ class Loop:
     steps: list  # (tri, (va, vb, t_in), (vc, vd, t_out))
     displacement: tuple  # integer 3-vector
     orientation_sign: int = 1
-    mean_angle: float | None = None
 
     def __len__(self):
         return len(self.steps)
-
-    def reversed_displacement(self):
-        return tuple(-d for d in self.displacement)
-
-    def oriented_displacement(self):
-        return self.displacement if self.orientation_sign == 1 else self.reversed_displacement()
 
 
 @dataclass
@@ -209,7 +192,7 @@ def step_positions(mesh: TriMesh, step):
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant."""
     curves = SlicedCurves(mesh, fld, [], {}, {})
-    edge_to_tris = _mesh_edge_tris(mesh)
+    edges = mesh.shared_edge_map()
 
     entry_edge_of: dict[int, tuple] = {}
     exit_edge_of: dict[int, tuple] = {}
@@ -251,7 +234,7 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
             p_in, p_out = step_positions(mesh, step)
             for c in range(3):
                 disp[c] += p_out[c] - p_in[c]
-            nxt = _other_triangle(edge_to_tris, exit_edge_of[tri], tri)
+            nxt = _other_triangle(edges, exit_edge_of[tri], tri)
             if nxt not in curves.tri_segments:
                 raise DegeneracyError("curve chain left the sliced triangle set")
             if entry_edge_of[nxt] != exit_edge_of[tri]:
@@ -262,20 +245,7 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
         for c in range(3):
             if disp[c].denominator != 1:
                 raise DegeneracyError(f"non-integral displacement {disp}")
-        loop = Loop(steps=steps, displacement=tuple(int(d) for d in disp))
-        if isinstance(fld, TubeField):
-            angles = []
-            ref = None
-            for step in steps:
-                p_in, _ = step_positions(mesh, step)
-                ang = fld.angle_at(p_in)
-                if ref is None:
-                    ref = ang
-                # unwrap around the reference so the mean is not torn at 0
-                delta = (ang - ref + math.pi) % (2 * math.pi) - math.pi
-                angles.append(ref + delta)
-            loop.mean_angle = (sum(angles) / len(angles)) % (2 * math.pi)
-        loops.append(loop)
+        loops.append(Loop(steps=steps, displacement=tuple(int(d) for d in disp)))
 
     loops.sort(key=lambda l: l.steps[0][0])
     curves.loops = loops
@@ -290,20 +260,8 @@ def _edge_key(pt):
     return (va, vb) if va < vb else (vb, va)
 
 
-def _mesh_edge_tris(mesh: TriMesh):
-    cache = getattr(mesh, "_edge_tris", None)
-    if cache is None:
-        cache = {}
-        for idx, (a, b, c) in enumerate(mesh.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                cache.setdefault(key, []).append(idx)
-        mesh._edge_tris = cache
-    return cache
-
-
-def _other_triangle(edge_to_tris, key, tri):
-    pair = edge_to_tris[key]
+def _other_triangle(edges, key, tri):
+    pair = edges[key]
     if len(pair) != 2:
         raise DegeneracyError(f"edge {key} is not interior")
     return pair[0] if pair[1] == tri else pair[1]
@@ -419,10 +377,10 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
         for fr in fragments_of(tri):
             find(fr)
 
-    edge_to_tris = _mesh_edge_tris(mesh)
+    edges = mesh.shared_edge_map()
     crossed_edges = []
     plain_edges = []
-    for key, tris in edge_to_tris.items():
+    for key, tris in edges.items():
         if len(tris) != 2:
             raise ValueError("mesh is not closed")
         u, v = key
@@ -456,12 +414,12 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
 
     comp_edges: dict[tuple, int] = {}
     for key, s in plain_edges:
-        t1 = edge_to_tris[key][0]
+        t1 = edges[key][0]
         fr = (t1, s) if t1 in curves.tri_segments else fragments_of(t1)[0]
         comp_edges[find(fr)] = comp_edges.get(find(fr), 0) + 1
     comp_cross_vertices: dict[tuple, int] = {}
     for key in crossed_edges:
-        t1 = edge_to_tris[key][0]
+        t1 = edges[key][0]
         for side in (1, -1):
             fr = (t1, side) if t1 in curves.tri_segments else fragments_of(t1)[0]
             root = find(fr)
@@ -517,27 +475,20 @@ def plane_section(mesh: TriMesh, axis: int, level) -> SlicedCurves:
     return slice_field(mesh, PlaneField(axis - 1, Fraction(level)))
 
 
-def tube_section(
-    mesh: TriMesh,
-    axis: int,
-    center,
-    radius=TUBE_RADIUS,
-    check_stability: bool = True,
-) -> SlicedCurves:
+def tube_section(mesh: TriMesh, axis: int, center, radius=TUBE_RADIUS) -> SlicedCurves:
     """Section by the distance tube around an axis-parallel line (1-based axis).
 
-    With the stability check, the slice is recomputed at radius*(1 +- 1/16)
-    and the loop count must agree; disagreement means the radius is too close
-    to a tangency of the tube with the surface.
+    As a stability check, the slice is recomputed at radius*(1 +- 1/16) and
+    the loop count must agree; disagreement means the radius is too close to
+    a tangency of the tube with the surface.
     """
     radius = Fraction(radius)
     base = slice_field(mesh, TubeField(axis - 1, center, radius))
-    if check_stability:
-        for factor in (Fraction(15, 16), Fraction(17, 16)):
-            probe = slice_field(mesh, TubeField(axis - 1, center, radius * factor))
-            if len(probe.loops) != len(base.loops):
-                raise TransversalityError(
-                    f"loop count changed under radius perturbation {factor}: "
-                    f"{len(base.loops)} vs {len(probe.loops)}"
-                )
+    for factor in (Fraction(15, 16), Fraction(17, 16)):
+        probe = slice_field(mesh, TubeField(axis - 1, center, radius * factor))
+        if len(probe.loops) != len(base.loops):
+            raise TransversalityError(
+                f"loop count changed under radius perturbation {factor}: "
+                f"{len(base.loops)} vs {len(probe.loops)}"
+            )
     return base

@@ -93,6 +93,7 @@ class TriMesh:
 
     _local_cache: dict = field(default_factory=dict, repr=False)
     _cells_array: np.ndarray = field(default=None, repr=False)
+    _shared_edge_map: dict = field(default=None, repr=False)
 
     @property
     def offset(self) -> Fraction:
@@ -127,14 +128,44 @@ class TriMesh:
             self._cells_array = np.array(self.tri_cells, dtype=np.int64)
         return self._cells_array
 
-    def edge_map(self) -> dict:
-        """Undirected vertex-pair -> list of (triangle, +1 if traversed as (a,b))."""
-        edges: dict[tuple, list] = {}
-        for idx, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edges.setdefault(key, []).append((idx, 1 if u < v else -1))
-        return edges
+    def shared_edge_map(self) -> dict:
+        """``edge_map(self.triangles)`` built once per mesh, for readers only."""
+        if self._shared_edge_map is None:
+            self._shared_edge_map = edge_map(self.triangles)
+        return self._shared_edge_map
+
+
+def edge_map(triangles) -> dict:
+    """Undirected vertex pair (low, high) -> indices of the triangles on it."""
+    edges: dict[tuple, list] = {}
+    for idx, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault((u, v) if u < v else (v, u), []).append(idx)
+    return edges
+
+
+def _edge_counts(n_vertices: int, triangles, edges) -> dict:
+    """Closedness, orientability and Euler characteristic from an edge map.
+
+    Two triangles on an edge are coherently oriented when they traverse it in
+    opposite directions.
+    """
+
+    def ascending(key, tri):
+        a, b, c = triangles[tri]
+        return key in ((a, b), (b, c), (c, a))
+
+    return {
+        "closed": all(len(tris) == 2 for tris in edges.values()),
+        "orientable": all(
+            len(tris) != 2 or ascending(key, tris[0]) != ascending(key, tris[1])
+            for key, tris in edges.items()
+        ),
+        "vertices": n_vertices,
+        "edges": len(edges),
+        "triangles": len(triangles),
+        "euler_characteristic": n_vertices - len(edges) + len(triangles),
+    }
 
 
 def build_surface(n: int, _retry: bool = False) -> TriMesh:
@@ -267,11 +298,8 @@ def build_surface(n: int, _retry: bool = False) -> TriMesh:
 
 def validate_surface(mesh: TriMesh) -> dict:
     """Closedness, orientability, connectedness and Euler characteristic."""
-    edges = mesh.edge_map()
-    closed = all(len(tris) == 2 for tris in edges.values())
-    oriented = all(
-        len(tris) != 2 or tris[0][1] != tris[1][1] for tris in edges.values()
-    )
+    edges = edge_map(mesh.triangles)  # afresh: the triangle list may have changed
+    counts = _edge_counts(len(mesh.vertices), mesh.triangles, edges)
     parent = list(range(len(mesh.triangles)))
 
     def find(x):
@@ -282,24 +310,18 @@ def validate_surface(mesh: TriMesh) -> dict:
 
     for tris in edges.values():
         if len(tris) == 2:
-            a, b = find(tris[0][0]), find(tris[1][0])
+            a, b = find(tris[0]), find(tris[1])
             if a != b:
                 parent[a] = b
     roots = {find(i) for i in range(len(mesh.triangles))}
     connected = len(roots) == 1
-    v = len(mesh.vertices)
-    e = len(edges)
-    f = len(mesh.triangles)
-    euler = v - e + f
-    genus = (2 - euler) // 2 if closed and connected else None
+    closed, oriented = counts.pop("closed"), counts.pop("orientable")
+    genus = (2 - counts["euler_characteristic"]) // 2 if closed and connected else None
     return {
         "closed": closed,
         "orientable": oriented,
         "connected": connected,
-        "vertices": v,
-        "edges": e,
-        "triangles": f,
-        "euler_characteristic": euler,
+        **counts,
         "genus": genus,
     }
 
@@ -351,19 +373,4 @@ def load_off_counts(path: str) -> dict:
             if parts[0] != "3":
                 raise ValueError("non-triangle face in OFF file")
             tris.append(tuple(int(x) for x in parts[1:4]))
-    edges: dict[tuple, list] = {}
-    for idx, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edges.setdefault(key, []).append((idx, 1 if u < v else -1))
-    closed = all(len(t) == 2 for t in edges.values())
-    oriented = all(len(t) != 2 or t[0][1] != t[1][1] for t in edges.values())
-    euler = nv - len(edges) + nf
-    return {
-        "closed": closed,
-        "orientable": oriented,
-        "vertices": nv,
-        "edges": len(edges),
-        "triangles": nf,
-        "euler_characteristic": euler,
-    }
+    return _edge_counts(nv, tris, edge_map(tris))

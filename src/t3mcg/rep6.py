@@ -16,20 +16,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import AXIS_PAIRS, Generator, Word
+from .words import AXIS_PAIRS, Generator, Macro, Word, expand_macro
 from .rep3 import gen_image3, word_image3
 from .mesh.homology import (
     CANONICAL_J,
+    CurveRef,
     HomologyData,
     PROJECTION,
     identity,
     invert_unimodular,
     mat_mul,
+    mat_neg,
     transpose,
     tube_pattern,
     twist_matrix,
 )
-from .mesh.curves import walk_steps
+from .mesh.curves import tube_section, walk_steps
+from .mesh.surface import half_translation_vertex_map
 
 Mat6 = tuple
 
@@ -48,28 +51,16 @@ def is_symplectic(m: Mat6) -> bool:
 
 
 def is_antisymplectic(m: Mat6) -> bool:
-    neg_j = tuple(tuple(-x for x in row) for row in CANONICAL_J)
-    return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == neg_j
+    return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == mat_neg(CANONICAL_J)
 
 
-def translate_steps(h: HomologyData, loop):
+def translate_steps(loop, vmap, tmap):
     """Push a sliced loop forward through the half-diagonal translation.
 
-    The translation permutes mesh vertices and triangles exactly, so the
-    image path is again a path of edge points with unchanged parameters.
+    The translation permutes mesh vertices (``vmap``) and triangles (``tmap``)
+    exactly, so the image path is again a path of edge points with unchanged
+    parameters.
     """
-    mesh = h.mesh
-    vmap = getattr(mesh, "_half_translation_vmap", None)
-    if vmap is None:
-        from .mesh.surface import half_translation_vertex_map
-
-        vmap = half_translation_vertex_map(mesh)
-        mesh._half_translation_vmap = vmap
-    tmap = getattr(mesh, "_half_translation_tmap", None)
-    if tmap is None:
-        index = {frozenset(tri): i for i, tri in enumerate(mesh.triangles)}
-        tmap = [index[frozenset(vmap[v] for v in tri)] for tri in mesh.triangles]
-        mesh._half_translation_tmap = tmap
     out = []
     for tri, (va, vb, t), (vc, vd, u) in walk_steps(loop):
         out.append((tmap[tri], (vmap[va], vmap[vb], t), (vmap[vc], vmap[vd], u)))
@@ -79,10 +70,14 @@ def translate_steps(h: HomologyData, loop):
 def derive_swap6(h: HomologyData) -> Mat6:
     """Matrix of the handlebody swap: translate each generator curve, read
     off the classes, and change to the canonical basis."""
+    mesh = h.mesh
+    vmap = half_translation_vertex_map(mesh)
+    index = {frozenset(tri): i for i, tri in enumerate(mesh.triangles)}
+    tmap = [index[frozenset(vmap[v] for v in tri)] for tri in mesh.triangles]
     cols = []
     for ref in list(h.disk_sections_a) + list(h.longitudes):
         loop = ref.loop
-        steps = translate_steps(h, loop)
+        steps = translate_steps(loop, vmap, tmap)
         cols.append(h.class_of_steps(steps, loop.orientation_sign))
     gen_images = transpose(tuple(cols))  # column g = class of swapped generator g
     return mat_mul(gen_images, h.basis_change)
@@ -92,8 +87,6 @@ def derive_twist6(h: HomologyData, pattern: str) -> Mat6:
     """Composite twist along the four loops of the reference tube (axis 3)."""
     tube = h.tubes[2]
     eps = tube_pattern(h, tube, pattern)
-    from .mesh.homology import CurveRef
-
     loops = [(CurveRef(tube, i), eps[i]) for i in range(len(tube.loops))]
     return twist_matrix(h, loops)
 
@@ -175,6 +168,7 @@ class GeneratorTable6:
     tube_radius: str
 
     _inverse_cache: dict = dc_field(default_factory=dict, repr=False)
+    _int64_cache: dict = dc_field(default_factory=dict, repr=False)  # for word_image6
 
     def image(self, g: Generator) -> Mat6:
         m = self.matrices[g.kind]
@@ -226,17 +220,15 @@ class HandednessError(RuntimeError):
 
 
 def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
-    """Decide which twist pattern is consistent under conjugation.
+    """Decide which twist patterns are consistent under conjugation.
 
     The macro t13 conjugates the reference twist by a rotation word; its
     matrix must reproduce the twist matrix measured directly on the tube of
-    the (1,3) disk pair.  Exactly one of the two candidate patterns may
-    survive; anything else is reported as an error, not defaulted.
+    the (1,3) disk pair.  Returns ``(winners, details)``: the passing
+    patterns, and per pattern the conjugated and the direct matrix.  Exactly
+    one pattern should pass; the caller reports anything else, never
+    defaults it.
     """
-    from .words import Macro, expand_macro
-    from .mesh.curves import tube_section
-    from .mesh.homology import CurveRef
-
     # (i, j) = (1, 3) crosses planes x_1 = 1/2 and x_3 = 0; the tube runs
     # along axis 2 with transverse coordinates (x_3, x_1).
     pair_tube = tube_section(h.mesh, 2, (Fraction(0), Fraction(1, 2)), h.tube_radius)
@@ -244,12 +236,11 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
         raise HandednessError(f"(1,3) tube has {len(pair_tube.loops)} loops")
     word_t13 = expand_macro(Macro("t13", 1))
 
-    verdicts = {}
+    winners = []
     details = {}
     for pattern in ("all_plus", "alternating"):
-        twist = derive_twist6(h, pattern)
         mats = dict(table_matrices)
-        mats["t"] = twist
+        mats["t"] = derive_twist6(h, pattern)
         table = GeneratorTable6(
             matrices=mats,
             provenance={},
@@ -260,16 +251,11 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
         )
         lhs = word_image6(word_t13, table)
         eps = tube_pattern(h, pair_tube, pattern)
-        loops = [(CurveRef(pair_tube, i), eps[i]) for i in range(4)]
-        rhs = twist_matrix(h, loops)
-        verdicts[pattern] = lhs == rhs
+        rhs = twist_matrix(h, [(CurveRef(pair_tube, i), eps[i]) for i in range(4)])
         details[pattern] = {"conjugated": lhs, "direct": rhs}
-    winners = [p for p, ok in verdicts.items() if ok]
-    if len(winners) != 1:
-        raise HandednessError(
-            f"handedness patterns passing the conjugation check: {winners or 'none'}"
-        )
-    return winners[0], details
+        if lhs == rhs:
+            winners.append(pattern)
+    return winners, details
 
 
 def derive_table(h: HomologyData) -> GeneratorTable6:
@@ -294,7 +280,12 @@ def derive_table(h: HomologyData) -> GeneratorTable6:
             f"within entry bound {sol.bound}"
         )
 
-    handedness, details = resolve_handedness(h, matrices)
+    winners, _ = resolve_handedness(h, matrices)
+    if len(winners) != 1:
+        raise HandednessError(
+            f"handedness patterns passing the conjugation check: {winners or 'none'}"
+        )
+    handedness = winners[0]
     matrices["t"] = derive_twist6(h, handedness)
     provenance["t"] = (
         f"mesh: composite twist along the four tube loops, {handedness} pattern "
@@ -322,7 +313,7 @@ def word_image6(w: Word, table: GeneratorTable6) -> Mat6:
     possible (|AB| <= 6 |A| |B| entrywise), and falls back to unbounded
     integers otherwise, so the result is always exact.
     """
-    cache = table._inverse_cache.setdefault("_np", {})
+    cache = table._int64_cache
     acc = np.eye(6, dtype=np.int64)
     bound = 1
     for g in w:

@@ -11,27 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .words import AXIS_PAIRS, Generator, Macro, Word, expand_macro, render
 from .rep3 import IDENTITY3, decompose_sl3, word_image3
 from .mesh.homology import (
-    CurveRef,
     HomologyData,
     PROJECTION,
     defining_pair_check,
     intersection_number,
     mat_mul,
-    tube_pattern,
-    twist_matrix,
 )
-from .mesh.curves import cut_along, tube_section
-from .rep6 import (
-    GeneratorTable6,
-    IDENTITY6,
-    derive_twist6,
-    word_image6,
-)
+from .mesh.curves import cut_along
+from .rep6 import GeneratorTable6, IDENTITY6, resolve_handedness, word_image6
 
 
 @dataclass
@@ -196,38 +187,14 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
     )
 
     def check_handedness():
-        word_t13 = expand_macro(Macro("t13", 1))
-        pair_tube = tube_section(
-            h.mesh, 2, (Fraction(0), Fraction(1, 2)), h.tube_radius
-        )
-        if len(pair_tube.loops) != 4:
-            return False, {"pair_tube_loops": len(pair_tube.loops)}
-        winners = []
-        details = {}
-        for pattern in ("all_plus", "alternating"):
-            mats = dict(table.matrices)
-            mats["t"] = derive_twist6(h, pattern)
-            trial = GeneratorTable6(
-                matrices=mats,
-                provenance={},
-                candidate_counts={},
-                handedness=pattern,
-                resolution=h.mesh.resolution,
-                tube_radius=str(h.tube_radius),
-            )
-            lhs = word_image6(word_t13, trial)
-            eps = tube_pattern(h, pair_tube, pattern)
-            loops = [
-                (CurveRef(pair_tube, i), eps[i]) for i in range(len(pair_tube.loops))
-            ]
-            rhs = twist_matrix(h, loops)
-            details[pattern] = {"conjugated": _rows(lhs), "direct": _rows(rhs)}
-            if lhs == rhs:
-                winners.append(pattern)
-        ok = len(winners) == 1 and winners[0] == table.handedness
+        winners, details = resolve_handedness(h, table.matrices)
+        ok = winners == [table.handedness]
         witness = {"winners": winners, "table_handedness": table.handedness}
         if not ok:
-            witness["details"] = details
+            witness["details"] = {
+                pattern: {side: _rows(m) for side, m in pair.items()}
+                for pattern, pair in details.items()
+            }
         return ok, witness
 
     report.run(

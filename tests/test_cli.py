@@ -87,6 +87,14 @@ class TestMesh:
         code, _, _ = run_cli(["--resolution", "7", "mesh", "validate"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("resolution", ["12", "24"])
+    def test_resolution_not_power_of_two_exits_2(self, resolution, capsys):
+        # even resolutions with an odd factor put samples on the surface
+        code, _, err = run_cli(["--resolution", resolution, "mesh", "validate"], capsys)
+        assert code == 2
+        assert "power of two" in err
+        assert "Traceback" not in err
+
     def test_export_roundtrip(self, tmp_path, capsys):
         out_path = str(tmp_path / "m.off")
         code, out, _ = run_cli(

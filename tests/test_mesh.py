@@ -3,6 +3,7 @@ import pytest
 from t3mcg.mesh import (
     ResolutionError,
     build_surface,
+    edge_map,
     export_off,
     half_translation_vertex_map,
     load_off_counts,
@@ -108,6 +109,23 @@ class TestNegativeControls:
         broken.tri_cells = mesh16.tri_cells[:-1]
         report = validate_surface(broken)
         assert not report["closed"]
+
+    def test_flipped_triangle_not_orientable(self, mesh16):
+        import copy
+
+        broken = copy.copy(mesh16)
+        a, b, c = mesh16.triangles[0]
+        broken.triangles = [(a, c, b)] + mesh16.triangles[1:]
+        report = validate_surface(broken)
+        assert report["closed"]
+        assert not report["orientable"]
+
+
+class TestEdgeMap:
+    def test_shared_map_is_built_once(self, mesh16):
+        shared = mesh16.shared_edge_map()
+        assert mesh16.shared_edge_map() is shared
+        assert shared == edge_map(mesh16.triangles)
 
 
 class TestOffExport:

@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from t3mcg.words import AXIS_PAIRS, Generator, Macro, expand_macro, invert, parse_word
 from t3mcg.rep3 import gen_image3
 from t3mcg.mesh.homology import PROJECTION, mat_mul
 from t3mcg.rep6 import (
     GeneratorTable6,
+    HandednessError,
     IDENTITY6,
     KERNEL_CANDIDATE,
     KERNEL_NONTRIVIAL,
@@ -14,6 +17,7 @@ from t3mcg.rep6 import (
     is_antisymplectic,
     is_symplectic,
     kernel_screen,
+    resolve_handedness,
     solve_shear6,
     word_image6,
     _word_image6_exact,
@@ -152,6 +156,13 @@ class TestEvaluation:
             w = tuple(rng.choice(FULL) for _ in range(rng.randint(0, 15)))
             assert compat_check(w, table32)
 
+    def test_long_word_takes_exact_fallback(self, table32):
+        # (a12 a21)^50 outgrows int64: its entries reach 75 bits
+        w = parse_word("a12 a21") * 50
+        m = word_image6(w, table32)
+        assert m == _word_image6_exact(w, table32)
+        assert max(abs(x) for row in m for x in row) > 2**62
+
 
 class TestKernelScreen:
     def test_shear_not_in_kernel(self, table32):
@@ -172,6 +183,23 @@ class TestResolutionIndependence:
         assert t16.matrices == table32.matrices
         assert t16.handedness == table32.handedness
         assert t16.candidate_counts == table32.candidate_counts
+
+
+class TestHandedness:
+    def test_arbiter_reports_one_winner(self, homology16, table32):
+        winners, details = resolve_handedness(homology16, table32.matrices)
+        assert winners == [table32.handedness]
+        assert set(details) == {"all_plus", "alternating"}
+        for pattern, pair in details.items():
+            assert (pair["conjugated"] == pair["direct"]) == (pattern in winners)
+
+    def test_derive_table_rejects_no_or_two_winners(self, homology16, monkeypatch):
+        import t3mcg.rep6 as rep6
+
+        for winners in ([], ["all_plus", "alternating"]):
+            monkeypatch.setattr(rep6, "resolve_handedness", lambda h, m: (winners, {}))
+            with pytest.raises(HandednessError):
+                rep6.derive_table(homology16)
 
 
 class TestPersistence:
