@@ -45,10 +45,19 @@ def print_matrix(m):
         print(" ".join(f"{x:>{width}}" for x in row))
 
 
+def read_table(path: str) -> GeneratorTable6:
+    """A persisted table; an unreadable or malformed file is a usage error."""
+    try:
+        return GeneratorTable6.load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"error: cannot read table {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def load_or_derive_table(args, derive_if_missing: bool):
     path = args.table or default_table_path(args.resolution)
     if os.path.exists(path):
-        table = GeneratorTable6.load(path)
+        table = read_table(path)
         if table.resolution != args.resolution:
             print(
                 f"error: table {path} was derived at resolution {table.resolution}, "
@@ -117,19 +126,8 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _mesh_report(args):
-    mesh = build_surface(args.resolution)
-    return mesh, validate_surface(mesh)
-
-
-def cmd_mesh_build(args) -> int:
-    _, report = _mesh_report(args)
-    print(json.dumps(report, sort_keys=True) if args.json else report)
-    return 0
-
-
 def cmd_mesh_validate(args) -> int:
-    _, report = _mesh_report(args)
+    report = validate_surface(build_surface(args.resolution))
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -185,7 +183,11 @@ def cmd_mesh_curves(args) -> int:
 
 def cmd_mesh_export(args) -> int:
     mesh = build_surface(args.resolution)
-    export_off(mesh, args.out)
+    try:
+        export_off(mesh, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     report = load_off_counts(args.out)
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -223,11 +225,7 @@ def cmd_table_derive(args) -> int:
 
 
 def cmd_table_show(args) -> int:
-    path = args.table or default_table_path(args.resolution)
-    if not os.path.exists(path):
-        print(f"error: no table at {path}", file=sys.stderr)
-        return 2
-    table = GeneratorTable6.load(path)
+    table = read_table(args.table or default_table_path(args.resolution))
     if args.json:
         print(json.dumps(table.to_json(), sort_keys=True))
     else:
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     mesh = sub.add_parser("mesh", help="surface reconstruction commands")
     msub = mesh.add_subparsers(dest="mesh_command", required=True)
     p = msub.add_parser("build", help="build the surface and print counts")
-    p.set_defaults(func=cmd_mesh_build)
+    p.set_defaults(func=cmd_mesh_validate)
     p = msub.add_parser("validate", help="build and validate the surface")
     p.set_defaults(func=cmd_mesh_validate)
     p = msub.add_parser("curves", help="extract the six distinguished curves")

@@ -19,10 +19,11 @@ Sign conventions, fixed once:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .surface import TriMesh
+from .surface import TriMesh, components
 
 
 class DegeneracyError(RuntimeError):
@@ -71,9 +72,6 @@ class PlaneField:
         self.axis = axis
         self.level = Fraction(level)
 
-    def describe(self):
-        return {"kind": "plane", "axis": self.axis + 1, "level": str(self.level)}
-
     def tri_values(self, mesh: TriMesh, tri: int):
         pts = mesh.triangle_local(tri)
         center = sum(p[self.axis] for p in pts) / 3
@@ -102,14 +100,6 @@ class TubeField:
         self.trans = ((axis + 1) % 3, (axis + 2) % 3)
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
-
-    def describe(self):
-        return {
-            "kind": "tube",
-            "axis": self.axis + 1,
-            "center": [str(c) for c in self.center],
-            "radius": str(self.radius),
-        }
 
     def point_value(self, p):
         a, b = self.trans
@@ -334,126 +324,53 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     """Components of the surface cut along every loop of the field.
 
     Only pointwise fields (tubes) are supported: vertex signs must not depend
-    on a per-triangle branch.  Returns one report per component with counts,
-    Euler characteristic, boundary circles and genus.
+    on a per-triangle branch.  The field's PL interpolant is linear on each
+    triangle, so each side of the cut deformation-retracts onto the full
+    subcomplex spanned by the vertices of that sign (Edelsbrunner & Harer,
+    Computational Topology, 2010), and V - E + F of a component of that
+    subcomplex is the Euler characteristic of its piece.  A piece's boundary
+    circles are the loops whose sliced triangles touch it.  Returns one report
+    per piece, most subcomplex faces first.
     """
     if not isinstance(curves.field, TubeField):
         raise ValueError("cutting needs a pointwise field")
-
-    vert_sign: dict[int, int] = {}
-
-    def vsign(v):
-        s = vert_sign.get(v)
-        if s is None:
-            w = mesh.vertices[v]
-            val = curves.field.point_value(w)
-            s = 1 if val >= 0 else -1
-            vert_sign[v] = s
-        return s
-
-    # fragment = (triangle, side); uncut triangles use their uniform side
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def fragments_of(tri):
-        if tri in curves.tri_segments:
-            return ((tri, 1), (tri, -1))
-        s = vsign(mesh.triangles[tri][0])
-        return ((tri, s),)
-
-    for tri in range(len(mesh.triangles)):
-        for fr in fragments_of(tri):
-            find(fr)
-
-    edges = mesh.shared_edge_map()
-    crossed_edges = []
+    positive = [curves.field.point_value(w) >= 0 for w in mesh.vertices]  # zero counts positive
     plain_edges = []
-    for key, tris in edges.items():
+    for key, tris in mesh.shared_edge_map().items():
         if len(tris) != 2:
             raise ValueError("mesh is not closed")
-        u, v = key
-        su, sv = vsign(u), vsign(v)
-        t1, t2 = tris
-        if su == sv:
-            union((t1, su) if (t1 in curves.tri_segments) else fragments_of(t1)[0],
-                  (t2, su) if (t2 in curves.tri_segments) else fragments_of(t2)[0])
-            plain_edges.append((key, su))
-        else:
+        if positive[key[0]] == positive[key[1]]:
+            plain_edges.append(key)
+        elif tris[0] not in curves.tri_segments or tris[1] not in curves.tri_segments:
             # mixed endpoint signs force a segment in both adjacent triangles
-            if t1 not in curves.tri_segments or t2 not in curves.tri_segments:
-                raise DegeneracyError(
-                    f"edge {key} crosses the zero set but an adjacent triangle "
-                    "was not sliced"
-                )
-            for side in (1, -1):
-                union((t1, side), (t2, side))
-            crossed_edges.append(key)
-
-    comp_faces: dict[tuple, int] = {}
-    for tri in range(len(mesh.triangles)):
-        for fr in fragments_of(tri):
-            comp_faces[find(fr)] = comp_faces.get(find(fr), 0) + 1
-
-    comp_vertices: dict[tuple, set] = {}
-    for tri, verts in enumerate(mesh.triangles):
-        for v in verts:
-            fr = (tri, vsign(v)) if tri in curves.tri_segments else fragments_of(tri)[0]
-            comp_vertices.setdefault(find(fr), set()).add(v)
-
-    comp_edges: dict[tuple, int] = {}
-    for key, s in plain_edges:
-        t1 = edges[key][0]
-        fr = (t1, s) if t1 in curves.tri_segments else fragments_of(t1)[0]
-        comp_edges[find(fr)] = comp_edges.get(find(fr), 0) + 1
-    comp_cross_vertices: dict[tuple, int] = {}
-    for key in crossed_edges:
-        t1 = edges[key][0]
-        for side in (1, -1):
-            fr = (t1, side) if t1 in curves.tri_segments else fragments_of(t1)[0]
-            root = find(fr)
-            comp_edges[root] = comp_edges.get(root, 0) + 1  # the half edge
-            comp_cross_vertices[root] = comp_cross_vertices.get(root, 0) + 1
-
-    comp_seg_edges: dict[tuple, int] = {}
-    boundary_pairs: dict[tuple, set] = {}
-    for tri in curves.tri_segments:
-        li = curves.tri_loop[tri]
-        for side in (1, -1):
-            root = find((tri, side))
-            comp_seg_edges[root] = comp_seg_edges.get(root, 0) + 1
-            boundary_pairs.setdefault(root, set()).add((li, side))
+            raise DegeneracyError(
+                f"edge {key} crosses the zero set but an adjacent triangle was not sliced"
+            )
+    label = components(len(mesh.vertices), plain_edges)
+    vertices = Counter(label)
+    edges = Counter(label[u] for u, _ in plain_edges)
+    faces = Counter(
+        label[a] for a, b, c in mesh.triangles if positive[a] == positive[b] == positive[c]
+    )
+    loops: dict[int, set] = {}
+    for tri, li in curves.tri_loop.items():
+        for v in mesh.triangles[tri]:
+            loops.setdefault(label[v], set()).add(li)
 
     reports = []
-    for root, faces in sorted(comp_faces.items(), key=lambda kv: kv[0]):
-        v = len(comp_vertices.get(root, ())) + comp_cross_vertices.get(root, 0)
-        e = comp_edges.get(root, 0) + comp_seg_edges.get(root, 0)
-        f = faces
-        euler = v - e + f
-        boundaries = len(boundary_pairs.get(root, ()))
-        genus = (2 - euler - boundaries) // 2
+    for root in sorted(vertices, key=lambda r: (-faces[r], r)):
+        euler = vertices[root] - edges[root] + faces[root]
+        boundaries = len(loops.get(root, ()))
         reports.append(
             {
-                "faces": f,
-                "vertices": v,
-                "edges": e,
+                "faces": faces[root],
+                "vertices": vertices[root],
+                "edges": edges[root],
                 "euler_characteristic": euler,
                 "boundary_circles": boundaries,
-                "genus": genus,
+                "genus": (2 - euler - boundaries) // 2,
             }
         )
-    reports.sort(key=lambda r: -r["faces"])
     return reports
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from ..rep3 import det3
 from .surface import TriMesh
 from .curves import (
     DegeneracyError,
@@ -24,6 +26,7 @@ from .curves import (
     SlicedCurves,
     TUBE_RADIUS,
     plane_section,
+    step_positions,
     tube_section,
     walk_pairing,
     walk_steps,
@@ -123,7 +126,11 @@ class HomologyData:
     basis_change: tuple  # columns: canonical basis in generator coordinates
     basis_change_inv: tuple
     tube_radius: Fraction
-    disk_b_classes: tuple  # canonical classes of the three x_i = 0 sections
+
+    @cached_property
+    def disk_b_classes(self) -> tuple:
+        """Canonical classes of the three x_i = 0 sections."""
+        return tuple(self.curve_class(ref) for ref in self.disk_sections_b)
 
     def pair_with_generators(self, steps, walker_sign: int):
         """Crossing numbers of a directed path against the six generators."""
@@ -198,8 +205,8 @@ def flank_sign(mesh: TriMesh, curves: SlicedCurves, loop: Loop) -> int:
     """
     fld = curves.field
     a, b = fld.trans
-    for tri, pt_in, _pt_out in loop.steps:
-        pts = mesh.triangle_local(tri)
+    for step in loop.steps:
+        pts = mesh.triangle_local(step[0])
         e1 = tuple(pts[1][c] - pts[0][c] for c in range(3))
         e2 = tuple(pts[2][c] - pts[0][c] for c in range(3))
         normal = (
@@ -207,11 +214,7 @@ def flank_sign(mesh: TriMesh, curves: SlicedCurves, loop: Loop) -> int:
             e1[2] * e2[0] - e1[0] * e2[2],
             e1[0] * e2[1] - e1[1] * e2[0],
         )
-        cell = mesh.tri_cells[tri]
-        va, vb, t = pt_in
-        pa = mesh.vertex_local(va, cell)
-        pb = mesh.vertex_local(vb, cell)
-        p = tuple(x + t * (y - x) for x, y in zip(pa, pb))
+        p, _ = step_positions(mesh, step)
         wa = p[a] - fld.center[0]
         wa -= round(wa)
         wb = p[b] - fld.center[1]
@@ -354,7 +357,6 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
         basis_change=basis_change,
         basis_change_inv=basis_change_inv,
         tube_radius=Fraction(tube_radius),
-        disk_b_classes=(),
     )
 
     # Projection sanity: p(a_i) = 0 and p(b_i) = e_i in canonical coordinates.
@@ -369,20 +371,12 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
             raise DegeneracyError(f"longitude {i + 1} projects incorrectly: {cls}")
 
     # The B-side disk boundaries must span the same lattice as the A-side ones.
-    b_classes = []
-    for i in range(3):
-        cls = h.curve_class(sections_b[i])
+    b_classes = h.disk_b_classes
+    for i, cls in enumerate(b_classes):
         if any(cls[3 + c] != 0 for c in range(3)):
             raise DegeneracyError(f"B-side section {i + 1} has nonzero winding part: {cls}")
-        b_classes.append(cls)
-    det = (
-        b_classes[0][0] * (b_classes[1][1] * b_classes[2][2] - b_classes[1][2] * b_classes[2][1])
-        - b_classes[0][1] * (b_classes[1][0] * b_classes[2][2] - b_classes[1][2] * b_classes[2][0])
-        + b_classes[0][2] * (b_classes[1][0] * b_classes[2][1] - b_classes[1][1] * b_classes[2][0])
-    )
-    if det not in (1, -1):
+    if det3(tuple(cls[:3] for cls in b_classes)) not in (1, -1):
         raise DegeneracyError(
             f"B-side disk classes do not span the meridian lattice: {b_classes}"
         )
-    h.disk_b_classes = tuple(b_classes)
     return h

@@ -89,15 +89,10 @@ class TriMesh:
     vertex_raw: list  # coordinates relative to the base lattice point's cell
     triangles: list  # (i, j, k) vertex indices, oriented
     tri_cells: list  # lattice cell each triangle came from
-    signs: np.ndarray = field(repr=False)  # boolean sample array, True where g > 0
 
     _local_cache: dict = field(default_factory=dict, repr=False)
     _cells_array: np.ndarray = field(default=None, repr=False)
     _shared_edge_map: dict = field(default=None, repr=False)
-
-    @property
-    def offset(self) -> Fraction:
-        return Fraction(self.offset_num, self.offset_den)
 
     def vertex_local(self, v: int, cell) -> tuple:
         """Exact coordinates of vertex v in the unwrapped frame of a cell.
@@ -292,15 +287,12 @@ def build_surface(n: int, _retry: bool = False) -> TriMesh:
         vertex_raw=vertex_raw,
         triangles=triangles,
         tri_cells=tri_cells,
-        signs=signs,
     )
 
 
-def validate_surface(mesh: TriMesh) -> dict:
-    """Closedness, orientability, connectedness and Euler characteristic."""
-    edges = edge_map(mesh.triangles)  # afresh: the triangle list may have changed
-    counts = _edge_counts(len(mesh.vertices), mesh.triangles, edges)
-    parent = list(range(len(mesh.triangles)))
+def components(n: int, pairs) -> list:
+    """Connected-component label of each of n items joined by the given pairs."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -308,13 +300,19 @@ def validate_surface(mesh: TriMesh) -> dict:
             x = parent[x]
         return x
 
-    for tris in edges.values():
-        if len(tris) == 2:
-            a, b = find(tris[0]), find(tris[1])
-            if a != b:
-                parent[a] = b
-    roots = {find(i) for i in range(len(mesh.triangles))}
-    connected = len(roots) == 1
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(n)]
+
+
+def validate_surface(mesh: TriMesh) -> dict:
+    """Closedness, orientability, connectedness and Euler characteristic."""
+    edges = edge_map(mesh.triangles)  # afresh: the triangle list may have changed
+    counts = _edge_counts(len(mesh.vertices), mesh.triangles, edges)
+    pairs = (tris for tris in edges.values() if len(tris) == 2)
+    connected = len(set(components(len(mesh.triangles), pairs))) == 1
     closed, oriented = counts.pop("closed"), counts.pop("orientable")
     genus = (2 - counts["euler_characteristic"]) // 2 if closed and connected else None
     return {

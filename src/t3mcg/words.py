@@ -47,16 +47,6 @@ class Generator:
 # A word is an immutable tuple of generators.
 Word = tuple
 
-EMPTY_WORD: Word = ()
-
-
-def gen(kind: str, sign: int = 1) -> Generator:
-    return Generator(kind, sign)
-
-
-def word(*letters: Generator) -> Word:
-    return tuple(letters)
-
 
 def compose(w1: Word, w2: Word) -> Word:
     """Concatenation; w1 acts first.  No cancellation is performed."""

@@ -156,3 +156,44 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "resolution" in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", '{"matrices": {}}', '{"matrices": 5}', None],
+        ids=["not-json", "no-handedness", "matrices-not-a-map", "directory"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["eval", "--level", "6", "s"], ["table", "show"]], ids=["eval", "show"]
+    )
+    def test_bad_table_exits_2(self, content, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        code, _, err = run_cli(["--table", str(path)] + command, capsys)
+        assert code == 2
+        assert f"cannot read table {path}" in err
+        assert "Traceback" not in err
+
+    def test_missing_table_for_show_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, _, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert code == 2
+        assert str(path) in err
+
+    def test_export_to_missing_directory_exits_2(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "x.off")
+        code, _, err = run_cli(["--resolution", "8", "mesh", "export", out_path], capsys)
+        assert code == 2
+        assert f"cannot write {out_path}" in err
+
+
+class TestMeshBuild:
+    def test_build_prints_the_validate_report(self, capsys):
+        _, validate_out, _ = run_cli(["--json", "--resolution", "16", "mesh", "validate"], capsys)
+        code, build_out, _ = run_cli(["--json", "--resolution", "16", "mesh", "build"], capsys)
+        assert code == 0
+        assert build_out == validate_out

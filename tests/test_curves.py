@@ -97,3 +97,30 @@ class TestCutting:
         tube = tube_section(mesh32, 3, (HALF, Fraction(0)))
         pieces = cut_along(mesh32, tube)
         assert sum(p["euler_characteristic"] for p in pieces) == -4
+
+
+class TestCuttingSubcomplex:
+    def test_small_tube_cuts_off_two_disks(self, mesh16):
+        # below the meridian-disk radius the tube meets the surface in two
+        # small circles, so the cut leaves two disks and a genus-3 remainder
+        tube = tube_section(mesh16, 3, (HALF, Fraction(0)), Fraction(1, 8))
+        assert len(tube.loops) == 2
+        pieces = cut_along(mesh16, tube)
+        summary = sorted(
+            (p["euler_characteristic"], p["boundary_circles"], p["genus"]) for p in pieces
+        )
+        assert summary == [(-6, 2, 3), (1, 1, 0), (1, 1, 0)]
+        for p in pieces:
+            assert p["vertices"] - p["edges"] + p["faces"] == p["euler_characteristic"]
+
+    def test_unsliced_crossing_triangle_is_degenerate(self, mesh16):
+        import dataclasses
+
+        from t3mcg.mesh.curves import DegeneracyError
+
+        tube = tube_section(mesh16, 3, (HALF, Fraction(0)))
+        dropped = min(tube.tri_segments)
+        segments = {t: s for t, s in tube.tri_segments.items() if t != dropped}
+        broken = dataclasses.replace(tube, tri_segments=segments)
+        with pytest.raises(DegeneracyError):
+            cut_along(mesh16, broken)

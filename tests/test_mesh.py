@@ -137,3 +137,28 @@ class TestOffExport:
         for key in ("closed", "orientable", "vertices", "edges", "triangles",
                     "euler_characteristic"):
             assert report[key] == direct[key]
+
+
+class TestComponents:
+    def test_labels_follow_pairs(self):
+        from t3mcg.mesh.surface import components
+
+        labels = components(5, [(0, 1), (3, 4)])
+        assert labels[0] == labels[1]
+        assert labels[3] == labels[4]
+        assert len({labels[0], labels[2], labels[3]}) == 3
+
+    def test_two_disjoint_copies_are_not_connected(self, mesh16):
+        import copy
+
+        k = len(mesh16.vertices)
+        double = copy.copy(mesh16)
+        double.vertices = mesh16.vertices * 2
+        double.triangles = mesh16.triangles + [
+            (a + k, b + k, c + k) for a, b, c in mesh16.triangles
+        ]
+        report = validate_surface(double)
+        assert report["closed"] and report["orientable"]
+        assert not report["connected"]
+        assert report["euler_characteristic"] == -8
+        assert report["genus"] is None
