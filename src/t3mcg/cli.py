@@ -2,7 +2,8 @@
 
 Subcommands: eval, decompose, mesh {build,validate,curves,export}, verify,
 table {derive,show}.  Structured output under --json is deterministic for
-fixed flags and seed.  Exit codes: 0 success, 1 check failure, 2 usage error.
+fixed flags and seed.  Exit codes: 0 success, 1 check failure or a domain
+error of the surface oracle or the derivation, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ from fractions import Fraction
 
 from . import words as W
 from . import rep3
-from .mesh import build_surface, export_off, load_off_counts, validate_surface
-from .mesh.curves import plane_section
+from .mesh import (
+    SampleOnSurfaceError,
+    build_surface,
+    export_off,
+    load_off_counts,
+    validate_surface,
+)
+from .mesh.curves import DegeneracyError, TransversalityError, plane_section
 from .mesh.homology import build_homology
-from .rep6 import GeneratorTable6, derive_table, word_image6
+from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
 from .verifier import run_suite
 
 
@@ -54,6 +61,15 @@ def read_table(path: str) -> GeneratorTable6:
         raise SystemExit(2)
 
 
+def write_table(table: GeneratorTable6, path: str):
+    """Persist a derived table; an unwritable path is a usage error."""
+    try:
+        table.save(path)
+    except OSError as exc:
+        print(f"error: cannot write table {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def load_or_derive_table(args, derive_if_missing: bool):
     path = args.table or default_table_path(args.resolution)
     if os.path.exists(path):
@@ -75,7 +91,7 @@ def load_or_derive_table(args, derive_if_missing: bool):
     mesh = build_surface(args.resolution)
     h = build_homology(mesh)
     table = derive_table(h)
-    table.save(path)
+    write_table(table, path)
     return table, h
 
 
@@ -216,7 +232,7 @@ def cmd_table_derive(args) -> int:
     h = build_homology(mesh)
     table = derive_table(h)
     path = args.table or default_table_path(args.resolution)
-    table.save(path)
+    write_table(table, path)
     if args.json:
         print(json.dumps({"path": path, "handedness": table.handedness}, sort_keys=True))
     else:
@@ -297,6 +313,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except (DegeneracyError, TransversalityError, HandednessError, SampleOnSurfaceError) as exc:
+        # the surface oracle or the derivation gave up: a domain error, not a bug
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Generator matrices are derived, never hand-entered: the swap and twist act
 through the mesh (translating curves, composing twists along the extracted
-tube loops), while the shears are completed from their forced blocks by a
-bounded search over the symplectic completions.  The resulting 6x6 matrices
-act on canonical homology coordinates by left multiplication, first letter
-first, mirroring the 3x3 convention.
+tube loops), while the shears are completed from their forced blocks by an
+exact enumeration of the bounded symplectic completions.  The resulting 6x6
+matrices act on canonical homology coordinates by left multiplication, first
+letter first, mirroring the 3x3 convention.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .words import AXIS_PAIRS, Generator, Macro, Word, expand_macro
+from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
 from .rep3 import gen_image3, word_image3
 from .mesh.homology import (
     CANONICAL_J,
@@ -96,9 +97,11 @@ def derive_twist6(h: HomologyData, pattern: str) -> Mat6:
 # homology has block form [[P, Q], [0, R]] in the canonical basis: R is the
 # ambient 3x3 action (the winding part transforms like the ambient homology),
 # the zero block is forced because meridian classes have zero winding, and
-# the symplectic condition pins P = R^-T and constrains Q^T R to be
-# symmetric.  The remaining freedom is searched over a bounded box.
+# the symplectic condition pins P = R^-T and makes S = R^T Q symmetric.  The
+# remaining freedom, Q, is enumerated exactly over the box |Q| <= SHEAR_BOUND.
 # ---------------------------------------------------------------------------
+
+SHEAR_BOUND = 2
 
 
 @dataclass
@@ -108,49 +111,34 @@ class ShearSolution:
     bound: int
 
 
-def solve_shear6(r_block, bound: int = 2) -> ShearSolution:
-    """All symplectic completions [[R^-T, Q], [0, R]] with |Q| entries bounded.
+def solve_shear6(r_block) -> ShearSolution:
+    """The least symplectic completion [[R^-T, Q], [0, R]] with |Q| <= SHEAR_BOUND.
 
-    Q must satisfy Q^T R = R^T Q; writing Q = R^-T S for symmetric S turns the
-    search into an enumeration of symmetric integer S.  The canonical choice
-    is the lexicographically least full matrix, which for this ordering is
-    realized by the most negative admissible Q.
+    The candidates are all integer Q in the box with S = R^T Q symmetric.
+    Column j of S is R^T q_j, so columns q_0 and q_1 pair on S[1][0] ==
+    S[0][1], and q_2 is looked up by (S[0][2], S[1][2]).  Q = 0 always
+    qualifies, so the search is never empty.  No box on S is needed: |Q| <= b
+    already gives |S| <= b times the largest column sum of |R|, and Q -> R^T Q
+    is a bijection.  The canonical choice is the row-major least Q.
     """
-    r = np.array(r_block, dtype=np.int64)
-    p = np.array(invert_unimodular(transpose(r_block)), dtype=np.int64)
-    for b in (bound, 2 * bound):
-        # |S| = |R^T Q| is bounded by the max column sum of |R| times b
-        s_bound = int(np.abs(r).sum(axis=0).max()) * b
-        rng = np.arange(-s_bound, s_bound + 1)
-        grids = np.meshgrid(*([rng] * 6), indexing="ij")
-        flat = [g.ravel() for g in grids]
-        count = flat[0].size
-        s = np.zeros((count, 3, 3), dtype=np.int64)
-        s[:, 0, 0] = flat[0]
-        s[:, 0, 1] = s[:, 1, 0] = flat[1]
-        s[:, 0, 2] = s[:, 2, 0] = flat[2]
-        s[:, 1, 1] = flat[3]
-        s[:, 1, 2] = s[:, 2, 1] = flat[4]
-        s[:, 2, 2] = flat[5]
-        q = np.einsum("ij,njk->nik", p, s)
-        mask = np.abs(q).max(axis=(1, 2)) <= b
-        n_candidates = int(mask.sum())
-        if n_candidates == 0:
-            continue
-        q_ok = q[mask]
-        # lexicographic order over the interleaved rows of the full matrix
-        keys = np.concatenate([q_ok[:, 0, :], q_ok[:, 1, :], q_ok[:, 2, :]], axis=1)
-        order = np.lexsort(keys.T[::-1])
-        q_best = q_ok[order[0]]
-        rows = []
-        for i in range(3):
-            rows.append(tuple(int(p[i][j]) for j in range(3)) + tuple(int(q_best[i][j]) for j in range(3)))
-        for i in range(3):
-            rows.append((0, 0, 0) + tuple(int(r[i][j]) for j in range(3)))
-        m = mat6(rows)
-        assert is_symplectic(m)
-        return ShearSolution(matrix=m, candidate_count=n_candidates, bound=b)
-    raise RuntimeError("no symplectic completion found within the doubled bound")
+    b = SHEAR_BOUND
+    box = tuple(product(range(-b, b + 1), repeat=3))
+    columns = list(zip(box, mat_mul(box, r_block)))  # row q R is column R^T q
+    by_top = {}
+    for q, v in columns:
+        by_top.setdefault(v[:2], []).append(q)
+    candidates = [
+        (q0, q1, q2)
+        for q0, v0 in columns
+        for q1, v1 in columns
+        if v1[0] == v0[1]
+        for q2 in by_top.get((v0[2], v1[2]), ())
+    ]
+    q = min(tuple(zip(*cols)) for cols in candidates)  # rows of Q, row-major order
+    p = invert_unimodular(transpose(r_block))
+    m = mat6([p[i] + q[i] for i in range(3)] + [(0, 0, 0) + tuple(row) for row in r_block])
+    assert is_symplectic(m)
+    return ShearSolution(matrix=m, candidate_count=len(candidates), bound=b)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +183,29 @@ class GeneratorTable6:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratorTable6":
+        """A persisted table, checked against the laws every derived table
+        obeys; a violation raises ``ValueError`` naming the token."""
+        matrices = {k: mat6(v) for k, v in data["matrices"].items()}
+        for tok in BASE_TOKENS:
+            if tok not in matrices:
+                raise ValueError(f"matrix {tok} is missing")
+        for tok in matrices:
+            if tok not in BASE_TOKENS:
+                raise ValueError(f"unknown matrix {tok!r}")
+        if type(data["resolution"]) is not int:
+            raise ValueError(f"resolution must be an integer, got {data['resolution']!r}")
+        for tok in BASE_TOKENS:
+            m = matrices[tok]
+            if tok == "s" and not is_antisymplectic(m):
+                raise ValueError("matrix s is not antisymplectic")
+            if tok != "s" and not is_symplectic(m):
+                raise ValueError(f"matrix {tok} is not symplectic")
+            if mat_mul(PROJECTION, m) != mat_mul(gen_image3(Generator(tok, 1)), PROJECTION):
+                raise ValueError(f"matrix {tok} does not intertwine with the projection")
+        if mat_mul(matrices["s"], matrices["s"]) != IDENTITY6:
+            raise ValueError("matrix s is not an involution")
         return cls(
-            matrices={k: mat6(v) for k, v in data["matrices"].items()},
+            matrices=matrices,
             provenance=data.get("provenance", {}),
             candidate_counts=data.get("candidate_counts", {}),
             handedness=data["handedness"],

@@ -4,6 +4,9 @@ import os
 import pytest
 
 from t3mcg.cli import main
+from t3mcg.mesh import SampleOnSurfaceError
+from t3mcg.mesh.curves import DegeneracyError, TransversalityError
+from t3mcg.rep6 import HandednessError
 
 
 def run_cli(argv, capsys):
@@ -178,6 +181,34 @@ class TestUnreadableFiles:
         assert f"cannot read table {path}" in err
         assert "Traceback" not in err
 
+    def test_table_without_generators_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"matrices": {}, "handedness": "alternating", "resolution": 32}')
+        code, _, err = run_cli(["--table", str(path), "eval", "--level", "6", "s"], capsys)
+        assert code == 2
+        assert f"cannot read table {path}" in err
+        assert "matrix a12 is missing" in err
+        assert "Traceback" not in err
+
+    def test_table_with_identity_swap_exits_2(self, table32, tmp_path, capsys):
+        from t3mcg.rep6 import IDENTITY6
+
+        data = table32.to_json()
+        data["matrices"]["s"] = [list(row) for row in IDENTITY6]
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(["--table", str(path), "eval", "--level", "6", "s"], capsys)
+        assert code == 2
+        assert f"cannot read table {path}" in err
+        assert "matrix s" in err
+
+    def test_derive_to_missing_directory_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.json")
+        code, _, err = run_cli(["--resolution", "8", "--table", path, "table", "derive"], capsys)
+        assert code == 2
+        assert f"cannot write table {path}" in err
+        assert "Traceback" not in err
+
     def test_missing_table_for_show_exits_2(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         code, _, err = run_cli(["--table", str(path), "table", "show"], capsys)
@@ -197,3 +228,20 @@ class TestMeshBuild:
         code, build_out, _ = run_cli(["--json", "--resolution", "16", "mesh", "build"], capsys)
         assert code == 0
         assert build_out == validate_out
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "error",
+        [DegeneracyError, TransversalityError, HandednessError, SampleOnSurfaceError],
+    )
+    def test_domain_error_is_one_line(self, error, tmp_path, capsys, monkeypatch):
+        def fail(resolution):
+            raise error("surface oracle gave up")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", fail)
+        code, _, err = run_cli(
+            ["--resolution", "8", "--table", str(tmp_path / "t.json"), "verify"], capsys
+        )
+        assert code == 1
+        assert err == f"error: {error.__name__}: surface oracle gave up\n"

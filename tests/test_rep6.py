@@ -96,6 +96,43 @@ class TestShearSolver:
         assert sol.candidate_count >= 1
         assert sol.bound == 2
 
+    # the row-major least Q of each shear; every shear has 9025 candidates
+    LEAST_Q = {
+        "a12": ((-2, -2, -2), (-2, 0, 0), (-2, 0, -2)),
+        "a13": ((-2, -2, -2), (-2, -2, 0), (-2, 0, 0)),
+        "a21": ((-2, -2, -2), (0, -2, 0), (-2, -2, -2)),
+        "a23": ((-2, -2, -2), (0, -2, -2), (-2, -2, 0)),
+        "a31": ((-2, -2, -2), (-2, -2, -2), (0, 0, -2)),
+        "a32": ((-2, -2, -2), (-2, -2, -2), (0, 0, -2)),
+    }
+
+    def test_shear_counts_and_least_q_are_pinned(self):
+        for tok, q in self.LEAST_Q.items():
+            sol = solve_shear6(gen_image3(G(tok)))
+            assert sol.candidate_count == 9025, tok
+            assert tuple(row[3:] for row in sol.matrix[:3]) == q, tok
+            assert sol.bound == 2
+
+    def test_non_shear_block_completes(self):
+        from t3mcg.mesh.homology import invert_unimodular, transpose
+        from t3mcg.rep3 import word_image3
+
+        r = word_image3(parse_word("r12"))
+        sol = solve_shear6(r)
+        m = sol.matrix
+        p = invert_unimodular(transpose(r))
+        q = tuple(row[3:] for row in m[:3])
+        assert tuple(row[:3] for row in m[:3]) == p
+        assert tuple(row[:3] for row in m[3:]) == ((0, 0, 0),) * 3
+        assert tuple(row[3:] for row in m[3:]) == r
+        assert max(abs(x) for row in q for x in row) <= 2
+        s = mat_mul(transpose(r), q)
+        assert s == transpose(s)
+        assert is_symplectic(m)
+        # R^T permutes the rows of Q up to sign, so the candidates are
+        # exactly the symmetric S = R^T Q with entries in [-2, 2]: 5^6
+        assert sol.candidate_count == 15625
+
     def test_candidates_are_interchangeable_for_the_suite(self, homology32, table32):
         # the relation checks factor through blocks the search leaves free, so
         # alternative candidates satisfy the same conjugation identity
