@@ -137,9 +137,6 @@ class Loop:
     displacement: tuple  # integer 3-vector
     orientation_sign: int = 1
 
-    def __len__(self):
-        return len(self.steps)
-
 
 @dataclass
 class SlicedCurves:
@@ -168,12 +165,12 @@ class SlicedCurves:
 
 def step_positions(mesh: TriMesh, step):
     tri, pt_in, pt_out = step
-    cell = mesh.tri_cells[tri]
+    verts = mesh.triangles[tri]
+    local = mesh.triangle_local(tri)
 
     def pos(pt):
         va, vb, t = pt
-        pa = mesh.vertex_local(va, cell)
-        pb = mesh.vertex_local(vb, cell)
+        pa, pb = local[verts.index(va)], local[verts.index(vb)]
         return tuple(a + t * (b - a) for a, b in zip(pa, pb))
 
     return pos(pt_in), pos(pt_out)

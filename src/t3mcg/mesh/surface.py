@@ -5,6 +5,8 @@ where each spine is the three axis circles through the origin (A) or through
 the half-diagonal point (B), and distances are flat-torus distances.  Samples
 live on the shifted grid (p + 1/2)/n, which keeps every sample off the
 symmetry planes; sample values are exact integers after scaling by (2n)^2.
+At resolutions with an odd factor some samples are still equidistant from
+both spines, and build_surface raises SampleOnSurfaceError there.
 Each grid cell is split into the six path tetrahedra sharing the main
 diagonal, and the zero set is triangulated per tetrahedron.  All crossing
 parameters are exact rationals, so welding vertices by grid edge is exact and
@@ -42,23 +44,23 @@ for perm in permutations((0, 1, 2)):
     _TET_PATHS.append((tuple(corners), parity))
 
 
-def _periodic_sq_tables(n: int, q: int):
+def _periodic_sq_tables(n: int):
     """1D tables of squared periodic offsets for the two spines.
 
-    Coordinates are integers c = q*p + (q-1) over denominator q*n; spine A
-    circles sit at coordinate 0 and spine B circles at q*n/2.
+    Coordinates are integers c = 2*p + 1 over denominator 2*n; spine A
+    circles sit at coordinate 0 and spine B circles at n.
     """
-    modulus = q * n
-    c = q * np.arange(n, dtype=np.int64) + (q - 1)
+    modulus = 2 * n
+    c = 2 * np.arange(n, dtype=np.int64) + 1
     m0 = c % modulus
     d0 = np.minimum(m0, modulus - m0)
-    mh = (c - modulus // 2) % modulus
+    mh = (c - n) % modulus
     dh = np.minimum(mh, modulus - mh)
     return d0 * d0, dh * dh
 
 
-def _sample_field(n: int, q: int) -> np.ndarray:
-    d0, dh = _periodic_sq_tables(n, q)
+def _sample_field(n: int) -> np.ndarray:
+    d0, dh = _periodic_sq_tables(n)
     x0 = d0[:, None, None]
     y0 = d0[None, :, None]
     z0 = d0[None, None, :]
@@ -72,21 +74,22 @@ def _sample_field(n: int, q: int) -> np.ndarray:
 
 @dataclass
 class TriMesh:
-    """Closed oriented triangle mesh with exact rational vertices.
+    """Closed oriented triangle mesh, each vertex stored once as exact rationals.
 
     Every vertex lies on a grid edge: ``vertex_edges[v] = (base, axes, t)``
     where ``base`` is the lower lattice corner (wrapped mod n), ``axes`` the
     0/1 direction vector to the upper corner and ``t`` the exact crossing
-    parameter in (0,1).  Triangle orientation points from the side nearer
-    spine A toward the side nearer spine B.
+    parameter in (0,1).  Lattice point p samples the position (p + 1/2)/n.
+    Triangle orientation points from the side nearer spine A toward the side
+    nearer spine B.
     """
 
+    offset_num = 1  # sample offset offset_num / offset_den of a grid step
+    offset_den = 2
+
     resolution: int
-    offset_num: int  # sample offset = offset_num / offset_den, 1/2 or 3/4
-    offset_den: int
     vertices: list  # wrapped coordinates, tuple of 3 Fractions in [0,1)
     vertex_edges: list  # (base tuple, direction tuple, Fraction t)
-    vertex_raw: list  # coordinates relative to the base lattice point's cell
     triangles: list  # (i, j, k) vertex indices, oriented
     tri_cells: list  # lattice cell each triangle came from
 
@@ -94,27 +97,24 @@ class TriMesh:
     _cells_array: np.ndarray = field(default=None, repr=False)
     _shared_edge_map: dict = field(default=None, repr=False)
 
-    def vertex_local(self, v: int, cell) -> tuple:
-        """Exact coordinates of vertex v in the unwrapped frame of a cell.
-
-        The cell must be one of the (at most four) cells whose closure holds
-        the vertex's edge; the base lattice point then sits either inside the
-        cell's index range or exactly one period below it.
-        """
-        n = self.resolution
-        base = self.vertex_edges[v][0]
-        raw = self.vertex_raw[v]
-        coords = []
-        for c in range(3):
-            k = (cell[c] + ((base[c] - cell[c]) % n) - base[c]) // n
-            coords.append(raw[c] + k if k else raw[c])
-        return tuple(coords)
-
     def triangle_local(self, tri_index: int) -> tuple:
+        """Exact vertex coordinates of a triangle in the unwrapped frame of its cell.
+
+        The frame of cell k spans [(k + 1/2)/n, (k + 3/2)/n] along each axis,
+        which leaves [0, 1) only for k = n - 1; there a wrapped coordinate
+        below 1/2 gains one period.
+        """
         cached = self._local_cache.get(tri_index)
         if cached is None:
+            last = self.resolution - 1
             cell = self.tri_cells[tri_index]
-            cached = tuple(self.vertex_local(v, cell) for v in self.triangles[tri_index])
+            cached = tuple(
+                tuple(
+                    w + 1 if cell[c] == last and 2 * w.numerator < w.denominator else w
+                    for c, w in enumerate(self.vertices[v])
+                )
+                for v in self.triangles[tri_index]
+            )
             self._local_cache[tri_index] = cached
         return cached
 
@@ -163,18 +163,13 @@ def _edge_counts(n_vertices: int, triangles, edges) -> dict:
     }
 
 
-def build_surface(n: int, _retry: bool = False) -> TriMesh:
+def build_surface(n: int) -> TriMesh:
     """Extract the equidistant surface at grid resolution n (even, >= 8)."""
     if n % 2 != 0 or n < 8:
         raise ResolutionError(f"resolution must be even and >= 8, got {n}")
-    q = 4 if _retry else 2
-    g = _sample_field(n, q)
+    g = _sample_field(n)
     if (g == 0).any():
-        if _retry:
-            raise SampleOnSurfaceError(
-                "sample hit the surface exactly even after offset perturbation"
-            )
-        return build_surface(n, _retry=True)
+        raise SampleOnSurfaceError(f"a sample at resolution {n} lies exactly on the surface")
 
     signs = g > 0
     # Cells whose 8 corners do not all agree carry surface.
@@ -203,11 +198,9 @@ def build_surface(n: int, _retry: bool = False) -> TriMesh:
     vert_index: dict[tuple, int] = {}
     vertices: list[tuple] = []
     vertex_edges: list[tuple] = []
-    vertex_raw: list[tuple] = []
     triangles: list[tuple] = []
     tri_cells: list[tuple] = []
-    offset_num, offset_den = (q - 1), q
-    off = Fraction(offset_num, offset_den)
+    off = Fraction(TriMesh.offset_num, TriMesh.offset_den)
 
     def crossing(pa, pb):
         """Vertex index of the crossing on the edge between lattice points."""
@@ -221,12 +214,10 @@ def build_surface(n: int, _retry: bool = False) -> TriMesh:
             return idx
         glo, ghi = sample(lo), sample(hi)
         t = Fraction(glo, glo - ghi)
-        raw = tuple((wrapped[c] + off + t * axes[c]) / n for c in range(3))
         idx = len(vertices)
         vert_index[key] = idx
-        vertices.append(tuple(r % 1 for r in raw))
+        vertices.append(tuple((wrapped[c] + off + t * axes[c]) / n % 1 for c in range(3)))
         vertex_edges.append((wrapped, axes, t))
-        vertex_raw.append(raw)
         return idx
 
     def emit(tri, cell):
@@ -280,11 +271,8 @@ def build_surface(n: int, _retry: bool = False) -> TriMesh:
 
     return TriMesh(
         resolution=n,
-        offset_num=offset_num,
-        offset_den=offset_den,
         vertices=vertices,
         vertex_edges=vertex_edges,
-        vertex_raw=vertex_raw,
         triangles=triangles,
         tri_cells=tri_cells,
     )

@@ -54,29 +54,29 @@ def det3(m: Mat3) -> int:
     )
 
 
-def _shear(i: int, j: int, c: int = 1) -> Mat3:
-    rows = [[1 if r == s else 0 for s in range(3)] for r in range(3)]
-    rows[j - 1][i - 1] = c
-    return tuple(tuple(r) for r in rows)
+def _add_row(rows: list, i: int, j: int, c: int):
+    """row_j += c * row_i on a list of row tuples (1-based indices, i != j).
+
+    This is left multiplication by the image of a_ij^c.
+    """
+    (a0, a1, a2), (b0, b1, b2) = rows[i - 1], rows[j - 1]
+    rows[j - 1] = (b0 + c * a0, b1 + c * a1, b2 + c * a2)
 
 
-_GEN_IMAGE = {}
-for i, j in AXIS_PAIRS:
-    _GEN_IMAGE[(f"a{i}{j}", 1)] = _shear(i, j, 1)
-    _GEN_IMAGE[(f"a{i}{j}", -1)] = _shear(i, j, -1)
-_GEN_IMAGE[("s", 1)] = _GEN_IMAGE[("s", -1)] = IDENTITY3
-_GEN_IMAGE[("t", 1)] = _GEN_IMAGE[("t", -1)] = IDENTITY3
-
-
-def gen_image3(g: Generator) -> Mat3:
-    return _GEN_IMAGE[(g.kind, g.sign)]
+_SHEAR_AXES = {f"a{i}{j}": (i, j) for i, j in AXIS_PAIRS}
 
 
 def word_image3(w: Word) -> Mat3:
-    acc = IDENTITY3
-    for g in w:  # first letter acts first => multiply on the left
-        acc = mat_mul(gen_image3(g), acc)
-    return acc
+    rows = list(IDENTITY3)
+    for g in w:  # first letter acts first => row operation on the left
+        axes = _SHEAR_AXES.get(g.kind)
+        if axes is not None:  # the swap and twist act trivially
+            _add_row(rows, *axes, g.sign)
+    return tuple(rows)
+
+
+def gen_image3(g: Generator) -> Mat3:
+    return word_image3((g,))
 
 
 def is_kernel3(w: Word) -> bool:
@@ -113,16 +113,13 @@ def decompose_sl3(m: Mat3) -> Word:
     m = mat3(m)
     if det3(m) != 1:
         raise DeterminantError(f"determinant is {det3(m)}, expected 1")
-    work = [list(row) for row in m]
+    work = list(m)
     ops: list[tuple[int, int, int]] = []
 
     def row_op(i: int, j: int, c: int):
-        # row_j += c * row_i  (1-based indices, i != j)
-        if c == 0:
-            return
-        for col in range(3):
-            work[j - 1][col] += c * work[i - 1][col]
-        ops.append((i, j, c))
+        if c != 0:
+            _add_row(work, i, j, c)
+            ops.append((i, j, c))
 
     def clear_column(col: int, rows: list[int]):
         # Euclidean reduction of work[r][col] for r in rows, ending with the
@@ -156,5 +153,5 @@ def decompose_sl3(m: Mat3) -> Word:
     row_op(3, 2, -work[1][2])
     row_op(2, 1, -work[0][1])
     row_op(3, 1, -work[0][2])
-    assert work == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert tuple(work) == IDENTITY3
     return _letters_for_ops(ops)

@@ -100,6 +100,24 @@ class TestOrientationConvention:
             assert ambient_side(back) == -1
 
 
+class TestTriangleFrame:
+    @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
+    def test_local_coordinates_unwrap_into_the_cell(self, mesh_name, request):
+        # each local coordinate is its wrapped vertex coordinate plus a whole
+        # period, inside the sample cube [(2k+1)/2n, (2k+3)/2n] of cell k
+        from fractions import Fraction
+
+        mesh = request.getfixturevalue(mesh_name)
+        n = mesh.resolution
+        for tri_index, tri in enumerate(mesh.triangles):
+            cell = mesh.tri_cells[tri_index]
+            for v, local in zip(tri, mesh.triangle_local(tri_index)):
+                for c in range(3):
+                    assert local[c] % 1 == mesh.vertices[v][c]
+                    lo = Fraction(2 * cell[c] + 1, 2 * n)
+                    assert lo <= local[c] <= lo + Fraction(1, n)
+
+
 class TestNegativeControls:
     def test_deleted_triangle_not_closed(self, mesh16):
         import copy

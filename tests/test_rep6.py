@@ -254,3 +254,15 @@ class TestPersistence:
         table32.save(p1)
         table32.save(p2)
         assert open(p1).read() == open(p2).read()
+
+    def test_saved_bytes_match_pinned_digest(self, table32, tmp_path):
+        # the exactness contract: the n = 32 table is byte-identical across
+        # refactors (the same digest is pinned as pipeline-n32.table_sha256 in
+        # perfbench/reference.json)
+        import hashlib
+
+        path = tmp_path / "table.json"
+        table32.save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2f0d3e7056021a416e1713c6f3b7f2f839d76a22afd5b8718fdc4cdd01671474"
+        )
