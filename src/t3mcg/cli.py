@@ -3,7 +3,9 @@
 Subcommands: eval, decompose, mesh {build,validate,curves,export}, verify,
 table {derive,show}.  Structured output under --json is deterministic for
 fixed flags and seed.  Exit codes: 0 success, 1 check failure or a domain
-error of the surface oracle or the derivation, 2 usage error.
+error of the surface oracle or the derivation, 2 usage error.  Commands raise
+usage and domain errors; ``main`` alone turns each into one stderr line and
+its exit code.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .mesh.curves import DegeneracyError, TransversalityError, plane_section
 from .mesh.homology import build_homology
 from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
 from .verifier import run_suite
+
+
+class UsageError(Exception):
+    """Bad input or an unusable file: exit code 2."""
 
 
 def power_of_two_resolution(text: str) -> int:
@@ -57,8 +63,7 @@ def read_table(path: str) -> GeneratorTable6:
     try:
         return GeneratorTable6.load(path)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: cannot read table {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"cannot read table {path}: {exc}") from exc
 
 
 def write_table(table: GeneratorTable6, path: str):
@@ -66,8 +71,7 @@ def write_table(table: GeneratorTable6, path: str):
     try:
         table.save(path)
     except OSError as exc:
-        print(f"error: cannot write table {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"cannot write table {path}: {exc}") from exc
 
 
 def load_or_derive_table(args, derive_if_missing: bool):
@@ -75,19 +79,13 @@ def load_or_derive_table(args, derive_if_missing: bool):
     if os.path.exists(path):
         table = read_table(path)
         if table.resolution != args.resolution:
-            print(
-                f"error: table {path} was derived at resolution {table.resolution}, "
-                f"not {args.resolution}",
-                file=sys.stderr,
+            raise UsageError(
+                f"table {path} was derived at resolution {table.resolution}, "
+                f"not {args.resolution}"
             )
-            raise SystemExit(2)
         return table, None
     if not derive_if_missing:
-        print(
-            f"error: no generator table at {path}; run `t3mcg table derive` first",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        raise UsageError(f"no generator table at {path}; run `t3mcg table derive` first")
     mesh = build_surface(args.resolution)
     h = build_homology(mesh)
     table = derive_table(h)
@@ -96,11 +94,7 @@ def load_or_derive_table(args, derive_if_missing: bool):
 
 
 def cmd_eval(args) -> int:
-    try:
-        word = W.parse_word(args.word)
-    except W.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    word = W.parse_word(args.word)
     if args.level == 3:
         m = rep3.word_image3(word)
     else:
@@ -118,20 +112,14 @@ def cmd_decompose(args) -> int:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        print(f"error: matrix is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    if isinstance(data, list) and len(data) == 9 and all(isinstance(x, int) for x in data):
+        raise UsageError(f"matrix is not valid JSON: {exc}") from exc
+    if isinstance(data, list) and len(data) == 9:  # flat row-major form
         data = [data[0:3], data[3:6], data[6:9]]
     try:
         m = rep3.mat3(data)
     except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        word = rep3.decompose_sl3(m)
-    except rep3.DeterminantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
+    word = rep3.decompose_sl3(m)
     if rep3.word_image3(word) != m:
         print("error: decomposition failed its own round-trip", file=sys.stderr)
         return 1
@@ -202,8 +190,7 @@ def cmd_mesh_export(args) -> int:
     try:
         export_off(mesh, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     report = load_off_counts(args.out)
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -313,6 +300,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except (UsageError, W.ParseError, rep3.DeterminantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DegeneracyError, TransversalityError, HandednessError, SampleOnSurfaceError) as exc:
         # the surface oracle or the derivation gave up: a domain error, not a bug
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,10 +2,11 @@
 
 Curves are cut out of the mesh as zero sets of exact scalar fields evaluated
 at mesh vertices and interpolated linearly over triangles.  For coordinate
-planes the interpolant is the field itself; for distance tubes it is a PL
-stand-in whose correctness is certified by the radius-stability re-run.  All
-arithmetic is rational, so membership, chaining, displacement and crossing
-counts are exact.
+planes the interpolant is the field itself, evaluated per triangle in the
+unwrapped frame of its cell; for distance tubes it is a PL stand-in whose
+correctness is certified by the radius-stability re-run, and each wrapped
+vertex is evaluated once.  All arithmetic is rational, so membership,
+chaining, displacement and crossing counts are exact.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .surface import TriMesh, components
@@ -92,7 +93,10 @@ class TubeField:
     """Squared transverse distance to an axis line, minus radius squared.
 
     Pointwise exact (no branch needed: the cut locus of the distance function
-    is far from the zero set for the radii in use).
+    is far from the zero set for the radii in use) and periodic, because
+    ``dper`` reduces mod 1.  A vertex's value therefore does not depend on the
+    frame it is read in, and ``vertex_value`` evaluates each wrapped vertex
+    once; the memo is per field, and a field slices one mesh.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -100,15 +104,21 @@ class TubeField:
         self.trans = ((axis + 1) % 3, (axis + 2) % 3)
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
+        self._vertex_values: dict[int, Fraction] = {}
 
     def point_value(self, p):
         a, b = self.trans
         u, v = self.center
         return dper(p[a] - u) ** 2 + dper(p[b] - v) ** 2 - self.radius ** 2
 
+    def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
+        value = self._vertex_values.get(v)
+        if value is None:
+            value = self._vertex_values[v] = self.point_value(mesh.vertices[v])
+        return value
+
     def tri_values(self, mesh: TriMesh, tri: int):
-        pts = mesh.triangle_local(tri)
-        return tuple(self.point_value(p) for p in pts)
+        return tuple(self.vertex_value(mesh, v) for v in mesh.triangles[tri])
 
     def candidate_triangles(self, mesh: TriMesh):
         import numpy as np
@@ -145,14 +155,9 @@ class SlicedCurves:
     loops: list
     tri_loop: dict  # triangle -> loop index
     tri_segments: dict  # triangle -> (entry_pt, exit_pt)
-    _value_cache: dict = dc_field(default_factory=dict, repr=False)
 
     def values(self, tri: int):
-        v = self._value_cache.get(tri)
-        if v is None:
-            v = self.field.tri_values(self.mesh, tri)
-            self._value_cache[tri] = v
-        return v
+        return self.field.tri_values(self.mesh, tri)
 
     def point_value(self, tri: int, pt):
         va, vb, t = pt
@@ -331,7 +336,8 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     """
     if not isinstance(curves.field, TubeField):
         raise ValueError("cutting needs a pointwise field")
-    positive = [curves.field.point_value(w) >= 0 for w in mesh.vertices]  # zero counts positive
+    # zero counts positive
+    positive = [curves.field.vertex_value(mesh, v) >= 0 for v in range(len(mesh.vertices))]
     plain_edges = []
     for key, tris in mesh.shared_edge_map().items():
         if len(tris) != 2:

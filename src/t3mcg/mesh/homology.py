@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..rep3 import det3
+from ..rep3 import det3, mat_mul
 from .surface import TriMesh
 from .curves import (
     DegeneracyError,
@@ -38,13 +38,6 @@ HALF = Fraction(1, 2)
 # {x_i = 1/2} and {x_j = 0}, (i, j, k) cyclic; its transverse coordinates are
 # (x_i, x_j) in that order.
 TUBE_CENTER = (HALF, Fraction(0))
-
-
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum(a[i][x] * b[x][j] for x in range(k)) for j in range(m)) for i in range(n)
-    )
 
 
 def mat_vec(a, v):

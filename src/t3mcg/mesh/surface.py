@@ -93,7 +93,6 @@ class TriMesh:
     triangles: list  # (i, j, k) vertex indices, oriented
     tri_cells: list  # lattice cell each triangle came from
 
-    _local_cache: dict = field(default_factory=dict, repr=False)
     _cells_array: np.ndarray = field(default=None, repr=False)
     _shared_edge_map: dict = field(default=None, repr=False)
 
@@ -102,21 +101,18 @@ class TriMesh:
 
         The frame of cell k spans [(k + 1/2)/n, (k + 3/2)/n] along each axis,
         which leaves [0, 1) only for k = n - 1; there a wrapped coordinate
-        below 1/2 gains one period.
+        below 1/2 gains one period.  Computed on each call: only plane
+        sections and walks unwrap, and tube fields read wrapped vertices.
         """
-        cached = self._local_cache.get(tri_index)
-        if cached is None:
-            last = self.resolution - 1
-            cell = self.tri_cells[tri_index]
-            cached = tuple(
-                tuple(
-                    w + 1 if cell[c] == last and 2 * w.numerator < w.denominator else w
-                    for c, w in enumerate(self.vertices[v])
-                )
-                for v in self.triangles[tri_index]
+        last = self.resolution - 1
+        cell = self.tri_cells[tri_index]
+        return tuple(
+            tuple(
+                w + 1 if cell[c] == last and 2 * w.numerator < w.denominator else w
+                for c, w in enumerate(self.vertices[v])
             )
-            self._local_cache[tri_index] = cached
-        return cached
+            for v in self.triangles[tri_index]
+        )
 
     def cells_array(self) -> np.ndarray:
         if self._cells_array is None:
@@ -185,15 +181,10 @@ def build_surface(n: int) -> TriMesh:
                 corner_any |= sz
     active = np.argwhere(corner_all != corner_any)
 
-    gval = {}
+    grid = g.tolist()
 
     def sample(p):
-        w = (p[0] % n, p[1] % n, p[2] % n)
-        v = gval.get(w)
-        if v is None:
-            v = int(g[w])
-            gval[w] = v
-        return v
+        return grid[p[0] % n][p[1] % n][p[2] % n]
 
     vert_index: dict[tuple, int] = {}
     vertices: list[tuple] = []

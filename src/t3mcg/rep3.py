@@ -17,32 +17,31 @@ Mat3 = tuple  # 3x3 tuple of tuples of ints, row-major
 IDENTITY3: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def mat3(rows) -> Mat3:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if len(m) != 3 or any(len(r) != 3 for r in m):
-        raise ValueError("expected a 3x3 matrix")
+def int_matrix(rows, size: int) -> tuple:
+    """A size x size tuple of rows of plain ints.
+
+    Any other entry raises ValueError: floats and numeric strings are refused
+    rather than truncated, and booleans are refused although they are ints.
+    """
+    m = tuple(tuple(row) for row in rows)
+    if len(m) != size or any(len(r) != size for r in m):
+        raise ValueError(f"expected a {size}x{size} matrix")
+    for row in m:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"matrix entry {x!r} is not an integer")
     return m
 
 
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return (
-        (
-            a00 * b00 + a01 * b10 + a02 * b20,
-            a00 * b01 + a01 * b11 + a02 * b21,
-            a00 * b02 + a01 * b12 + a02 * b22,
-        ),
-        (
-            a10 * b00 + a11 * b10 + a12 * b20,
-            a10 * b01 + a11 * b11 + a12 * b21,
-            a10 * b02 + a11 * b12 + a12 * b22,
-        ),
-        (
-            a20 * b00 + a21 * b10 + a22 * b20,
-            a20 * b01 + a21 * b11 + a22 * b21,
-            a20 * b02 + a21 * b12 + a22 * b22,
-        ),
+def mat3(rows) -> Mat3:
+    return int_matrix(rows, 3)
+
+
+def mat_mul(a, b):
+    """Exact product of integer matrices of compatible shapes."""
+    n, m, k = len(a), len(b[0]), len(b)
+    return tuple(
+        tuple(sum(a[i][x] * b[x][j] for x in range(k)) for j in range(m)) for i in range(n)
     )
 
 

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
-from .rep3 import gen_image3, word_image3
+from .rep3 import gen_image3, int_matrix, word_image3
 from .mesh.homology import (
     CANONICAL_J,
     CurveRef,
@@ -41,10 +41,7 @@ IDENTITY6 = identity(6)
 
 
 def mat6(rows) -> Mat6:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if len(m) != 6 or any(len(r) != 6 for r in m):
-        raise ValueError("expected a 6x6 matrix")
-    return m
+    return int_matrix(rows, 6)
 
 
 def is_symplectic(m: Mat6) -> bool:

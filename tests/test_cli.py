@@ -245,3 +245,42 @@ class TestDomainErrors:
         )
         assert code == 1
         assert err == f"error: {error.__name__}: surface oracle gave up\n"
+
+
+class TestNonIntegerEntries:
+    @pytest.mark.parametrize(
+        "matrix",
+        ["[[1.9,0,0],[0,1,0],[0,0,1]]", "[[1,0,0],[0,1,0],[0,2.5,1]]"],
+        ids=["identity-after-truncation", "shear-after-truncation"],
+    )
+    def test_decompose_refuses_float_entries(self, matrix, capsys):
+        code, out, err = run_cli(["decompose", matrix], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix entry") and "not an integer" in err
+
+    def test_table_with_float_entry_exits_2(self, table32, tmp_path, capsys):
+        data = table32.to_json()
+        t = data["matrices"]["t"]
+        i, j = next((i, j) for i, row in enumerate(t) for j, x in enumerate(row) if x == 1)
+        t[i][j] = 1.5
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(["--table", str(path), "eval", "--level", "6", "t"], capsys)
+        assert code == 2
+        assert f"cannot read table {path}" in err
+        assert "1.5" in err
+
+
+@pytest.mark.slow
+class TestVerifyBytes:
+    def test_verify_json_matches_pinned_digest(self, tmp_path, capsys, monkeypatch):
+        # the exactness contract for the report: byte-identical across refactors
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["--resolution", "16", "--seed", "7", "--json", "verify"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "82e84f51f94ddea7314616de3d52164fed27867fc61e98477ed49405d32541a7"
+        )

@@ -124,3 +124,36 @@ class TestCuttingSubcomplex:
         broken = dataclasses.replace(tube, tri_segments=segments)
         with pytest.raises(DegeneracyError):
             cut_along(mesh16, broken)
+
+
+# The three homology tubes (axis k through (1/2, 0)) and the tube of the
+# (1,3) disk pair that the handedness arbiter slices, as (0-based axis, centre).
+HOMOLOGY_AND_PAIR_TUBES = [(k, (HALF, Fraction(0))) for k in range(3)] + [
+    (1, (Fraction(0), HALF))
+]
+
+
+class TestTubeVertexValues:
+    @pytest.mark.parametrize("axis,center", HOMOLOGY_AND_PAIR_TUBES)
+    def test_wrapped_vertex_values_equal_frame_values(self, mesh16, axis, center):
+        # the tube field is periodic, so evaluating the wrapped vertex once is
+        # exact in every triangle's unwrapped frame
+        fld = TubeField(axis, center, TUBE_RADIUS)
+        for tri in fld.candidate_triangles(mesh16):
+            frame_values = tuple(fld.point_value(p) for p in mesh16.triangle_local(tri))
+            assert fld.tri_values(mesh16, tri) == frame_values
+
+    def test_slicing_evaluates_each_vertex_once(self, mesh16, monkeypatch):
+        evaluated = []
+        point_value = TubeField.point_value
+
+        def counted(self, p):
+            evaluated.append(p)
+            return point_value(self, p)
+
+        monkeypatch.setattr(TubeField, "point_value", counted)
+        fld = TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS)
+        slice_field(mesh16, fld)
+        candidates = fld.candidate_triangles(mesh16)
+        vertices = {v for tri in candidates for v in mesh16.triangles[tri]}
+        assert 0 < len(evaluated) <= len(vertices)

@@ -135,3 +135,18 @@ class TestDecompose:
             w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 30)))
             m = word_image3(w)
             assert word_image3(decompose_sl3(m)) == m
+
+
+class TestIntegerEntries:
+    # int() would truncate 1.9 to 1 and accept "1" and True; all are refused
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True, None], ids=repr)
+    def test_non_int_entry_is_refused(self, bad):
+        from t3mcg.rep3 import mat3
+        from t3mcg.rep6 import IDENTITY6, mat6
+
+        with pytest.raises(ValueError, match="not an integer"):
+            mat3([[1, 0, 0], [0, 1, 0], [0, 0, bad]])
+        rows6 = [list(row) for row in IDENTITY6]
+        rows6[5][5] = bad
+        with pytest.raises(ValueError, match="not an integer"):
+            mat6(rows6)
