@@ -159,14 +159,6 @@ class SlicedCurves:
     def values(self, tri: int):
         return self.field.tri_values(self.mesh, tri)
 
-    def point_value(self, tri: int, pt):
-        va, vb, t = pt
-        vals = self.values(tri)
-        tri_verts = self.mesh.triangles[tri]
-        fa = vals[tri_verts.index(va)]
-        fb = vals[tri_verts.index(vb)]
-        return fa + t * (fb - fa)
-
 
 def step_positions(mesh: TriMesh, step):
     tri, pt_in, pt_out = step
@@ -274,8 +266,10 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     """
     out: dict[int, list] = {}
     for tri, pt_in, pt_out in path_steps:
-        f_in = target.point_value(tri, pt_in)
-        f_out = target.point_value(tri, pt_out)
+        vals = target.values(tri)  # one field read serves both ends of the step
+        verts = target.mesh.triangles[tri]
+        f_in = _edge_value(vals, verts, pt_in)
+        f_out = _edge_value(vals, verts, pt_out)
         s_in = 1 if f_in > 0 else -1
         s_out = 1 if f_out > 0 else -1
         if s_in == s_out:
@@ -292,6 +286,13 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
         rec[0] += direction * walker_sign * target.loops[li].orientation_sign
         rec[1] += 1
     return out
+
+
+def _edge_value(vals, verts, pt):
+    """The field's PL interpolant at an edge point of the triangle ``verts``."""
+    va, vb, t = pt
+    fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+    return fa + t * (fb - fa)
 
 
 def _loop_through_zero_vertex(target: SlicedCurves, tri, pt_in, pt_out, f_in, f_out):

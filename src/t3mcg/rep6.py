@@ -312,36 +312,79 @@ def derive_table(h: HomologyData) -> GeneratorTable6:
 # ---------------------------------------------------------------------------
 
 
-def word_image6(w: Word, table: GeneratorTable6) -> Mat6:
-    """Exact product of generator matrices, first letter first.
+def _int64_segment(w: Word, table: GeneratorTable6, start: int) -> tuple:
+    """The longest run of letters from ``start`` whose product fits int64.
 
-    Uses machine integers while a stepwise bound proves no overflow is
-    possible (|AB| <= 6 |A| |B| entrywise), and falls back to unbounded
-    integers otherwise, so the result is always exact.
+    Returns ``(product, stop)``: the int64 product of ``w[start:stop]``, and
+    the first letter the stepwise bound |AB| <= 6 |A| |B| (entrywise) could
+    not admit, or ``len(w)``.  ``stop == start`` means that letter is too
+    large even on its own; it is never converted to int64.
     """
     cache = table._int64_cache
     acc = np.eye(6, dtype=np.int64)
     bound = 1
-    for g in w:
+    for i in range(start, len(w)):
+        g = w[i]
         key = (g.kind, g.sign)
         entry = cache.get(key)
         if entry is None:
             m = table.image(g)
-            entry = (np.array(m, dtype=np.int64), max(abs(x) for row in m for x in row))
-            cache[key] = entry
+            entry = cache[key] = (None, max(abs(x) for row in m for x in row))
         gm, gmax = entry
         if 6 * bound * gmax >= 2**62:
-            return _word_image6_exact(w, table)
+            return acc, i
+        if gm is None:  # first use; the bound just proved the letter fits
+            gm = np.array(table.image(g), dtype=np.int64)
+            cache[key] = (gm, gmax)
         acc = gm @ acc
         bound = int(np.abs(acc).max())
-    return tuple(tuple(int(x) for x in row) for row in acc)
+    return acc, len(w)
+
+
+def _ints(acc) -> Mat6:
+    return tuple(map(tuple, acc.tolist()))
+
+
+def word_image6(w: Word, table: GeneratorTable6) -> Mat6:
+    """Exact product of generator matrices, first letter first.
+
+    Machine integers carry the word while the stepwise bound proves no
+    overflow is possible.  A word that outgrows them keeps its first int64
+    segment and hands the rest to ``_word_image6_exact``, exactly once; that
+    cuts the rest into int64 segments (a letter too large on its own is an
+    exact segment by itself) and multiplies them in a balanced tree.  No
+    letter is evaluated twice, and the result is always exact.
+    """
+    acc, stop = _int64_segment(w, table, 0)
+    if stop == len(w):
+        return _ints(acc)
+    return mat_mul(_word_image6_exact(w[stop:], table), _ints(acc))
 
 
 def _word_image6_exact(w: Word, table: GeneratorTable6) -> Mat6:
-    acc = IDENTITY6
-    for g in w:
-        acc = mat_mul(table.image(g), acc)
-    return acc
+    """Exact product of any word, first letter first, on unbounded integers.
+
+    The word is cut into maximal int64 segments; a letter too large for
+    int64 on its own is a Python-int segment by itself.  The segment
+    products, in letter order, are combined pairwise in a balanced product
+    tree (Bernstein, "Fast multiplication and its applications", 2008,
+    section 12), so a 2000-letter word costs a handful of exact products
+    instead of one per letter.
+    """
+    segments = []
+    start = 0
+    while start < len(w):
+        acc, stop = _int64_segment(w, table, start)
+        if stop == start:
+            segments.append(table.image(w[start]))
+            stop += 1
+        else:
+            segments.append(_ints(acc))
+        start = stop
+    while len(segments) > 1:  # later letters act last: pair (s_2k, s_2k+1) as s_2k+1 s_2k
+        paired = [mat_mul(b, a) for a, b in zip(segments[::2], segments[1::2])]
+        segments = paired + segments[len(paired) * 2:]
+    return segments[0] if segments else IDENTITY6
 
 
 def compat_check(w: Word, table: GeneratorTable6) -> bool:

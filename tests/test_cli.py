@@ -284,3 +284,20 @@ class TestVerifyBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "82e84f51f94ddea7314616de3d52164fed27867fc61e98477ed49405d32541a7"
         )
+
+
+class TestHugeTableEntries:
+    # -2^63 fits int64, but numpy's abs of it wraps to -2^63
+    @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])
+    def test_eval_level6_is_exact(self, entry, table32, tmp_path, capsys):
+        from t3mcg.rep3 import mat_mul
+
+        data = table32.to_json()
+        t = [[int(i == j) for j in range(6)] for i in range(6)]
+        t[0][3] = entry  # [[I, S], [0, I]] with S[0][0] = entry is symplectic
+        data["matrices"]["t"] = t
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["--table", str(path), "--json", "eval", "--level", "6", "t a12"], capsys)
+        assert code == 0, err
+        assert json.loads(out) == [list(r) for r in mat_mul(table32.matrices["a12"], t)]

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from t3mcg.words import AXIS_PAIRS, Generator, Macro, expand_macro, invert, parse_word
+from t3mcg import rep3
+from t3mcg.words import AXIS_PAIRS, Generator, Macro, expand_macro, free_reduce, invert, parse_word
 from t3mcg.rep3 import gen_image3
 from t3mcg.mesh.homology import PROJECTION, mat_mul
 from t3mcg.rep6 import (
@@ -266,3 +268,140 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "2f0d3e7056021a416e1713c6f3b7f2f839d76a22afd5b8718fdc4cdd01671474"
         )
+
+
+# ---------------------------------------------------------------------------
+# Long words against an independent reference: a left fold of the generic
+# exact product over the table's generator images, one letter at a time.
+# ---------------------------------------------------------------------------
+
+
+def fold6(w, table):
+    acc = IDENTITY6
+    for g in w:
+        acc = rep3.mat_mul(table.image(g), acc)
+    return acc
+
+
+def entry_max(m):
+    return max(abs(x) for row in m for x in row)
+
+
+def segment_starts(w, table):
+    """The letters that open a new int64 segment under the stepwise bound
+    6 |A| |g| < 2^62, recomputed here on exact integers."""
+    starts, seg = [], IDENTITY6
+    for i, g in enumerate(w):
+        m = table.image(g)
+        if 6 * entry_max(seg) * entry_max(m) >= 2**62:
+            starts.append(i)
+            seg = IDENTITY6
+        seg = rep3.mat_mul(m, seg)
+    return starts
+
+
+def huge_twist_table(table, entry):
+    """``table`` with t replaced by the symplectic [[I, S], [0, I]], S[0][0] = entry."""
+    data = table.to_json()
+    t = [[int(i == j) for j in range(6)] for i in range(6)]
+    t[0][3] = entry
+    data["matrices"]["t"] = t
+    return GeneratorTable6.from_json(data)
+
+
+class TestLongWordsAgainstFold:
+    @pytest.mark.parametrize("length", [0, 1, 2000, 3000])
+    def test_seeded_full_alphabet_words(self, length, table32):
+        rng = random.Random(length)
+        w = tuple(rng.choice(FULL) for _ in range(length))
+        assert word_image6(w, table32) == fold6(w, table32)
+
+    @pytest.mark.parametrize("k", [150, 300])
+    def test_shear_pair_powers_past_2_200(self, k, table32):
+        for text in ("a12 a21", "a13^-1 a31^-1", "a23 a32 t"):
+            w = parse_word(text) * k
+            m = word_image6(w, table32)
+            assert entry_max(m) > 2**200
+            assert m == fold6(w, table32)
+
+    def test_words_ending_at_a_segment_boundary(self, table32):
+        rng = random.Random(21)
+        u = parse_word("a12 a21") * 40 + tuple(rng.choice(FULL) for _ in range(600))
+        starts = segment_starts(u, table32)
+        assert len(starts) >= 2
+        for c in starts[:3]:
+            for w in (u[:c], u[:c + 1], u[:c - 1]):
+                assert word_image6(w, table32) == fold6(w, table32)
+
+    def test_swap_opens_a_segment(self, table32):
+        # the swap has entries of size 1, so it trips the bound only where a
+        # segment's entries have just reached 2^62 / 6
+        rng = random.Random(30)
+        u = tuple(rng.choice(FULL) for _ in range(2000))
+        seg, cut = IDENTITY6, None
+        for i, g in enumerate(u):
+            if 6 * entry_max(seg) >= 2**62:
+                cut = i
+                break
+            m = table32.image(g)
+            seg = m if 6 * entry_max(seg) * entry_max(m) >= 2**62 else rep3.mat_mul(m, seg)
+        assert cut is not None
+        w = u[:cut] + (G("s"),) + u[cut:cut + 20]
+        assert cut in segment_starts(w, table32)
+        for end in (cut + 1, len(w)):
+            assert word_image6(w[:end], table32) == fold6(w[:end], table32)
+
+    def test_exact_path_makes_few_exact_products(self, table32, monkeypatch):
+        import t3mcg.rep6 as rep6
+
+        calls = []
+        exact_product = rep6.mat_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return exact_product(a, b)
+
+        rng = random.Random(7)
+        w = tuple(rng.choice(FULL) for _ in range(2000))
+        expected = fold6(w, table32)
+        assert entry_max(expected) > 2**62
+        monkeypatch.setattr(rep6, "mat_mul", counted)
+        assert word_image6(w, table32) == expected
+        assert 0 < len(calls) < 10
+
+
+class TestHugeTableEntries:
+    # -2^63 fits int64, but numpy's abs of it wraps to -2^63
+    @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])
+    def test_word_image_is_exact(self, entry, table32):
+        table = huge_twist_table(table32, entry)
+        rng = random.Random(entry % 97)
+        for w in (parse_word("t a12"), parse_word("a12 t^-1 t t"),
+                  tuple(rng.choice(FULL) for _ in range(300))):
+            assert word_image6(w, table) == fold6(w, table)
+        assert word_image6(parse_word("t"), table)[0][3] == entry
+
+
+_letters6 = st.sampled_from(FULL).map(lambda g: (g,))
+# (a12 a21)^k with k >= 20 has entries past 2^27, so a concatenation of a
+# few blocks crosses at least one int64 segment cut
+_blocks6 = st.integers(20, 60).map(lambda k: parse_word("a12 a21") * k)
+_words6 = st.lists(st.one_of(_letters6, _blocks6), max_size=8).map(lambda parts: sum(parts, ()))
+
+
+class TestWordLaws6:
+    @settings(max_examples=25, deadline=None)
+    @given(_words6, _words6)
+    def test_concatenation_multiplies(self, table32, w1, w2):
+        assert word_image6(w1 + w2, table32) == mat_mul(
+            word_image6(w2, table32), word_image6(w1, table32))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_words6)
+    def test_inverse_word_inverts(self, table32, w):
+        assert mat_mul(word_image6(w, table32), word_image6(invert(w), table32)) == IDENTITY6
+
+    @settings(max_examples=25, deadline=None)
+    @given(_words6)
+    def test_free_reduction_keeps_the_image(self, table32, w):
+        assert word_image6(free_reduce(w), table32) == word_image6(w, table32)
