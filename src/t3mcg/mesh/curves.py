@@ -6,7 +6,10 @@ planes the interpolant is the field itself, evaluated per triangle in the
 unwrapped frame of its cell; for distance tubes it is a PL stand-in whose
 correctness is certified by the radius-stability re-run, and each wrapped
 vertex is evaluated once.  All arithmetic is rational, so membership,
-chaining, displacement and crossing counts are exact.
+chaining, displacement and crossing counts are exact.  The field kernels
+compute each value on the integer numerators and denominators of the
+coordinates and return it as one ``Fraction``; a walk needs only the sign of
+the interpolant at each end of a step.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -74,10 +77,24 @@ class PlaneField:
         self.level = Fraction(level)
 
     def tri_values(self, mesh: TriMesh, tri: int):
-        pts = mesh.triangle_local(tri)
-        center = sum(p[self.axis] for p in pts) / 3
-        rep = self.level + math.floor(center - self.level + Fraction(1, 2))
-        return tuple(p[self.axis] - rep for p in pts)
+        """``x - rep`` at each corner, with ``rep = level + k`` and ``k`` the
+        floor of ``mean - level + 1/2``, on integer numerators and
+        denominators: each value is built as one ``Fraction``."""
+        axis = self.axis
+        p0, p1, p2 = mesh.triangle_local(tri)
+        n0, d0 = p0[axis].as_integer_ratio()
+        n1, d1 = p1[axis].as_integer_ratio()
+        n2, d2 = p2[axis].as_integer_ratio()
+        ln, ld = self.level.as_integer_ratio()
+        den = d0 * d1 * d2
+        total = n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1  # sum of corners = total / den
+        k = (2 * total * ld - (6 * ln - 3 * ld) * den) // (6 * ld * den)
+        rn = ln + k * ld  # rep = rn / ld
+        return (
+            Fraction(n0 * ld - rn * d0, d0 * ld),
+            Fraction(n1 * ld - rn * d1, d1 * ld),
+            Fraction(n2 * ld - rn * d2, d2 * ld),
+        )
 
     def candidate_triangles(self, mesh: TriMesh):
         import numpy as np
@@ -107,9 +124,31 @@ class TubeField:
         self._vertex_values: dict[int, Fraction] = {}
 
     def point_value(self, p):
+        """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction``.
+
+        With ``x = xn/xd`` and ``u = un/ud`` the periodic distance is
+        ``mx/dx`` for ``dx = xd*ud`` and ``mx`` the lesser of
+        ``(xn*ud - un*xd) mod dx`` and ``dx`` minus it; likewise along ``y``.
+        The sum is kept as an integer numerator over ``(dx*dy*rd)**2`` for
+        ``r = rn/rd``.
+        """
         a, b = self.trans
         u, v = self.center
-        return dper(p[a] - u) ** 2 + dper(p[b] - v) ** 2 - self.radius ** 2
+        xn, xd = p[a].as_integer_ratio()
+        un, ud = u.as_integer_ratio()
+        dx = xd * ud
+        mx = (xn * ud - un * xd) % dx
+        mx = min(mx, dx - mx)
+        yn, yd = p[b].as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        dy = yd * vd
+        my = (yn * vd - vn * yd) % dy
+        my = min(my, dy - my)
+        rn, rd = self.radius.as_integer_ratio()
+        dxy = dx * dy
+        return Fraction(
+            ((mx * dy) ** 2 + (my * dx) ** 2) * rd * rd - (rn * dxy) ** 2, (dxy * rd) ** 2
+        )
 
     def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
         value = self._vertex_values.get(v)
@@ -268,10 +307,8 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     for tri, pt_in, pt_out in path_steps:
         vals = target.values(tri)  # one field read serves both ends of the step
         verts = target.mesh.triangles[tri]
-        f_in = _edge_value(vals, verts, pt_in)
-        f_out = _edge_value(vals, verts, pt_out)
-        s_in = 1 if f_in > 0 else -1
-        s_out = 1 if f_out > 0 else -1
+        s_in = _edge_sign(vals, verts, pt_in)
+        s_out = _edge_sign(vals, verts, pt_out)
         if s_in == s_out:
             continue
         li = target.tri_loop.get(tri)
@@ -280,12 +317,29 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
             # (both fields vanish there); the perturbed curve is crossed in a
             # neighboring triangle's closure, so attribute the event to the
             # loop through that vertex.
+            f_in = _edge_value(vals, verts, pt_in)
+            f_out = _edge_value(vals, verts, pt_out)
             li = _loop_through_zero_vertex(target, tri, pt_in, pt_out, f_in, f_out)
         rec = out.setdefault(li, [0, 0])
         direction = 1 if s_out > 0 else -1
         rec[0] += direction * walker_sign * target.loops[li].orientation_sign
         rec[1] += 1
     return out
+
+
+def _edge_sign(vals, verts, pt) -> int:
+    """Sign of ``_edge_value``, zero counting negative.
+
+    Ends of one strict sign decide it without the interpolant: for ``t`` in
+    [0, 1] it is a convex combination of them.
+    """
+    va, vb, t = pt
+    fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+    if fa > 0 and fb > 0:
+        return 1
+    if fa < 0 and fb < 0:
+        return -1
+    return 1 if fa + t * (fb - fa) > 0 else -1
 
 
 def _edge_value(vals, verts, pt):

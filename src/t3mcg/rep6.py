@@ -319,6 +319,11 @@ def _int64_segment(w: Word, table: GeneratorTable6, start: int) -> tuple:
     the first letter the stepwise bound |AB| <= 6 |A| |B| (entrywise) could
     not admit, or ``len(w)``.  ``stop == start`` means that letter is too
     large even on its own; it is never converted to int64.
+
+    ``bound`` is carried forward by that same inequality and replaced by the
+    exact entry maximum only when it trips the test, which is then made
+    again.  It never falls below the exact maximum, so the cut points are
+    those of testing the exact maximum after every letter.
     """
     cache = table._int64_cache
     acc = np.eye(6, dtype=np.int64)
@@ -332,12 +337,14 @@ def _int64_segment(w: Word, table: GeneratorTable6, start: int) -> tuple:
             entry = cache[key] = (None, max(abs(x) for row in m for x in row))
         gm, gmax = entry
         if 6 * bound * gmax >= 2**62:
-            return acc, i
+            bound = int(np.abs(acc).max())
+            if 6 * bound * gmax >= 2**62:
+                return acc, i
         if gm is None:  # first use; the bound just proved the letter fits
             gm = np.array(table.image(g), dtype=np.int64)
             cache[key] = (gm, gmax)
         acc = gm @ acc
-        bound = int(np.abs(acc).max())
+        bound *= 6 * gmax
     return acc, len(w)
 
 

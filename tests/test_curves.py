@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from t3mcg.mesh.curves import (
     TUBE_RADIUS,
+    PlaneField,
     TransversalityError,
     TubeField,
+    _edge_sign,
     cut_along,
     plane_section,
     slice_field,
@@ -157,3 +161,75 @@ class TestTubeVertexValues:
         candidates = fld.candidate_triangles(mesh16)
         vertices = {v for tri in candidates for v in mesh16.triangles[tri]}
         assert 0 < len(evaluated) <= len(vertices)
+
+
+# ---------------------------------------------------------------------------
+# The integer field kernels against the Fraction formulas they replace.
+# ---------------------------------------------------------------------------
+
+
+def reference_dper(w):
+    m = w - math.floor(w)
+    return min(m, 1 - m)
+
+
+def reference_tube_value(axis, center, radius, p):
+    a, b = (axis + 1) % 3, (axis + 2) % 3
+    return reference_dper(p[a] - center[0]) ** 2 + reference_dper(p[b] - center[1]) ** 2 - radius ** 2
+
+
+def reference_plane_values(axis, level, pts):
+    center = sum(p[axis] for p in pts) / 3
+    rep = level + math.floor(center - level + HALF)
+    return tuple(p[axis] - rep for p in pts)
+
+
+RADII = [TUBE_RADIUS * Fraction(15, 16), TUBE_RADIUS, TUBE_RADIUS * Fraction(17, 16)]
+
+
+class TestIntegerKernels:
+    @pytest.fixture(scope="class")
+    def points16(self, mesh16):
+        # wrapped vertices and every frame point, including the unwrapped
+        # coordinates >= 1 of the last cell along each axis
+        pts = set(mesh16.vertices)
+        for tri in range(len(mesh16.triangles)):
+            pts.update(mesh16.triangle_local(tri))
+        assert any(x >= 1 for p in pts for x in p)
+        return sorted(pts)
+
+    @pytest.mark.parametrize("radius", RADII, ids=["15/16", "1", "17/16"])
+    @pytest.mark.parametrize(
+        "axis,center", HOMOLOGY_AND_PAIR_TUBES + [(0, (Fraction(1, 3), Fraction(3, 4)))]
+    )
+    def test_tube_point_value(self, points16, axis, center, radius):
+        fld = TubeField(axis, center, radius)
+        for p in points16:
+            assert fld.point_value(p) == reference_tube_value(axis, center, radius, p)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_plane_tri_values(self, mesh16, axis):
+        levels = [Fraction(0), HALF, Fraction(1, 4), Fraction(1, 3), -HALF, Fraction(3, 2)]
+        fields = [PlaneField(axis, level) for level in levels]
+        for tri in range(len(mesh16.triangles)):
+            pts = mesh16.triangle_local(tri)
+            for level, fld in zip(levels, fields):
+                assert fld.tri_values(mesh16, tri) == reference_plane_values(axis, level, pts)
+
+
+_values = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=60))
+_params = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=60))
+
+
+class TestEdgeSign:
+    @settings(max_examples=300, deadline=None)
+    @given(_values, _values, _values, _params, st.permutations(range(3)), st.booleans())
+    def test_sign_of_the_exact_interpolant(self, f0, f1, f2, t, order, forward):
+        verts = (10, 20, 30)
+        vals = (f0, f1, f2)
+        va, vb = verts[order[0]], verts[order[1]]
+        if not forward:
+            va, vb = vb, va
+        fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+        exact = fa + t * (fb - fa)
+        assert _edge_sign(vals, verts, (va, vb, t)) == (1 if exact > 0 else -1)

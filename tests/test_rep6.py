@@ -22,6 +22,7 @@ from t3mcg.rep6 import (
     resolve_handedness,
     solve_shear6,
     word_image6,
+    _int64_segment,
     _word_image6_exact,
 )
 
@@ -368,6 +369,45 @@ class TestLongWordsAgainstFold:
         monkeypatch.setattr(rep6, "mat_mul", counted)
         assert word_image6(w, table32) == expected
         assert 0 < len(calls) < 10
+
+
+def exact_max_segment(w, table, start):
+    """``_int64_segment`` with the exact entry maximum tested after every letter."""
+    acc = IDENTITY6
+    for i in range(start, len(w)):
+        m = table.image(w[i])
+        if 6 * entry_max(acc) * entry_max(m) >= 2**62:
+            return acc, i
+        acc = rep3.mat_mul(m, acc)
+    return acc, len(w)
+
+
+def assert_segments_match_exact_max(w, table):
+    start = 0
+    while start < len(w):
+        acc, stop = _int64_segment(w, table, start)
+        expected, expected_stop = exact_max_segment(w, table, start)
+        assert stop == expected_stop
+        assert tuple(map(tuple, acc.tolist())) == expected
+        start = stop + (stop == start)
+
+
+class TestInt64SegmentCuts:
+    def test_seeded_words(self, table32):
+        for seed in range(12):
+            rng = random.Random(1000 + seed)
+            w = tuple(rng.choice(FULL) for _ in range(rng.randrange(1, 2500)))
+            assert_segments_match_exact_max(w, table32)
+        for text in ("a12 a21", "a13^-1 a31^-1", "a23 a32 t"):
+            assert_segments_match_exact_max(parse_word(text) * 200, table32)
+
+    @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])
+    def test_huge_table_entries(self, entry, table32):
+        table = huge_twist_table(table32, entry)
+        rng = random.Random(entry % 89)
+        for w in (parse_word("t a12"), parse_word("a12 t^-1 t t"),
+                  tuple(rng.choice(FULL) for _ in range(300))):
+            assert_segments_match_exact_max(w, table)
 
 
 class TestHugeTableEntries:
