@@ -217,11 +217,9 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     curves = SlicedCurves(mesh, fld, [], {}, {})
     edges = mesh.shared_edge_map()
 
-    entry_edge_of: dict[int, tuple] = {}
-    exit_edge_of: dict[int, tuple] = {}
     for tri in fld.candidate_triangles(mesh):
         vals = curves.values(tri)
-        signs = [1 if v >= 0 else -1 for v in vals]  # zero counts positive
+        signs = [1 if v.numerator >= 0 else -1 for v in vals]  # zero counts positive
         if signs[0] == signs[1] == signs[2]:
             continue
         verts = mesh.triangles[tri]
@@ -238,29 +236,27 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
                 exit_ = pt
         assert entry is not None and exit_ is not None
         curves.tri_segments[tri] = (entry, exit_)
-        entry_edge_of[tri] = _edge_key(entry)
-        exit_edge_of[tri] = _edge_key(exit_)
 
-    used = set()
-    loops = []
+    loops = curves.loops  # each loop starts at its least triangle, so they come in that order
     for start in sorted(curves.tri_segments):
-        if start in used:
+        if start in curves.tri_loop:
             continue
         steps = []
         tri = start
         disp = [Fraction(0)] * 3
         while True:
-            used.add(tri)
+            curves.tri_loop[tri] = len(loops)
             entry, exit_ = curves.tri_segments[tri]
             step = (tri, entry, exit_)
             steps.append(step)
             p_in, p_out = step_positions(mesh, step)
             for c in range(3):
                 disp[c] += p_out[c] - p_in[c]
-            nxt = _other_triangle(edges, exit_edge_of[tri], tri)
+            key = _edge_key(exit_)
+            nxt = _other_triangle(edges, key, tri)
             if nxt not in curves.tri_segments:
                 raise DegeneracyError("curve chain left the sliced triangle set")
-            if entry_edge_of[nxt] != exit_edge_of[tri]:
+            if _edge_key(curves.tri_segments[nxt][0]) != key:
                 raise DegeneracyError("incoherent segment directions across an edge")
             tri = nxt
             if tri == start:
@@ -269,12 +265,6 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
             if disp[c].denominator != 1:
                 raise DegeneracyError(f"non-integral displacement {disp}")
         loops.append(Loop(steps=steps, displacement=tuple(int(d) for d in disp)))
-
-    loops.sort(key=lambda l: l.steps[0][0])
-    curves.loops = loops
-    for li, loop in enumerate(loops):
-        for step in loop.steps:
-            curves.tri_loop[step[0]] = li
     return curves
 
 
@@ -335,11 +325,11 @@ def _edge_sign(vals, verts, pt) -> int:
     """
     va, vb, t = pt
     fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-    if fa > 0 and fb > 0:
+    if fa.numerator > 0 and fb.numerator > 0:
         return 1
-    if fa < 0 and fb < 0:
+    if fa.numerator < 0 and fb.numerator < 0:
         return -1
-    return 1 if fa + t * (fb - fa) > 0 else -1
+    return 1 if (fa + t * (fb - fa)).numerator > 0 else -1
 
 
 def _edge_value(vals, verts, pt):
@@ -391,8 +381,9 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     """
     if not isinstance(curves.field, TubeField):
         raise ValueError("cutting needs a pointwise field")
-    # zero counts positive
-    positive = [curves.field.vertex_value(mesh, v) >= 0 for v in range(len(mesh.vertices))]
+    positive = [  # zero counts positive
+        curves.field.vertex_value(mesh, v).numerator >= 0 for v in range(len(mesh.vertices))
+    ]
     plain_edges = []
     for key, tris in mesh.shared_edge_map().items():
         if len(tris) != 2:

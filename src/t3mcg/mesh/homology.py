@@ -109,15 +109,16 @@ class CurveRef:
 
 @dataclass
 class HomologyData:
+    """Distinguished curves, their Gram matrix ``G`` and the basis change ``B``
+    with ``B^T G B = J``, which ``build_homology`` checks; neither is inverted."""
+
     mesh: TriMesh
     disk_sections_a: list  # CurveRef, plane x_i = 1/2, canonically oriented
     disk_sections_b: list  # CurveRef, plane x_i = 0
     tubes: list  # SlicedCurves, axis k = 1,2,3
     longitudes: list  # CurveRef with displacement +e_k
     gram: tuple  # 6x6 crossing matrix of (a_1..a_3, T_1..T_3)
-    gram_inv: tuple
     basis_change: tuple  # columns: canonical basis in generator coordinates
-    basis_change_inv: tuple
     tube_radius: Fraction
 
     @cached_property
@@ -135,9 +136,10 @@ class HomologyData:
         return tuple(out)
 
     def class_of_steps(self, steps, walker_sign: int):
-        v = self.pair_with_generators(steps, walker_sign)
-        xi = mat_vec(self.gram_inv, v)
-        return mat_vec(self.basis_change_inv, xi)
+        """Class ``(G B)^-1 v`` of a path with crossing vector ``v``: ``B^T G B = J``
+        makes it ``-J B^T v``, so with ``w = B^T v`` it is ``(-w4, -w5, -w6, w1, w2, w3)``."""
+        w = mat_vec(transpose(self.basis_change), self.pair_with_generators(steps, walker_sign))
+        return (-w[3], -w[4], -w[5], w[0], w[1], w[2])
 
     def curve_class(self, ref: CurveRef):
         """Canonical coordinates of a curve's homology class."""
@@ -319,21 +321,12 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
                     f"plane/longitude pairing block is not the identity:\n{gram}"
                 )
 
-    w = [[gram[3 + i][3 + j] for j in range(3)] for i in range(3)]
-    # b_i = T_i + sum_{j<i} (-w_ij) a_j symplectically reduces the longitudes
-    mu = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i):
-            mu[i][j] = -w[i][j]
-    basis_change = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        basis_change[i][i] = 1
-        basis_change[3 + i][3 + i] = 1
-        for j in range(3):
-            basis_change[j][3 + i] = mu[i][j]
-    basis_change = tuple(tuple(row) for row in basis_change)
-    basis_change_inv = invert_unimodular(basis_change)
-    gram_inv = invert_unimodular(gram)
+    # b_i = T_i + sum_{j<i} (-w_ij) a_j, with w_ij = gram[3 + i][3 + j], symplectically
+    # reduces the longitudes: column 3 + i of the basis change holds -w_ij in row j < i
+    basis_change = tuple(
+        tuple(int(r == c) - (gram[c][3 + r] if r < c - 3 else 0) for c in range(6))
+        for r in range(6)
+    )
 
     check = mat_mul(transpose(basis_change), mat_mul(gram, basis_change))
     if check != CANONICAL_J:
@@ -346,9 +339,7 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
         tubes=tubes,
         longitudes=longitudes,
         gram=gram,
-        gram_inv=gram_inv,
         basis_change=basis_change,
-        basis_change_inv=basis_change_inv,
         tube_radius=Fraction(tube_radius),
     )
 

@@ -145,25 +145,38 @@ def solve_shear6(r_block) -> ShearSolution:
 
 @dataclass
 class GeneratorTable6:
-    matrices: dict  # token -> Mat6 (sign +1); inverses computed on demand
+    """The eight generator matrices; construction builds all 16 letters once.
+
+    By the signed law ``M^T J M = +-J`` (``-J`` for ``s`` alone) a letter's
+    inverse is ``-J M^T J`` (``J M^T J`` for ``s``), kept only if ``inv M = I``,
+    which is the law itself.  An int64 array is made only when ``6 |M| < 2^62``.
+    """
+
+    matrices: dict  # token -> Mat6 (sign +1)
     provenance: dict
     candidate_counts: dict
     handedness: str  # winning twist pattern
     resolution: int
     tube_radius: str
 
-    _inverse_cache: dict = dc_field(default_factory=dict, repr=False)
-    _int64_cache: dict = dc_field(default_factory=dict, repr=False)  # for word_image6
+    # (kind, sign) -> (exact Mat6, int64 array or None, largest |entry|)
+    _letters: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._letters = {}
+        for tok, m in self.matrices.items():
+            sign_j = CANONICAL_J if tok == "s" else mat_neg(CANONICAL_J)
+            inv = mat_mul(sign_j, mat_mul(transpose(m), CANONICAL_J))
+            if mat_mul(inv, m) != IDENTITY6:
+                raise ValueError(f"matrix {tok} is not {'anti' * (tok == 's')}symplectic")
+            for sign, x in ((1, m), (-1, inv)):
+                xmax = max(abs(v) for row in x for v in row)
+                arr = np.array(x, dtype=np.int64) if 6 * xmax < 2**62 else None
+                self._letters[tok, sign] = (x, arr, xmax)
 
     def image(self, g: Generator) -> Mat6:
-        m = self.matrices[g.kind]
-        if g.sign == 1:
-            return m
-        inv = self._inverse_cache.get(g.kind)
-        if inv is None:
-            inv = invert_unimodular(m)
-            self._inverse_cache[g.kind] = inv
-        return inv
+        """The exact matrix of one letter, inverses included, built at construction."""
+        return self._letters[g.kind, g.sign][0]
 
     def to_json(self) -> dict:
         return {
@@ -193,15 +206,11 @@ class GeneratorTable6:
             raise ValueError(f"resolution must be an integer, got {data['resolution']!r}")
         for tok in BASE_TOKENS:
             m = matrices[tok]
-            if tok == "s" and not is_antisymplectic(m):
-                raise ValueError("matrix s is not antisymplectic")
-            if tok != "s" and not is_symplectic(m):
-                raise ValueError(f"matrix {tok} is not symplectic")
             if mat_mul(PROJECTION, m) != mat_mul(gen_image3(Generator(tok, 1)), PROJECTION):
                 raise ValueError(f"matrix {tok} does not intertwine with the projection")
         if mat_mul(matrices["s"], matrices["s"]) != IDENTITY6:
             raise ValueError("matrix s is not an involution")
-        return cls(
+        return cls(  # construction checks the signed law
             matrices=matrices,
             provenance=data.get("provenance", {}),
             candidate_counts=data.get("candidate_counts", {}),
@@ -323,26 +332,19 @@ def _int64_segment(w: Word, table: GeneratorTable6, start: int) -> tuple:
     ``bound`` is carried forward by that same inequality and replaced by the
     exact entry maximum only when it trips the test, which is then made
     again.  It never falls below the exact maximum, so the cut points are
-    those of testing the exact maximum after every letter.
+    those of testing the exact maximum after every letter.  A letter with no
+    int64 array in the table's ``_letters`` has ``6 |g| >= 2^62``: it trips.
     """
-    cache = table._int64_cache
+    letters = table._letters
     acc = np.eye(6, dtype=np.int64)
     bound = 1
     for i in range(start, len(w)):
         g = w[i]
-        key = (g.kind, g.sign)
-        entry = cache.get(key)
-        if entry is None:
-            m = table.image(g)
-            entry = cache[key] = (None, max(abs(x) for row in m for x in row))
-        gm, gmax = entry
+        _, gm, gmax = letters[g.kind, g.sign]
         if 6 * bound * gmax >= 2**62:
             bound = int(np.abs(acc).max())
             if 6 * bound * gmax >= 2**62:
                 return acc, i
-        if gm is None:  # first use; the bound just proved the letter fits
-            gm = np.array(table.image(g), dtype=np.int64)
-            cache[key] = (gm, gmax)
         acc = gm @ acc
         bound *= 6 * gmax
     return acc, len(w)

@@ -120,3 +120,22 @@ class TestTwists:
         for tube in homology32.tubes:
             eps = tube_pattern(homology32, tube, "alternating")
             assert sorted(eps) == [-1, -1, 1, 1]
+
+
+class TestClassOfSteps:
+    def test_closed_form_matches_gauss_jordan(self, homology16):
+        from t3mcg.mesh.curves import walk_steps
+        from t3mcg.mesh.homology import invert_unimodular, mat_vec
+
+        h = homology16
+        gram_inv = invert_unimodular(h.gram)
+        basis_inv = invert_unimodular(h.basis_change)
+        refs = list(h.disk_sections_a) + list(h.longitudes) + list(h.disk_sections_b)
+        refs += [CurveRef(tube, i) for tube in h.tubes for i in range(len(tube.loops))]
+        assert len(refs) == 21
+        for ref in refs:
+            loop = ref.loop
+            for sign in (loop.orientation_sign, -loop.orientation_sign):
+                steps = walk_steps(loop)
+                v = h.pair_with_generators(steps, sign)
+                assert h.class_of_steps(steps, sign) == mat_vec(basis_inv, mat_vec(gram_inv, v))

@@ -445,3 +445,58 @@ class TestWordLaws6:
     @given(_words6)
     def test_free_reduction_keeps_the_image(self, table32, w):
         assert word_image6(free_reduce(w), table32) == word_image6(w, table32)
+
+
+def non_symmetric_shear():
+    """[[I, S], [0, I]] with S = E_01, not symmetric: M^T J M = [[0, I], [-I, S^T - S]]."""
+    m = [[int(i == j) for j in range(6)] for i in range(6)]
+    m[0][4] = 1
+    return tuple(map(tuple, m))
+
+
+def table_with(table, tok, m):
+    mats = dict(table.matrices)
+    mats[tok] = m
+    return GeneratorTable6(
+        matrices=mats, provenance={}, candidate_counts={}, handedness=table.handedness,
+        resolution=table.resolution, tube_radius=table.tube_radius,
+    )
+
+
+class TestClosedFormInverses:
+    def test_inverse_letters_match_gauss_jordan(self, homology16, table32):
+        from t3mcg.mesh.homology import invert_unimodular
+        from t3mcg.rep6 import derive_table
+
+        for table in (table32, derive_table(homology16)):
+            for k in ("a12", "a13", "a21", "a23", "a31", "a32", "s", "t"):
+                assert table.image(G(k, -1)) == invert_unimodular(table.matrices[k])
+                assert table.image(G(k)) == table.matrices[k]
+
+    @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])
+    def test_huge_inverse_letter_is_exact(self, entry, table32):
+        from t3mcg.mesh.homology import invert_unimodular
+
+        table = huge_twist_table(table32, entry)
+        assert table.image(G("t", -1)) == invert_unimodular(table.matrices["t"])
+        assert table.image(G("t", -1))[0][3] == -entry
+
+    def test_construction_rejects_a_non_symplectic_twist(self, table32):
+        with pytest.raises(ValueError, match="matrix t is not symplectic"):
+            table_with(table32, "t", non_symmetric_shear())
+
+    def test_construction_rejects_a_symplectic_swap(self, table32):
+        with pytest.raises(ValueError, match="matrix s is not antisymplectic"):
+            table_with(table32, "s", IDENTITY6)
+
+    def test_arbiter_checks_the_law_before_any_word(self, homology16, table32, monkeypatch):
+        import t3mcg.rep6 as rep6
+
+        def no_words(w, table):
+            raise AssertionError("a word was evaluated")
+
+        monkeypatch.setattr(rep6, "word_image6", no_words)
+        mats = dict(table32.matrices)
+        mats["a12"] = non_symmetric_shear()
+        with pytest.raises(ValueError, match="matrix a12 is not symplectic"):
+            resolve_handedness(homology16, mats)
