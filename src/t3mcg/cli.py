@@ -62,7 +62,7 @@ def read_table(path: str) -> GeneratorTable6:
     """A persisted table; an unreadable or malformed file is a usage error."""
     try:
         return GeneratorTable6.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise UsageError(f"cannot read table {path}: {exc}") from exc
 
 
@@ -111,7 +111,7 @@ def cmd_decompose(args) -> int:
     text = sys.stdin.read() if args.matrix == "-" else args.matrix
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise UsageError(f"matrix is not valid JSON: {exc}") from exc
     if isinstance(data, list) and len(data) == 9:  # flat row-major form
         data = [data[0:3], data[3:6], data[6:9]]

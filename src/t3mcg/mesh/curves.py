@@ -195,9 +195,6 @@ class SlicedCurves:
     tri_loop: dict  # triangle -> loop index
     tri_segments: dict  # triangle -> (entry_pt, exit_pt)
 
-    def values(self, tri: int):
-        return self.field.tri_values(self.mesh, tri)
-
 
 def step_positions(mesh: TriMesh, step):
     tri, pt_in, pt_out = step
@@ -218,7 +215,7 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     edges = mesh.shared_edge_map()
 
     for tri in fld.candidate_triangles(mesh):
-        vals = curves.values(tri)
+        vals = fld.tri_values(mesh, tri)
         signs = [1 if v.numerator >= 0 else -1 for v in vals]  # zero counts positive
         if signs[0] == signs[1] == signs[2]:
             continue
@@ -295,7 +292,7 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     """
     out: dict[int, list] = {}
     for tri, pt_in, pt_out in path_steps:
-        vals = target.values(tri)  # one field read serves both ends of the step
+        vals = target.field.tri_values(target.mesh, tri)  # one read serves both ends
         verts = target.mesh.triangles[tri]
         s_in = _edge_sign(vals, verts, pt_in)
         s_out = _edge_sign(vals, verts, pt_out)
@@ -307,9 +304,7 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
             # (both fields vanish there); the perturbed curve is crossed in a
             # neighboring triangle's closure, so attribute the event to the
             # loop through that vertex.
-            f_in = _edge_value(vals, verts, pt_in)
-            f_out = _edge_value(vals, verts, pt_out)
-            li = _loop_through_zero_vertex(target, tri, pt_in, pt_out, f_in, f_out)
+            li = _loop_through_zero_vertex(target, vals, verts, (pt_in, pt_out))
         rec = out.setdefault(li, [0, 0])
         direction = 1 if s_out > 0 else -1
         rec[0] += direction * walker_sign * target.loops[li].orientation_sign
@@ -318,7 +313,7 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
 
 
 def _edge_sign(vals, verts, pt) -> int:
-    """Sign of ``_edge_value``, zero counting negative.
+    """Sign of the field's PL interpolant at an edge point, zero counting negative.
 
     Ends of one strict sign decide it without the interpolant: for ``t`` in
     [0, 1] it is a convex combination of them.
@@ -332,23 +327,19 @@ def _edge_sign(vals, verts, pt) -> int:
     return 1 if (fa + t * (fb - fa)).numerator > 0 else -1
 
 
-def _edge_value(vals, verts, pt):
-    """The field's PL interpolant at an edge point of the triangle ``verts``."""
-    va, vb, t = pt
-    fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-    return fa + t * (fb - fa)
+def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
+    """The one target loop through a vertex where an edge point's value vanishes.
 
-
-def _loop_through_zero_vertex(target: SlicedCurves, tri, pt_in, pt_out, f_in, f_out):
+    ``vals`` are the target field's values at the corners ``verts`` of the
+    triangle holding the edge points.
+    """
     zero_verts = set()
-    for pt, f in ((pt_in, f_in), (pt_out, f_out)):
-        if f != 0:
+    for va, vb, t in points:
+        fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+        if fa + t * (fb - fa) != 0:
             continue
-        va, vb, t = pt
-        verts = target.mesh.triangles[tri]
-        vals = target.values(tri)
-        for v in (va, vb):
-            if vals[verts.index(v)] == 0:
+        for v, f in ((va, fa), (vb, fb)):
+            if f == 0:
                 zero_verts.add(v)
     loop_ids = set()
     for other_tri, (entry, exit_) in target.tri_segments.items():

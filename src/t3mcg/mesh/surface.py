@@ -8,9 +8,10 @@ symmetry planes; sample values are exact integers after scaling by (2n)^2.
 At resolutions with an odd factor some samples are still equidistant from
 both spines, and build_surface raises SampleOnSurfaceError there.
 Each grid cell is split into the six path tetrahedra sharing the main
-diagonal, and the zero set is triangulated per tetrahedron.  All crossing
-parameters are exact rationals, so welding vertices by grid edge is exact and
-the output is a closed, coherently oriented manifold mesh.
+diagonal, and the zero set is triangulated per tetrahedron from one
+marching-tetrahedra case table indexed by (path, negative-corner mask).  All
+crossing parameters are exact rationals, so welding vertices by grid edge is
+exact and the output is a closed, coherently oriented manifold mesh.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class SampleOnSurfaceError(RuntimeError):
 
 
 # The six tetrahedra of a cell: vertex paths from (0,0,0) to (1,1,1), one per
-# axis order.  Corners along a path are componentwise comparable, so every
-# tetrahedron edge has a well-defined lower endpoint.
+# axis order.  Corners along a path increase componentwise with their index,
+# so the lower endpoint of every tetrahedron edge is its lower-index corner.
 _TET_PATHS = []
 for perm in permutations((0, 1, 2)):
     corners = [(0, 0, 0)]
@@ -40,8 +41,41 @@ for perm in permutations((0, 1, 2)):
     for axis in perm:
         cur[axis] += 1
         corners.append(tuple(cur))
-    parity = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-    _TET_PATHS.append((tuple(corners), parity))
+    _TET_PATHS.append(tuple(corners))
+
+
+def _tet_case(corners, mask: int):
+    """Marching-tetrahedra case: the crossed edges and triangles of a sign mask.
+
+    Bit k of ``mask`` is set when corner k is negative.  The crossed edges,
+    each (lower corner, direction), run snake-wise over the (negative,
+    positive) corner pairs, which walks round the section polygon in the
+    order its vertices are first numbered.  The polygon is fanned from its
+    first vertex into triangles (index triples into the edges), all oriented
+    so that the normal of the first, taken on the doubled edge midpoints,
+    points toward the positive end of the first edge.
+    """
+    neg = [k for k in range(4) if mask >> k & 1]
+    pos = [k for k in range(4) if not mask >> k & 1]
+    edges, mids = [], []
+    for i, a in enumerate(neg):
+        for b in pos[::-1] if i % 2 else pos:
+            (lx, ly, lz), (hx, hy, hz) = corners[min(a, b)], corners[max(a, b)]
+            edges.append(((lx, ly, lz), (hx - lx, hy - ly, hz - lz)))
+            mids.append((lx + hx, ly + hy, lz + hz))
+    if not edges:
+        return (), ()
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = mids[:3]
+    px, py, pz = corners[pos[0]]
+    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+    wx, wy, wz = 2 * px - ax, 2 * py - ay, 2 * pz - az
+    up = ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx) + uz * (vx * wy - vy * wx) > 0
+    fan = range(1, len(edges) - 1)
+    return tuple(edges), tuple((0, k, k + 1) if up else (0, k + 1, k) for k in fan)
+
+
+# _CASES[path][mask]; masks 0 and 15 have no crossing and an empty entry.
+_CASES = [[_tet_case(corners, mask) for mask in range(16)] for corners in _TET_PATHS]
 
 
 def _periodic_sq_tables(n: int):
@@ -167,98 +201,52 @@ def build_surface(n: int) -> TriMesh:
     if (g == 0).any():
         raise SampleOnSurfaceError(f"a sample at resolution {n} lies exactly on the surface")
 
-    signs = g > 0
-    # Cells whose 8 corners do not all agree carry surface.
-    corner_all = np.ones_like(signs)
-    corner_any = np.zeros_like(signs)
-    for dx in (0, 1):
-        sx = np.roll(signs, -dx, axis=0)
-        for dy in (0, 1):
-            sy = np.roll(sx, -dy, axis=1)
-            for dz in (0, 1):
-                sz = np.roll(sy, -dz, axis=2)
-                corner_all &= sz
-                corner_any |= sz
-    active = np.argwhere(corner_all != corner_any)
+    # Bit k of masks[x, y, z, path] is set when corner k of that path
+    # tetrahedron of cell (x, y, z) is negative; a cell is active when one of
+    # its tetrahedra is mixed.
+    neg = (g < 0).astype(np.uint8)
+    masks = np.zeros(g.shape + (len(_TET_PATHS),), dtype=np.uint8)
+    for path, corners in enumerate(_TET_PATHS):
+        for k, d in enumerate(corners):
+            masks[..., path] |= np.roll(neg, (-d[0], -d[1], -d[2]), axis=(0, 1, 2)) << k
+    active = np.argwhere(((masks != 0) & (masks != 15)).any(axis=3))
 
     grid = g.tolist()
-
-    def sample(p):
-        return grid[p[0] % n][p[1] % n][p[2] % n]
-
     vert_index: dict[tuple, int] = {}
     vertices: list[tuple] = []
     vertex_edges: list[tuple] = []
     triangles: list[tuple] = []
     tri_cells: list[tuple] = []
-    off = Fraction(TriMesh.offset_num, TriMesh.offset_den)
+    p, q = TriMesh.offset_num, TriMesh.offset_den
 
-    def crossing(pa, pb):
-        """Vertex index of the crossing on the edge between lattice points."""
-        lo = tuple(min(a, b) for a, b in zip(pa, pb))
-        hi = tuple(max(a, b) for a, b in zip(pa, pb))
-        axes = tuple(h - l for l, h in zip(lo, hi))
+    def crossing(lo, axes):
+        """Vertex index of the crossing on the grid edge from lo along axes."""
         wrapped = (lo[0] % n, lo[1] % n, lo[2] % n)
         key = (wrapped, axes)
         idx = vert_index.get(key)
         if idx is not None:
             return idx
-        glo, ghi = sample(lo), sample(hi)
-        t = Fraction(glo, glo - ghi)
+        glo = grid[wrapped[0]][wrapped[1]][wrapped[2]]
+        ghi = grid[(lo[0] + axes[0]) % n][(lo[1] + axes[1]) % n][(lo[2] + axes[2]) % n]
+        d = glo - ghi
+        # ((w + p/q) + t*a) / n mod 1 with t = glo/d, as one fraction
+        m = q * n * d
         idx = len(vertices)
         vert_index[key] = idx
-        vertices.append(tuple((wrapped[c] + off + t * axes[c]) / n % 1 for c in range(3)))
-        vertex_edges.append((wrapped, axes, t))
+        vertices.append(
+            tuple(Fraction(((q * w + p) * d + q * glo * a) % m, m) for w, a in zip(wrapped, axes))
+        )
+        vertex_edges.append((wrapped, axes, Fraction(glo, d)))
         return idx
 
-    def emit(tri, cell):
-        triangles.append(tri)
-        tri_cells.append(cell)
-
-    for cell_arr in active:
-        cell = (int(cell_arr[0]), int(cell_arr[1]), int(cell_arr[2]))
-        for corners, parity in _TET_PATHS:
-            pts = [tuple(cell[c] + d[c] for c in range(3)) for d in corners]
-            vals = [sample(p) for p in pts]
-            neg = [k for k in range(4) if vals[k] < 0]
-            if len(neg) in (0, 4):
-                continue
-            if len(neg) in (1, 3):
-                isolated = neg[0] if len(neg) == 1 else [k for k in range(4) if vals[k] > 0][0]
-                rest = [k for k in range(4) if k != isolated]
-                # parity of moving the isolated vertex to the front
-                s = parity * (1 if isolated % 2 == 0 else -1)
-                a = pts[isolated]
-                pab, pac, pad = (crossing(a, pts[r]) for r in rest)
-                # normals point toward positive side: away from a negative
-                # isolated vertex, toward a positive one
-                want_away = len(neg) == 1
-                if (s > 0) == want_away:
-                    emit((pab, pac, pad), cell)
-                else:
-                    emit((pab, pad, pac), cell)
-            else:
-                na, nb = neg
-                pa_, pb_ = [k for k in range(4) if vals[k] >= 0]
-                # parity of the permutation (na, nb, pa_, pb_) of (0,1,2,3)
-                order = (na, nb, pa_, pb_)
-                inv = sum(
-                    1
-                    for x in range(4)
-                    for y in range(x + 1, 4)
-                    if order[x] > order[y]
-                )
-                s = parity * (1 if inv % 2 == 0 else -1)
-                q1 = crossing(pts[na], pts[pa_])
-                q2 = crossing(pts[na], pts[pb_])
-                q3 = crossing(pts[nb], pts[pb_])
-                q4 = crossing(pts[nb], pts[pa_])
-                if s > 0:
-                    emit((q1, q2, q3), cell)
-                    emit((q1, q3, q4), cell)
-                else:
-                    emit((q1, q3, q2), cell)
-                    emit((q1, q4, q3), cell)
+    for cell, cell_masks in zip(active.tolist(), masks[tuple(active.T)].tolist()):
+        x, y, z = cell = tuple(cell)
+        for cases, mask in zip(_CASES, cell_masks):
+            edges, tris = cases[mask]
+            ids = [crossing((x + o[0], y + o[1], z + o[2]), axes) for o, axes in edges]
+            for i, j, k in tris:
+                triangles.append((ids[i], ids[j], ids[k]))
+                tri_cells.append(cell)
 
     return TriMesh(
         resolution=n,

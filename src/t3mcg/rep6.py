@@ -142,6 +142,15 @@ def solve_shear6(r_block) -> ShearSolution:
 # Generator table.
 # ---------------------------------------------------------------------------
 
+TWIST_PATTERNS = ("all_plus", "alternating")  # the handedness candidates
+
+
+def _str_map(value, value_type) -> bool:
+    """Whether ``value`` is a dict from strings to values of exactly ``value_type``."""
+    return isinstance(value, dict) and all(
+        type(k) is str and type(v) is value_type for k, v in value.items()
+    )
+
 
 @dataclass
 class GeneratorTable6:
@@ -210,14 +219,22 @@ class GeneratorTable6:
                 raise ValueError(f"matrix {tok} does not intertwine with the projection")
         if mat_mul(matrices["s"], matrices["s"]) != IDENTITY6:
             raise ValueError("matrix s is not an involution")
-        return cls(  # construction checks the signed law
-            matrices=matrices,
-            provenance=data.get("provenance", {}),
-            candidate_counts=data.get("candidate_counts", {}),
-            handedness=data["handedness"],
-            resolution=data["resolution"],
-            tube_radius=data.get("tube_radius", ""),
-        )
+        meta = {
+            "provenance": data.get("provenance", {}),
+            "candidate_counts": data.get("candidate_counts", {}),
+            "handedness": data["handedness"],
+            "tube_radius": data.get("tube_radius", ""),
+        }
+        for key, ok in (
+            ("provenance", _str_map(meta["provenance"], str)),
+            ("candidate_counts", _str_map(meta["candidate_counts"], int)),
+            ("handedness", meta["handedness"] in TWIST_PATTERNS),
+            ("tube_radius", type(meta["tube_radius"]) is str),
+        ):
+            if not ok:
+                raise ValueError(f"malformed {key}: {meta[key]!r}")
+        # construction checks the signed law
+        return cls(matrices=matrices, resolution=data["resolution"], **meta)
 
     def save(self, path: str):
         with open(path, "w") as fh:
@@ -253,7 +270,7 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
 
     winners = []
     details = {}
-    for pattern in ("all_plus", "alternating"):
+    for pattern in TWIST_PATTERNS:
         mats = dict(table_matrices)
         mats["t"] = derive_twist6(h, pattern)
         table = GeneratorTable6(

@@ -75,6 +75,14 @@ class TestDecompose:
         assert code == 2
         assert "JSON" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200_000))
+        code, _, err = run_cli(["decompose", "-"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMesh:
     def test_validate(self, capsys):
@@ -180,6 +188,26 @@ class TestUnreadableFiles:
         assert code == 2
         assert f"cannot read table {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", [["eval", "--level", "6", "s"], ["table", "show"]], ids=["eval", "show"]
+    )
+    def test_deeply_nested_table_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run_cli(["--table", str(path)] + command, capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read table {path}") and err.count("\n") == 1
+
+    def test_table_with_list_provenance_exits_2(self, table32, tmp_path, capsys):
+        data = table32.to_json()
+        data["provenance"] = ["x"]
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert code == 2
+        assert f"cannot read table {path}" in err
+        assert "provenance" in err
 
     def test_table_without_generators_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -56,6 +56,24 @@ class TestBuild:
             assert 0 < t < 1
 
 
+class TestMeshDigest:
+    # vertex numbering, triangle order and exact coordinates, pinned
+    @pytest.mark.parametrize(
+        "mesh_name, digest",
+        [
+            ("mesh16", "138f091b17e078028a2035ea0f1a6f9678652339d1364e5e64f390e795bd7139"),
+            ("mesh32", "cad12f3e04085ab7e6e4584106f69c2b65cdb9c6e2ef3d02ca50f68f1cbb49c7"),
+        ],
+        ids=["n16", "n32"],
+    )
+    def test_mesh_matches_pinned_digest(self, mesh_name, digest, request):
+        import hashlib
+
+        m = request.getfixturevalue(mesh_name)
+        text = repr((m.vertices, m.vertex_edges, m.triangles, m.tri_cells))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestHalfTranslation:
     def test_vertex_permutation_exists(self, mesh16):
         vmap = half_translation_vertex_map(mesh16)

@@ -225,6 +225,18 @@ class TestResolutionIndependence:
         assert t16.candidate_counts == table32.candidate_counts
 
 
+    @pytest.mark.slow
+    def test_table_is_identical_at_finer_resolution(self, table32):
+        from t3mcg.mesh import build_surface
+        from t3mcg.mesh.homology import build_homology
+        from t3mcg.rep6 import derive_table
+
+        t64 = derive_table(build_homology(build_surface(64)))
+        assert t64.matrices == table32.matrices
+        assert t64.handedness == table32.handedness
+        assert t64.candidate_counts == table32.candidate_counts
+
+
 class TestHandedness:
     def test_arbiter_reports_one_winner(self, homology16, table32):
         winners, details = resolve_handedness(homology16, table32.matrices)
@@ -251,6 +263,31 @@ class TestPersistence:
         assert loaded.handedness == table32.handedness
         assert loaded.resolution == table32.resolution
         assert loaded.candidate_counts == table32.candidate_counts
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("handedness", ["x"]),
+            ("handedness", "left"),
+            ("provenance", ["x"]),
+            ("provenance", {"s": 5}),
+            ("candidate_counts", 5),
+            ("candidate_counts", {"a12": "9025"}),
+            ("tube_radius", 0.25),
+        ],
+    )
+    def test_malformed_metadata_is_rejected(self, key, value, table32):
+        data = table32.to_json()
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            GeneratorTable6.from_json(data)
+
+    def test_missing_metadata_takes_defaults(self, table32):
+        data = table32.to_json()
+        for key in ("provenance", "candidate_counts", "tube_radius"):
+            del data[key]
+        loaded = GeneratorTable6.from_json(data)
+        assert (loaded.provenance, loaded.candidate_counts, loaded.tube_radius) == ({}, {}, "")
 
     def test_json_is_deterministic(self, table32, tmp_path):
         p1, p2 = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
