@@ -5,8 +5,11 @@ at mesh vertices and interpolated linearly over triangles.  For coordinate
 planes the interpolant is the field itself, evaluated per triangle in the
 unwrapped frame of its cell; for distance tubes it is a PL stand-in whose
 correctness is certified by the radius-stability re-run, and each wrapped
-vertex is evaluated once.  All arithmetic is rational, so membership,
-chaining, displacement and crossing counts are exact.  The field kernels
+vertex is evaluated once, so tube slicing reads no triangle frame.  All
+arithmetic is rational, so membership and crossing counts are exact.  Chaining
+checks that each crossing point is the same exact edge point in both
+triangles on its edge, and a loop's displacement is the integer count of its
+steps across the period, from cell n - 1 to cell 0 or back.  The field kernels
 compute each value on the integer numerators and denominators of the
 coordinates and return it as one ``Fraction``; a walk needs only the sign of
 the interpolant at each end of a step.
@@ -26,6 +29,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .surface import TriMesh, components
 
@@ -97,8 +102,6 @@ class PlaneField:
         )
 
     def candidate_triangles(self, mesh: TriMesh):
-        import numpy as np
-
         n = mesh.resolution
         target = float(self.level) * n
         cells = mesh.cells_array()[:, self.axis]
@@ -160,8 +163,6 @@ class TubeField:
         return tuple(self.vertex_value(mesh, v) for v in mesh.triangles[tri])
 
     def candidate_triangles(self, mesh: TriMesh):
-        import numpy as np
-
         n = mesh.resolution
         a, b = self.trans
         u, v = self.center
@@ -234,40 +235,36 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
         assert entry is not None and exit_ is not None
         curves.tri_segments[tri] = (entry, exit_)
 
+    # A step's exit point is the next step's entry point in the next frame; the
+    # two frames differ by a period only between cells n - 1 and 0.
+    last = mesh.resolution - 1
+    cells = mesh.tri_cells
     loops = curves.loops  # each loop starts at its least triangle, so they come in that order
     for start in sorted(curves.tri_segments):
         if start in curves.tri_loop:
             continue
         steps = []
         tri = start
-        disp = [Fraction(0)] * 3
+        disp = [0, 0, 0]
         while True:
             curves.tri_loop[tri] = len(loops)
             entry, exit_ = curves.tri_segments[tri]
-            step = (tri, entry, exit_)
-            steps.append(step)
-            p_in, p_out = step_positions(mesh, step)
-            for c in range(3):
-                disp[c] += p_out[c] - p_in[c]
-            key = _edge_key(exit_)
-            nxt = _other_triangle(edges, key, tri)
-            if nxt not in curves.tri_segments:
+            steps.append((tri, entry, exit_))
+            va, vb, t = exit_
+            nxt = _other_triangle(edges, (va, vb) if va < vb else (vb, va), tri)
+            segment = curves.tri_segments.get(nxt)
+            if segment is None:
                 raise DegeneracyError("curve chain left the sliced triangle set")
-            if _edge_key(curves.tri_segments[nxt][0]) != key:
-                raise DegeneracyError("incoherent segment directions across an edge")
+            # coherent neighbours traverse the shared edge in opposite directions
+            if segment[0] != (vb, va, 1 - t):
+                raise DegeneracyError(f"triangles {tri} and {nxt} disagree on their shared point")
+            for c, (here, there) in enumerate(zip(cells[tri], cells[nxt])):
+                disp[c] += (here == last and there == 0) - (here == 0 and there == last)
             tri = nxt
             if tri == start:
                 break
-        for c in range(3):
-            if disp[c].denominator != 1:
-                raise DegeneracyError(f"non-integral displacement {disp}")
-        loops.append(Loop(steps=steps, displacement=tuple(int(d) for d in disp)))
+        loops.append(Loop(steps=steps, displacement=tuple(disp)))
     return curves
-
-
-def _edge_key(pt):
-    va, vb, _ = pt
-    return (va, vb) if va < vb else (vb, va)
 
 
 def _other_triangle(edges, key, tri):

@@ -314,6 +314,17 @@ class TestVerifyBytes:
         )
 
 
+class TestMeshCurvesBytes:
+    def test_mesh_curves_json_matches_pinned_digest(self, capsys):
+        import hashlib
+
+        code, out, _ = run_cli(["--resolution", "16", "--json", "mesh", "curves"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "400ffadd7592991d9d1159e2cea98595b2ff135545e36a6520f37e5de9eac4b4"
+        )
+
+
 class TestHugeTableEntries:
     # -2^63 fits int64, but numpy's abs of it wraps to -2^63
     @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])

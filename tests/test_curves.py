@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from t3mcg.mesh import TriMesh
 from t3mcg.mesh.curves import (
     TUBE_RADIUS,
+    DegeneracyError,
     PlaneField,
     TransversalityError,
     TubeField,
@@ -13,6 +15,7 @@ from t3mcg.mesh.curves import (
     cut_along,
     plane_section,
     slice_field,
+    step_positions,
     tube_section,
     walk_pairing,
     walk_steps,
@@ -233,3 +236,69 @@ class TestEdgeSign:
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
         exact = fa + t * (fb - fa)
         assert _edge_sign(vals, verts, (va, vb, t)) == (1 if exact > 0 else -1)
+
+
+# ---------------------------------------------------------------------------
+# Loop displacement as a count of cell wraps, and the shared-point chain check.
+# ---------------------------------------------------------------------------
+
+
+def reference_displacement(mesh, loop):
+    # the sum of each step's exact span in its triangle's unwrapped frame
+    total = [Fraction(0)] * 3
+    for step in loop.steps:
+        p_in, p_out = step_positions(mesh, step)
+        for c in range(3):
+            total[c] += p_out[c] - p_in[c]
+    return tuple(total)
+
+
+SLICED_FIELDS = [
+    pytest.param(PlaneField(axis, level), id=f"plane{axis}-{level}")
+    for axis in range(3)
+    for level in (Fraction(0), HALF, Fraction(1, 3))
+] + [
+    pytest.param(TubeField(axis, center, radius), id=f"tube{axis}-{center[0]},{center[1]}-{radius}")
+    for axis, center in HOMOLOGY_AND_PAIR_TUBES + [(0, (Fraction(1, 4), Fraction(1, 3)))]
+    for radius in RADII
+]
+
+
+class TestChaining:
+    @pytest.mark.parametrize("fld", SLICED_FIELDS)
+    def test_wrap_count_equals_frame_sum(self, mesh16, fld):
+        sec = slice_field(mesh16, fld)
+        assert sec.loops
+        for loop in sec.loops:
+            assert all(type(d) is int for d in loop.displacement)
+            assert loop.displacement == reference_displacement(mesh16, loop)
+
+    @pytest.mark.parametrize(
+        "fld",
+        [TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS), PlaneField(0, HALF)],
+        ids=["tube", "plane"],
+    )
+    def test_moved_crossing_point_breaks_the_chain(self, mesh16, fld):
+        # doubling a triangle's positive values keeps its signs but moves both
+        # of its crossing points off the ones its neighbours compute
+        moved = min(slice_field(mesh16, fld).tri_segments)
+
+        class Moved:
+            candidate_triangles = fld.candidate_triangles
+
+            def tri_values(self, mesh, tri):
+                vals = fld.tri_values(mesh, tri)
+                return tuple(2 * v if v > 0 else v for v in vals) if tri == moved else vals
+
+        with pytest.raises(DegeneracyError):
+            slice_field(mesh16, Moved())
+
+    def test_tube_slicing_reads_no_frame(self, mesh16, monkeypatch):
+        def no_frame(self, tri_index):
+            raise AssertionError("tube slicing read a triangle frame")
+
+        monkeypatch.setattr(TriMesh, "triangle_local", no_frame)
+        tube = slice_field(mesh16, TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS))
+        assert sorted(l.displacement for l in tube.loops) == [
+            (0, 0, -1), (0, 0, -1), (0, 0, 1), (0, 0, 1)
+        ]
