@@ -2,11 +2,15 @@
 
 Curves are cut out of the mesh as zero sets of exact scalar fields evaluated
 at mesh vertices and interpolated linearly over triangles.  For coordinate
-planes the interpolant is the field itself, evaluated per triangle in the
-unwrapped frame of its cell; for distance tubes it is a PL stand-in whose
-correctness is certified by the radius-stability re-run, and each wrapped
-vertex is evaluated once, so tube slicing reads no triangle frame.  All
-arithmetic is rational, so membership and crossing counts are exact.  Chaining
+planes the interpolant is the field itself, evaluated per triangle on the
+plane's axis coordinate in the unwrapped frame of its cell; for distance
+tubes it is a PL stand-in whose correctness is certified by the
+radius-stability re-run, and each wrapped vertex is evaluated once, so tube
+slicing reads no triangle frame.  All arithmetic is rational, so membership
+and crossing counts are exact.  The candidate prefilters are exact integer
+tests too, with no slack: a triangle lies in the cell box of its cell, and
+it is sliced only if that box holds a point where the field is negative and
+one where it is not (``cell_box_distances``).  Chaining
 checks that each crossing point is the same exact edge point in both
 triangles on its edge, and a loop's displacement is the integer count of its
 steps across the period, from cell n - 1 to cell 0 or back.  The field kernels
@@ -48,6 +52,37 @@ def dper(w: Fraction) -> Fraction:
     return min(m, 1 - m)
 
 
+def cell_box_distances(n: int, c: Fraction):
+    """Least and greatest periodic distance from each cell box to ``c``.
+
+    Every vertex of a triangle from cell ``k`` lies on a segment between two
+    corners of that cell, so along each axis the triangle lies in the closed
+    box ``[(2k+1)/(2n), (2k+3)/(2n)]``.  Returns ``(near, far, unit)``: for
+    each of the ``n`` cells the least and greatest distance from its box to
+    ``c`` mod 1, as integers in units of ``1/unit`` with ``unit = 2n*den(c)``.
+    A box narrower than the period is an arc, on which the distance is least
+    at ``c`` if the arc holds it and greatest at ``c + 1/2`` if it holds that,
+    and otherwise takes both extremes at the arc's ends.
+    """
+    cn, cd = Fraction(c).as_integer_ratio()
+    unit = 2 * n * cd
+    half = n * cd
+    centre = 2 * n * cn
+    width = 2 * cd
+
+    def dist(x):
+        m = (x - centre) % unit
+        return min(m, unit - m)
+
+    near, far = [], []
+    for k in range(n):
+        start = (2 * k + 1) * cd
+        ends = (dist(start), dist(start + width))
+        near.append(0 if (centre - start) % unit <= width else min(ends))
+        far.append(half if (centre + half - start) % unit <= width else max(ends))
+    return near, far, unit
+
+
 def ambient_side(point) -> int:
     """Sign of (squared distance to origin spine) - (to shifted spine).
 
@@ -84,12 +119,22 @@ class PlaneField:
     def tri_values(self, mesh: TriMesh, tri: int):
         """``x - rep`` at each corner, with ``rep = level + k`` and ``k`` the
         floor of ``mean - level + 1/2``, on integer numerators and
-        denominators: each value is built as one ``Fraction``."""
+        denominators: each value is built as one ``Fraction``.
+
+        Only the ``axis`` coordinate of each corner is read; in the last cell
+        along ``axis`` a coordinate below 1/2 is unwrapped by one period, as
+        in ``TriMesh.triangle_local``.
+        """
         axis = self.axis
-        p0, p1, p2 = mesh.triangle_local(tri)
-        n0, d0 = p0[axis].as_integer_ratio()
-        n1, d1 = p1[axis].as_integer_ratio()
-        n2, d2 = p2[axis].as_integer_ratio()
+        vertices = mesh.vertices
+        v0, v1, v2 = mesh.triangles[tri]
+        n0, d0 = vertices[v0][axis].as_integer_ratio()
+        n1, d1 = vertices[v1][axis].as_integer_ratio()
+        n2, d2 = vertices[v2][axis].as_integer_ratio()
+        if mesh.tri_cells[tri][axis] == mesh.resolution - 1:
+            n0 += d0 if 2 * n0 < d0 else 0
+            n1 += d1 if 2 * n1 < d1 else 0
+            n2 += d2 if 2 * n2 < d2 else 0
         ln, ld = self.level.as_integer_ratio()
         den = d0 * d1 * d2
         total = n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1  # sum of corners = total / den
@@ -102,11 +147,13 @@ class PlaneField:
         )
 
     def candidate_triangles(self, mesh: TriMesh):
-        n = mesh.resolution
-        target = float(self.level) * n
-        cells = mesh.cells_array()[:, self.axis]
-        d = (cells - target) % n
-        return np.nonzero((d <= 2.5) | (d >= n - 2.5))[0].tolist()
+        """Triangles whose cell box meets the plane mod 1, in index order.
+
+        Mixed signs put ``rep`` between two corners, inside the box.
+        """
+        near, _, _ = cell_box_distances(mesh.resolution, self.level)
+        meets = np.array([d == 0 for d in near])
+        return np.nonzero(meets[mesh.cells_array()[:, self.axis]])[0].tolist()
 
 
 class TubeField:
@@ -163,20 +210,32 @@ class TubeField:
         return tuple(self.vertex_value(mesh, v) for v in mesh.triangles[tri])
 
     def candidate_triangles(self, mesh: TriMesh):
+        """Triangles whose cell box holds a point inside the tube and a point
+        on or outside it, in index order.
+
+        The least and greatest squared distances over the box are the sums of
+        the per-axis extremes, so one comparison per column ``(k_a, k_b)`` of
+        cells decides, on integer numerators over ``(unit_a*unit_b*rd)**2``.
+        """
         n = mesh.resolution
         a, b = self.trans
-        u, v = self.center
-        r = float(self.radius)
-        slack = 3.5 / n
+        near_a, far_a, unit_a = cell_box_distances(n, self.center[0])
+        near_b, far_b, unit_b = cell_box_distances(n, self.center[1])
+        rn, rd = self.radius.as_integer_ratio()
+        r2 = (rn * unit_a * unit_b) ** 2
+        scale_a, scale_b = unit_b * rd, unit_a * rd
+        near_a2 = [(d * scale_a) ** 2 for d in near_a]
+        far_a2 = [(d * scale_a) ** 2 for d in far_a]
+        near_b2 = [(d * scale_b) ** 2 for d in near_b]
+        far_b2 = [(d * scale_b) ** 2 for d in far_b]
+        column = np.array(
+            [
+                [na + nb < r2 <= fa + fb for nb, fb in zip(near_b2, far_b2)]
+                for na, fa in zip(near_a2, far_a2)
+            ]
+        )
         cells = mesh.cells_array()
-        ca = (cells[:, a] + 0.5) / n
-        cb = (cells[:, b] + 0.5) / n
-        da = np.abs(ca - float(u)) % 1.0
-        da = np.minimum(da, 1.0 - da)
-        db = np.abs(cb - float(v)) % 1.0
-        db = np.minimum(db, 1.0 - db)
-        d = np.hypot(da, db)
-        return np.nonzero((d >= r - slack) & (d <= r + slack))[0].tolist()
+        return np.nonzero(column[cells[:, a], cells[:, b]])[0].tolist()
 
 
 # A point on a triangle edge: (vertex_a, vertex_b, t) with position

@@ -135,8 +135,9 @@ class TriMesh:
 
         The frame of cell k spans [(k + 1/2)/n, (k + 3/2)/n] along each axis,
         which leaves [0, 1) only for k = n - 1; there a wrapped coordinate
-        below 1/2 gains one period.  Computed on each call: only plane
-        sections and walks unwrap, and tube fields read wrapped vertices.
+        below 1/2 gains one period.  Computed on each call: only step
+        positions and tube orientation unwrap, plane fields unwrap their one
+        axis themselves and tube fields read wrapped vertices.
         """
         last = self.resolution - 1
         cell = self.tri_cells[tri_index]

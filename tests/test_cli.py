@@ -340,3 +340,26 @@ class TestHugeTableEntries:
         code, out, err = run_cli(["--table", str(path), "--json", "eval", "--level", "6", "t a12"], capsys)
         assert code == 0, err
         assert json.loads(out) == [list(r) for r in mat_mul(table32.matrices["a12"], t)]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import t3mcg
+
+        src = str(Path(t3mcg.__file__).resolve().parent.parent)
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "t3mcg", "--resolution", "8", "mesh", "validate"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout

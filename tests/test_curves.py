@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t3mcg.mesh import TriMesh
+from t3mcg.mesh import TriMesh, build_surface
 from t3mcg.mesh.curves import (
     TUBE_RADIUS,
     DegeneracyError,
@@ -302,3 +303,118 @@ class TestChaining:
         assert sorted(l.displacement for l in tube.loops) == [
             (0, 0, -1), (0, 0, -1), (0, 0, 1), (0, 0, 1)
         ]
+
+
+# ---------------------------------------------------------------------------
+# The exact cell-box prefilters: complete, and equal to a Fraction reference.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mesh8():
+    return build_surface(8)
+
+
+PLANE_LEVELS = [Fraction(0), HALF, Fraction(1, 3), Fraction(1, 4), -HALF, Fraction(3, 2)]
+# Field factories: a tube field memoizes its vertex values for one mesh.
+PREFILTERED_FIELDS = [
+    pytest.param(partial(PlaneField, axis, level), id=f"plane{axis}-{level}")
+    for axis in range(3)
+    for level in PLANE_LEVELS
+] + [
+    pytest.param(
+        partial(TubeField, axis, center, radius), id=f"tube{axis}-{center[0]},{center[1]}-{radius}"
+    )
+    for axis, center in HOMOLOGY_AND_PAIR_TUBES
+    for radius in RADII + [Fraction(1, 4)]
+]
+
+
+class AllTriangles:
+    """A field's values with no prefilter: every triangle is a candidate."""
+
+    def __init__(self, fld):
+        self.tri_values = fld.tri_values
+
+    def candidate_triangles(self, mesh):
+        return list(range(len(mesh.triangles)))
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16"])
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS)
+class TestPrefilterCompleteness:
+    def test_every_mixed_sign_triangle_is_a_candidate(self, request, mesh_name, make_field):
+        mesh = request.getfixturevalue(mesh_name)
+        fld = make_field()
+        candidates = set(fld.candidate_triangles(mesh))
+        for tri in range(len(mesh.triangles)):
+            signs = {v.numerator >= 0 for v in fld.tri_values(mesh, tri)}
+            if len(signs) == 2:
+                assert tri in candidates, tri
+
+    def test_slicing_equals_unfiltered_slicing(self, request, mesh_name, make_field):
+        mesh = request.getfixturevalue(mesh_name)
+        fld = make_field()
+        sec = slice_field(mesh, fld)
+        ref = slice_field(mesh, AllTriangles(fld))
+        assert list(sec.tri_segments.items()) == list(ref.tri_segments.items())
+        assert sec.loops == ref.loops  # steps and displacements
+
+
+def reference_box_extremes(n, k, c):
+    # least and greatest dper(x - c) over the box [(2k+1)/(2n), (2k+3)/(2n)]
+    lo, hi = Fraction(2 * k + 1, 2 * n), Fraction(2 * k + 3, 2 * n)
+
+    def holds(x):  # the box holds x mod 1
+        return lo <= x + math.ceil(lo - x) <= hi
+
+    ends = (reference_dper(lo - c), reference_dper(hi - c))
+    near = Fraction(0) if holds(c) else min(ends)
+    far = HALF if holds(c + HALF) else max(ends)
+    return near, far
+
+
+def reference_candidates(mesh, fld):
+    n = mesh.resolution
+
+    def extremes(c):
+        return [reference_box_extremes(n, k, c) for k in range(n)]
+
+    if isinstance(fld, PlaneField):
+        along = extremes(fld.level)
+        return [tri for tri, cell in enumerate(mesh.tri_cells) if along[cell[fld.axis]][0] == 0]
+    (a, b), (u, v) = fld.trans, fld.center
+    along_a, along_b = extremes(u), extremes(v)
+    keep = []
+    for tri, cell in enumerate(mesh.tri_cells):
+        (near_a, far_a), (near_b, far_b) = along_a[cell[a]], along_b[cell[b]]
+        if near_a**2 + near_b**2 < fld.radius**2 <= far_a**2 + far_b**2:
+            keep.append(tri)
+    return keep
+
+
+class TestPrefilterExactness:
+    @pytest.mark.parametrize(
+        "make_field",
+        PREFILTERED_FIELDS
+        + [
+            pytest.param(partial(PlaneField, 1, Fraction(2, 7)), id="plane1-2/7"),
+            pytest.param(
+                partial(TubeField, 0, (Fraction(1, 3), Fraction(3, 4)), TUBE_RADIUS), id="tube0-third"
+            ),
+            pytest.param(
+                partial(TubeField, 2, (-HALF, Fraction(5, 4)), Fraction(1, 8)), id="tube2-unreduced"
+            ),
+            # centres on cell-box ends at n = 16, whose antipodes are box ends too
+            pytest.param(partial(PlaneField, 2, Fraction(1, 32)), id="plane2-box-end"),
+            pytest.param(
+                partial(TubeField, 1, (Fraction(3, 32), Fraction(-1, 32)), Fraction(3, 16)),
+                id="tube1-box-ends",
+            ),
+        ],
+    )
+    def test_candidates_equal_fraction_box_test(self, mesh16, make_field):
+        fld = make_field()
+        candidates = fld.candidate_triangles(mesh16)
+        assert type(candidates) is list
+        assert candidates == reference_candidates(mesh16, fld)
