@@ -74,6 +74,13 @@ def write_table(table: GeneratorTable6, path: str):
         raise UsageError(f"cannot write table {path}: {exc}") from exc
 
 
+def check_table_directory(path: str):
+    """Refuse a table path in a missing directory before any derivation."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write table {path}: no directory {directory}")
+
+
 def load_or_derive_table(args, derive_if_missing: bool):
     path = args.table or default_table_path(args.resolution)
     if os.path.exists(path):
@@ -86,6 +93,7 @@ def load_or_derive_table(args, derive_if_missing: bool):
         return table, None
     if not derive_if_missing:
         raise UsageError(f"no generator table at {path}; run `t3mcg table derive` first")
+    check_table_directory(path)
     mesh = build_surface(args.resolution)
     h = build_homology(mesh)
     table = derive_table(h)
@@ -215,10 +223,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table_derive(args) -> int:
+    path = args.table or default_table_path(args.resolution)
+    check_table_directory(path)
     mesh = build_surface(args.resolution)
     h = build_homology(mesh)
     table = derive_table(h)
-    path = args.table or default_table_path(args.resolution)
     write_table(table, path)
     if args.json:
         print(json.dumps({"path": path, "handedness": table.handedness}, sort_keys=True))

@@ -16,7 +16,11 @@ triangles on its edge, and a loop's displacement is the integer count of its
 steps across the period, from cell n - 1 to cell 0 or back.  The field kernels
 compute each value on the integer numerators and denominators of the
 coordinates and return it as one ``Fraction``; a walk needs only the sign of
-the interpolant at each end of a step.
+the interpolant at each end of a step.  A walk reads values only in its
+target's walk set, the triangles whose closed cell box meets the zero set
+(``walk_triangles``): off it every corner value has one strict sign, so a
+step there cannot cross.  A crossing on a target vertex is attributed through
+a per-target index of the segment points that sit on vertices.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -33,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -151,9 +156,21 @@ class PlaneField:
 
         Mixed signs put ``rep`` between two corners, inside the box.
         """
+        return np.nonzero(self._box_meets(mesh))[0].tolist()
+
+    def walk_triangles(self, mesh: TriMesh) -> set:
+        """Triangles whose closed cell box meets the zero set.
+
+        Off them the box lies strictly between two representatives of the
+        level, so every corner value has one strict sign.  The candidate test
+        is closed already ("least distance 0"), so the two sets are equal.
+        """
+        return set(np.nonzero(self._box_meets(mesh))[0].tolist())
+
+    def _box_meets(self, mesh: TriMesh):
         near, _, _ = cell_box_distances(mesh.resolution, self.level)
         meets = np.array([d == 0 for d in near])
-        return np.nonzero(meets[mesh.cells_array()[:, self.axis]])[0].tolist()
+        return meets[mesh.cells_array()[:, self.axis]]
 
 
 class TubeField:
@@ -163,7 +180,8 @@ class TubeField:
     is far from the zero set for the radii in use) and periodic, because
     ``dper`` reduces mod 1.  A vertex's value therefore does not depend on the
     frame it is read in, and ``vertex_value`` evaluates each wrapped vertex
-    once; the memo is per field, and a field slices one mesh.
+    once.  The memo holds the values of the last mesh read: a field read on
+    another mesh starts a new one.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -171,6 +189,7 @@ class TubeField:
         self.trans = ((axis + 1) % 3, (axis + 2) % 3)
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
+        self._memo_mesh = None
         self._vertex_values: dict[int, Fraction] = {}
 
     def point_value(self, p):
@@ -201,6 +220,8 @@ class TubeField:
         )
 
     def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
+        if mesh is not self._memo_mesh:
+            self._memo_mesh, self._vertex_values = mesh, {}
         value = self._vertex_values.get(v)
         if value is None:
             value = self._vertex_values[v] = self.point_value(mesh.vertices[v])
@@ -211,31 +232,46 @@ class TubeField:
 
     def candidate_triangles(self, mesh: TriMesh):
         """Triangles whose cell box holds a point inside the tube and a point
-        on or outside it, in index order.
+        on or outside it, in index order."""
+        near, far, r2 = self._column_bounds(mesh.resolution)
+        column = [[lo < r2 <= hi for lo, hi in zip(*row)] for row in zip(near, far)]
+        return self._by_column(mesh, column).tolist()
 
-        The least and greatest squared distances over the box are the sums of
-        the per-axis extremes, so one comparison per column ``(k_a, k_b)`` of
-        cells decides, on integer numerators over ``(unit_a*unit_b*rd)**2``.
+    def walk_triangles(self, mesh: TriMesh) -> set:
+        """Triangles whose closed cell box meets the tube: ``near <= r**2 <= far``.
+
+        Off them ``r**2 < near`` or ``far < r**2``, so every corner value has
+        one strict sign.  Unlike ``candidate_triangles`` this keeps the
+        columns whose box only touches the tube (``near == r**2``): slicing
+        counts a zero corner there positive, a walk counts it negative.
         """
-        n = mesh.resolution
-        a, b = self.trans
+        near, far, r2 = self._column_bounds(mesh.resolution)
+        column = [[lo <= r2 <= hi for lo, hi in zip(*row)] for row in zip(near, far)]
+        return set(self._by_column(mesh, column).tolist())
+
+    def _column_bounds(self, n: int):
+        """``(near, far, r2)``: for each column ``(k_a, k_b)`` of cells, the
+        least and greatest squared distance from its box to the axis line,
+        ``near[k_a][k_b]`` and ``far[k_a][k_b]``, and the squared radius.
+
+        The extremes over a box are the sums of the per-axis extremes.  All
+        three are integer numerators over ``(unit_a*unit_b*rd)**2``.
+        """
         near_a, far_a, unit_a = cell_box_distances(n, self.center[0])
         near_b, far_b, unit_b = cell_box_distances(n, self.center[1])
         rn, rd = self.radius.as_integer_ratio()
-        r2 = (rn * unit_a * unit_b) ** 2
         scale_a, scale_b = unit_b * rd, unit_a * rd
-        near_a2 = [(d * scale_a) ** 2 for d in near_a]
-        far_a2 = [(d * scale_a) ** 2 for d in far_a]
         near_b2 = [(d * scale_b) ** 2 for d in near_b]
         far_b2 = [(d * scale_b) ** 2 for d in far_b]
-        column = np.array(
-            [
-                [na + nb < r2 <= fa + fb for nb, fb in zip(near_b2, far_b2)]
-                for na, fa in zip(near_a2, far_a2)
-            ]
-        )
+        near = [[(d * scale_a) ** 2 + nb for nb in near_b2] for d in near_a]
+        far = [[(d * scale_a) ** 2 + fb for fb in far_b2] for d in far_a]
+        return near, far, (rn * unit_a * unit_b) ** 2
+
+    def _by_column(self, mesh: TriMesh, column):
+        """Indices of the triangles whose column of cells is true in ``column``."""
+        a, b = self.trans
         cells = mesh.cells_array()
-        return np.nonzero(column[cells[:, a], cells[:, b]])[0].tolist()
+        return np.nonzero(np.array(column)[cells[:, a], cells[:, b]])[0]
 
 
 # A point on a triangle edge: (vertex_a, vertex_b, t) with position
@@ -254,6 +290,25 @@ class SlicedCurves:
     loops: list
     tri_loop: dict  # triangle -> loop index
     tri_segments: dict  # triangle -> (entry_pt, exit_pt)
+
+    @cached_property
+    def walk_set(self) -> set:
+        """Triangles whose closed cell box meets the field's zero set.
+
+        Off this set every corner value has one strict sign, so no walk step
+        there crosses the field (``walk_pairing``).
+        """
+        return self.field.walk_triangles(self.mesh)
+
+    @cached_property
+    def _vertex_loops(self) -> dict:
+        """Vertex -> ids of the loops with a segment point on it (t = 0 or 1)."""
+        index: dict[int, set] = {}
+        for tri, segment in self.tri_segments.items():
+            for va, vb, t in segment:
+                if t == 0 or t == 1:
+                    index.setdefault(va if t == 0 else vb, set()).add(self.tri_loop[tri])
+        return index
 
 
 def step_positions(mesh: TriMesh, step):
@@ -345,11 +400,19 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     Event signs are +1 when the target field changes - to + along the walk;
     combined with the slicing orientation this realizes an antisymmetric
     pairing on curves.
+
+    Only steps in the target's walk set read field values: off it every
+    corner value has one strict sign, so both ends of the step get that
+    sign and the step cannot cross.
     """
     out: dict[int, list] = {}
+    walk = target.walk_set
+    fld, mesh = target.field, target.mesh
     for tri, pt_in, pt_out in path_steps:
-        vals = target.field.tri_values(target.mesh, tri)  # one read serves both ends
-        verts = target.mesh.triangles[tri]
+        if tri not in walk:
+            continue
+        vals = fld.tri_values(mesh, tri)  # one read serves both ends
+        verts = mesh.triangles[tri]
         s_in = _edge_sign(vals, verts, pt_in)
         s_out = _edge_sign(vals, verts, pt_out)
         if s_in == s_out:
@@ -398,10 +461,8 @@ def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
             if f == 0:
                 zero_verts.add(v)
     loop_ids = set()
-    for other_tri, (entry, exit_) in target.tri_segments.items():
-        for wa, wb, s in (entry, exit_):
-            if (s == 0 and wa in zero_verts) or (s == 1 and wb in zero_verts):
-                loop_ids.add(target.tri_loop[other_tri])
+    for v in zero_verts:
+        loop_ids |= target._vertex_loops.get(v, set())
     if len(loop_ids) != 1:
         raise DegeneracyError(
             f"cannot attribute a vertex crossing to a unique loop: {sorted(loop_ids)}"

@@ -314,6 +314,34 @@ class TestVerifyBytes:
         )
 
 
+@pytest.mark.slow
+class TestVerifyBytesDefaultResolution:
+    def test_verify_json_at_n32_matches_pinned_digest(self, tmp_path, capsys, monkeypatch):
+        # the default resolution with no cached table: derivation, walks and suite
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["--resolution", "32", "--seed", "0", "--json", "verify"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b8b14afa97dbc0b39d475d6e948d651e7faf12500f5b3f09df7317ebc69e036f"
+        )
+
+
+class TestMissingTableDirectory:
+    @pytest.mark.parametrize("command", [["table", "derive"], ["verify"]], ids=["derive", "verify"])
+    def test_refused_before_derivation(self, command, tmp_path, capsys, monkeypatch):
+        def derive(resolution):
+            raise AssertionError("the surface was built for an unwritable table")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", derive)
+        path = str(tmp_path / "missing" / "t.json")
+        code, out, err = run_cli(["--resolution", "8", "--table", path, *command], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write table {path}")
+
+
 class TestMeshCurvesBytes:
     def test_mesh_curves_json_matches_pinned_digest(self, capsys):
         import hashlib

@@ -418,3 +418,194 @@ class TestPrefilterExactness:
         candidates = fld.candidate_triangles(mesh16)
         assert type(candidates) is list
         assert candidates == reference_candidates(mesh16, fld)
+
+
+# ---------------------------------------------------------------------------
+# Walk sets: a walk reads the target only where its values can change sign.
+# ---------------------------------------------------------------------------
+
+
+BOX_END_TUBE = pytest.param(
+    partial(TubeField, 1, (Fraction(3, 32), Fraction(-1, 32)), Fraction(3, 16)), id="tube1-box-ends"
+)
+
+# Tubes through a mesh vertex at the far corner of a cell box, at n = 16 and at
+# n = 8: that column's greatest squared distance equals r**2 exactly.
+FAR_CORNER_TUBES = [
+    pytest.param(
+        partial(TubeField, 0, (Fraction(0), Fraction(1, 32)), Fraction(13, 32)), id="tube0-far-corner-16"
+    ),
+    pytest.param(
+        partial(TubeField, 0, (Fraction(0), Fraction(1, 16)), Fraction(5, 16)), id="tube0-far-corner-8"
+    ),
+]
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16"])
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS + [BOX_END_TUBE] + FAR_CORNER_TUBES)
+def test_walk_set_holds_every_triangle_without_one_strict_sign(request, mesh_name, make_field):
+    mesh = request.getfixturevalue(mesh_name)
+    fld = make_field()
+    sec = slice_field(mesh, fld)
+    walk = sec.walk_set
+    for tri in range(len(mesh.triangles)):
+        vals = fld.tri_values(mesh, tri)
+        if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
+            assert tri in walk, tri
+    assert set(fld.candidate_triangles(mesh)) <= walk
+
+
+def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
+    # columns whose box only touches the tube hold zero corners, which
+    # slicing counts positive but a walk reads as negative
+    fld = BOX_END_TUBE.values[0]()
+    walk = slice_field(mesh16, fld).walk_set
+    touching = walk - set(fld.candidate_triangles(mesh16))
+    assert sum(any(v == 0 for v in fld.tri_values(mesh16, tri)) for tri in touching) == 7
+
+
+def reference_sign(vals, verts, pt):
+    va, vb, t = pt
+    fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+    return 1 if fa + t * (fb - fa) > 0 else -1
+
+
+def reference_zero_vertices(vals, verts, points):
+    # the target's vanishing corners under edge points where it vanishes
+    zero_verts = set()
+    for va, vb, t in points:
+        fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
+        if fa + t * (fb - fa) == 0:
+            zero_verts.update(v for v, f in ((va, fa), (vb, fb)) if f == 0)
+    return zero_verts
+
+
+def reference_vertex_loop(target, zero_verts):
+    # scan every sliced triangle for a segment point on a vanishing vertex
+    loop_ids = set()
+    for tri, segment in target.tri_segments.items():
+        for wa, wb, s in segment:
+            if (s == 0 and wa in zero_verts) or (s == 1 and wb in zero_verts):
+                loop_ids.add(target.tri_loop[tri])
+    if len(loop_ids) != 1:
+        raise DegeneracyError(sorted(loop_ids))
+    return loop_ids.pop()
+
+
+def reference_walk(steps, walker_sign, target, vertex_events):
+    # reads the target's values at every step; records each vertex crossing's
+    # vanishing vertices in ``vertex_events``
+    out = {}
+    for tri, pt_in, pt_out in steps:
+        vals = target.field.tri_values(target.mesh, tri)
+        verts = target.mesh.triangles[tri]
+        s_in, s_out = reference_sign(vals, verts, pt_in), reference_sign(vals, verts, pt_out)
+        if s_in == s_out:
+            continue
+        li = target.tri_loop.get(tri)
+        if li is None:
+            zero_verts = reference_zero_vertices(vals, verts, (pt_in, pt_out))
+            vertex_events.append(zero_verts)
+            li = reference_vertex_loop(target, zero_verts)
+        rec = out.setdefault(li, [0, 0])
+        rec[0] += (1 if s_out > 0 else -1) * walker_sign * target.loops[li].orientation_sign
+        rec[1] += 1
+    return out
+
+
+def walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except DegeneracyError:
+        return DegeneracyError
+
+
+WALKED_FIELDS = [
+    partial(PlaneField, axis, level) for axis in range(3) for level in (Fraction(0), HALF, Fraction(1, 3))
+] + [
+    partial(TubeField, axis, center, radius)
+    for axis, center in HOMOLOGY_AND_PAIR_TUBES
+    for radius in RADII + [Fraction(1, 4)]
+]
+
+
+WALKED_IDS = [
+    f"plane{make.args[0]}-{make.args[1]}" if make.func is PlaneField
+    else f"tube{make.args[0]}-{make.args[1][0]},{make.args[1][1]}-{make.args[2]}"
+    for make in WALKED_FIELDS
+]
+
+
+@pytest.fixture(scope="module")
+def walked_sections(request):
+    cache = {}
+
+    def sections(mesh_name):
+        if mesh_name not in cache:
+            mesh = request.getfixturevalue(mesh_name)
+            cache[mesh_name] = [slice_field(mesh, make()) for make in WALKED_FIELDS]
+        return cache[mesh_name]
+
+    return sections
+
+
+class TestWalkPairingEquivalence:
+    @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16"])
+    @pytest.mark.parametrize("target_index", range(len(WALKED_FIELDS)), ids=WALKED_IDS)
+    def test_walk_equals_walk_over_every_step(self, walked_sections, mesh_name, target_index):
+        sections = walked_sections(mesh_name)
+        target = sections[target_index]
+        vertex_events = []
+        for walker in sections:
+            for loop in walker.loops:
+                args = (walk_steps(loop), loop.orientation_sign, target)
+                expected = walk_outcome(reference_walk, *args, vertex_events)
+                assert walk_outcome(walk_pairing, *args) == expected
+        if isinstance(target.field, TubeField) and target.field.radius == Fraction(1, 4):
+            assert vertex_events  # the zero corners send crossings through a vertex
+
+    def test_walk_reads_no_candidate_filter(self, mesh16, monkeypatch):
+        # the walk set is its own closed test, not the counted slicing filter
+        plane = slice_field(mesh16, PlaneField(0, HALF))
+        tube = slice_field(mesh16, TubeField(1, (Fraction(0), HALF), Fraction(1, 4)))
+
+        def refuse(self, mesh):
+            raise AssertionError("a walk called candidate_triangles")
+
+        monkeypatch.setattr(PlaneField, "candidate_triangles", refuse)
+        monkeypatch.setattr(TubeField, "candidate_triangles", refuse)
+        for walker, target in ((tube, plane), (plane, tube)):
+            for loop in walker.loops:
+                args = (walk_steps(loop), loop.orientation_sign, target)
+                assert walk_pairing(*args) == reference_walk(*args, [])
+
+    def test_vertex_crossing_on_two_loops_is_degenerate(self, mesh16):
+        import dataclasses
+
+        walker = slice_field(mesh16, TubeField(0, (HALF, Fraction(0)), TUBE_RADIUS))
+        target = slice_field(mesh16, TubeField(1, (HALF, Fraction(0)), TUBE_RADIUS))
+        hits = []
+        for loop in walker.loops:
+            reference_walk(walk_steps(loop), loop.orientation_sign, target, hits)
+        assert hits
+        # move one sliced triangle through a crossed zero vertex to another loop
+        moved = next(
+            tri for tri, segment in target.tri_segments.items()
+            if any((t == 0 and a in hits[0]) or (t == 1 and b in hits[0]) for a, b, t in segment)
+        )
+        tri_loop = dict(target.tri_loop)
+        tri_loop[moved] = (tri_loop[moved] + 1) % len(target.loops)
+        split = dataclasses.replace(target, tri_loop=tri_loop)
+        with pytest.raises(DegeneracyError, match="unique loop"):
+            for loop in walker.loops:
+                walk_pairing(walk_steps(loop), loop.orientation_sign, split)
+
+
+def test_tube_field_read_on_a_second_mesh_reads_that_mesh(mesh8, mesh16):
+    center = (HALF, Fraction(0))
+    reused = TubeField(2, center, TUBE_RADIUS)
+    slice_field(mesh8, reused)
+    sec = slice_field(mesh16, reused)
+    fresh = slice_field(mesh16, TubeField(2, center, TUBE_RADIUS))
+    assert list(sec.tri_segments.items()) == list(fresh.tri_segments.items())
+    assert sec.loops == fresh.loops
