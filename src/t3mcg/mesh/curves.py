@@ -10,12 +10,13 @@ slicing reads no triangle frame.  All arithmetic is rational, so membership
 and crossing counts are exact.  The candidate prefilters are exact integer
 tests too, with no slack: a triangle lies in the cell box of its cell, and
 it is sliced only if that box holds a point where the field is negative and
-one where it is not (``cell_box_distances``).  Chaining
-checks that each crossing point is the same exact edge point in both
-triangles on its edge, and a loop's displacement is the integer count of its
-steps across the period, from cell n - 1 to cell 0 or back.  The field kernels
-compute each value on the integer numerators and denominators of the
-coordinates and return it as one ``Fraction``; a walk needs only the sign of
+one where it is not (``cell_box_distances``).  Chaining steps across
+edges through the mesh's edge table (``TriMesh.edges``) and checks that each
+crossing point is the same exact edge point in both triangles on its edge;
+a loop's displacement is the integer count of its steps across the
+period, from cell n - 1 to cell 0 or back.  The field kernels compute each
+value on the integer numerators and denominators of the mesh's vertex
+columns and return it as one ``Fraction``; a walk needs only the sign of
 the interpolant at each end of a step.  A walk reads values only in its
 target's walk set, the triangles whose closed cell box meets the zero set
 (``walk_triangles``): off it every corner value has one strict sign, so a
@@ -41,11 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import TriMesh, components
-
-
-class DegeneracyError(RuntimeError):
-    pass
+from .surface import DegeneracyError, TriMesh, components
 
 
 class TransversalityError(RuntimeError):
@@ -130,12 +127,10 @@ class PlaneField:
         along ``axis`` a coordinate below 1/2 is unwrapped by one period, as
         in ``TriMesh.triangle_local``.
         """
-        axis = self.axis
-        vertices = mesh.vertices
+        axis, num, den = self.axis, mesh.vertex_num.item, mesh.vertex_den.item
         v0, v1, v2 = mesh.triangles[tri]
-        n0, d0 = vertices[v0][axis].as_integer_ratio()
-        n1, d1 = vertices[v1][axis].as_integer_ratio()
-        n2, d2 = vertices[v2][axis].as_integer_ratio()
+        n0, n1, n2 = num(v0, axis), num(v1, axis), num(v2, axis)
+        d0, d1, d2 = den(v0), den(v1), den(v2)
         if mesh.tri_cells[tri][axis] == mesh.resolution - 1:
             n0 += d0 if 2 * n0 < d0 else 0
             n1 += d1 if 2 * n1 < d1 else 0
@@ -170,7 +165,7 @@ class PlaneField:
     def _box_meets(self, mesh: TriMesh):
         near, _, _ = cell_box_distances(mesh.resolution, self.level)
         meets = np.array([d == 0 for d in near])
-        return meets[mesh.cells_array()[:, self.axis]]
+        return meets[mesh.cell_array[:, self.axis]]
 
 
 class TubeField:
@@ -193,25 +188,29 @@ class TubeField:
         self._vertex_values: dict[int, Fraction] = {}
 
     def point_value(self, p):
-        """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction``.
+        """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction`` at
+        ``p``: three exact coordinates, or a vertex row ``(x, y, z, den)`` of
+        integer numerators over one denominator (``TriMesh.int_row``).
 
-        With ``x = xn/xd`` and ``u = un/ud`` the periodic distance is
-        ``mx/dx`` for ``dx = xd*ud`` and ``mx`` the lesser of
-        ``(xn*ud - un*xd) mod dx`` and ``dx`` minus it; likewise along ``y``.
+        With ``x = xn/(xd*den)`` (``den = 1`` for exact coordinates) and
+        ``u = un/ud`` the periodic distance is ``mx/dx`` for ``dx = xd*den*ud``
+        and ``mx`` the lesser of ``(xn*ud - un*xd*den) mod dx`` and ``dx``
+        minus it; likewise along ``y``.
         The sum is kept as an integer numerator over ``(dx*dy*rd)**2`` for
         ``r = rn/rd``.
         """
         a, b = self.trans
         u, v = self.center
+        den = p[3] if len(p) > 3 else 1
         xn, xd = p[a].as_integer_ratio()
         un, ud = u.as_integer_ratio()
-        dx = xd * ud
-        mx = (xn * ud - un * xd) % dx
+        dx = xd * den * ud
+        mx = (xn * ud - un * xd * den) % dx
         mx = min(mx, dx - mx)
         yn, yd = p[b].as_integer_ratio()
         vn, vd = v.as_integer_ratio()
-        dy = yd * vd
-        my = (yn * vd - vn * yd) % dy
+        dy = yd * den * vd
+        my = (yn * vd - vn * yd * den) % dy
         my = min(my, dy - my)
         rn, rd = self.radius.as_integer_ratio()
         dxy = dx * dy
@@ -224,7 +223,7 @@ class TubeField:
             self._memo_mesh, self._vertex_values = mesh, {}
         value = self._vertex_values.get(v)
         if value is None:
-            value = self._vertex_values[v] = self.point_value(mesh.vertices[v])
+            value = self._vertex_values[v] = self.point_value(mesh.int_row(v))
         return value
 
     def tri_values(self, mesh: TriMesh, tri: int):
@@ -270,7 +269,7 @@ class TubeField:
     def _by_column(self, mesh: TriMesh, column):
         """Indices of the triangles whose column of cells is true in ``column``."""
         a, b = self.trans
-        cells = mesh.cells_array()
+        cells = mesh.cell_array
         return np.nonzero(np.array(column)[cells[:, a], cells[:, b]])[0]
 
 
@@ -327,7 +326,7 @@ def step_positions(mesh: TriMesh, step):
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant."""
     curves = SlicedCurves(mesh, fld, [], {}, {})
-    edges = mesh.shared_edge_map()
+    neighbour = mesh.edges.neighbour
 
     for tri in fld.candidate_triangles(mesh):
         vals = fld.tri_values(mesh, tri)
@@ -365,7 +364,9 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
             entry, exit_ = curves.tri_segments[tri]
             steps.append((tri, entry, exit_))
             va, vb, t = exit_
-            nxt = _other_triangle(edges, (va, vb) if va < vb else (vb, va), tri)
+            nxt = int(neighbour[3 * tri + mesh.triangles[tri].index(va)])
+            if nxt < 0:
+                raise DegeneracyError(f"edge {(min(va, vb), max(va, vb))} is not interior")
             segment = curves.tri_segments.get(nxt)
             if segment is None:
                 raise DegeneracyError("curve chain left the sliced triangle set")
@@ -379,13 +380,6 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
                 break
         loops.append(Loop(steps=steps, displacement=tuple(disp)))
     return curves
-
-
-def _other_triangle(edges, key, tri):
-    pair = edges[key]
-    if len(pair) != 2:
-        raise DegeneracyError(f"edge {key} is not interior")
-    return pair[0] if pair[1] == tri else pair[1]
 
 
 def walk_steps(loop: Loop):
@@ -489,26 +483,29 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     """
     if not isinstance(curves.field, TubeField):
         raise ValueError("cutting needs a pointwise field")
-    positive = [  # zero counts positive
-        curves.field.vertex_value(mesh, v).numerator >= 0 for v in range(len(mesh.vertices))
-    ]
-    plain_edges = []
-    for key, tris in mesh.shared_edge_map().items():
-        if len(tris) != 2:
-            raise ValueError("mesh is not closed")
-        if positive[key[0]] == positive[key[1]]:
-            plain_edges.append(key)
-        elif tris[0] not in curves.tri_segments or tris[1] not in curves.tri_segments:
-            # mixed endpoint signs force a segment in both adjacent triangles
-            raise DegeneracyError(
-                f"edge {key} crosses the zero set but an adjacent triangle was not sliced"
-            )
-    label = components(len(mesh.vertices), plain_edges)
-    vertices = Counter(label)
-    edges = Counter(label[u] for u, _ in plain_edges)
-    faces = Counter(
-        label[a] for a, b, c in mesh.triangles if positive[a] == positive[b] == positive[c]
+    table = mesh.edges
+    if (table.count != 2).any():
+        raise ValueError("mesh is not closed")
+    positive = np.array(  # zero counts positive
+        [curves.field.vertex_value(mesh, v).numerator >= 0 for v in range(len(mesh.vertices))]
     )
+    plain = positive[table.low] == positive[table.high]
+    sliced = np.zeros(len(mesh.triangles), bool)
+    sliced[list(curves.tri_segments)] = True
+    # mixed endpoint signs force a segment in both adjacent triangles
+    unsliced = np.flatnonzero(~plain & ~sliced[table.pairs // 3].all(axis=1))
+    if len(unsliced):
+        key = (int(table.low[unsliced[0]]), int(table.high[unsliced[0]]))
+        raise DegeneracyError(
+            f"edge {key} crosses the zero set but an adjacent triangle was not sliced"
+        )
+    plain_edges = np.stack((table.low, table.high), axis=1)[plain]
+    label = components(len(mesh.vertices), plain_edges)
+    signs = positive[table.tris]
+    vertices = Counter(label.tolist())
+    edges = Counter(label[plain_edges[:, 0]].tolist())
+    faces = Counter(label[table.tris[(signs == signs[:, :1]).all(axis=1), 0]].tolist())
+    label = label.tolist()
     loops: dict[int, set] = {}
     for tri, li in curves.tri_loop.items():
         for v in mesh.triangles[tri]:

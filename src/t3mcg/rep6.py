@@ -33,7 +33,7 @@ from .mesh.homology import (
     twist_matrix,
 )
 from .mesh.curves import tube_section, walk_steps
-from .mesh.surface import half_translation_vertex_map
+from .mesh.surface import half_translation_vertex_map, lookup
 
 Mat6 = tuple
 
@@ -70,8 +70,12 @@ def derive_swap6(h: HomologyData) -> Mat6:
     off the classes, and change to the canonical basis."""
     mesh = h.mesh
     vmap = half_translation_vertex_map(mesh)
-    index = {frozenset(tri): i for i, tri in enumerate(mesh.triangles)}
-    tmap = [index[frozenset(vmap[v] for v in tri)] for tri in mesh.triangles]
+    # each triangle keyed by its sorted vertex triple, before and after
+    tris = mesh.edges.tris
+    dims = (len(vmap),) * 3
+    own = np.ravel_multi_index(np.sort(tris, axis=1).T, dims)
+    image = np.ravel_multi_index(np.sort(np.array(vmap)[tris], axis=1).T, dims)
+    tmap = lookup(own, image, "translated triangle").tolist()
     cols = []
     for ref in list(h.disk_sections_a) + list(h.longitudes):
         loop = ref.loop

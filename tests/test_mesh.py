@@ -198,3 +198,201 @@ class TestComponents:
         assert not report["connected"]
         assert report["euler_characteristic"] == -8
         assert report["genus"] is None
+
+
+# ---------------------------------------------------------------------------
+# The edge table against a dict-based reference validation.
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_map(triangles):
+    edges = {}
+    for idx, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault((u, v) if u < v else (v, u), []).append(idx)
+    return edges
+
+
+def reference_counts(n_vertices, triangles):
+    edges = reference_edge_map(triangles)
+
+    def ascending(key, tri):
+        a, b, c = triangles[tri]
+        return key in ((a, b), (b, c), (c, a))
+
+    return edges, {
+        "closed": all(len(tris) == 2 for tris in edges.values()),
+        "orientable": all(
+            len(tris) != 2 or ascending(key, tris[0]) != ascending(key, tris[1])
+            for key, tris in edges.items()
+        ),
+        "vertices": n_vertices,
+        "edges": len(edges),
+        "triangles": len(triangles),
+        "euler_characteristic": n_vertices - len(edges) + len(triangles),
+    }
+
+
+def reference_validate(mesh):
+    edges, counts = reference_counts(len(mesh.vertices), mesh.triangles)
+    parent = list(range(len(mesh.triangles)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for tris in edges.values():
+        if len(tris) == 2:
+            parent[find(tris[0])] = find(tris[1])
+    connected = len({find(x) for x in range(len(parent))}) == 1
+    closed = counts["closed"]
+    genus = (2 - counts["euler_characteristic"]) // 2 if closed and connected else None
+    return {**counts, "connected": connected, "genus": genus}
+
+
+def _variant(mesh16, name):
+    import copy
+
+    m = copy.copy(mesh16)
+    tris = mesh16.triangles
+    a, b, c = tris[0]
+    k = len(mesh16.vertices)
+    if name == "deleted":
+        m.triangles = tris[:-1]
+    elif name == "flipped":
+        m.triangles = [(a, c, b)] + tris[1:]
+    elif name == "listed-twice":  # its edges lie on three triangles
+        m.triangles = tris + tris[:1]
+    elif name == "edge-on-four":  # two neighbours listed twice
+        other = next(t for t in reference_edge_map(tris)[(min(a, b), max(a, b))] if t != 0)
+        m.triangles = tris + [tris[0], tris[other]]
+    elif name == "two-copies":
+        m.vertices = mesh16.vertices * 2
+        m.triangles = tris + [(x + k, y + k, z + k) for x, y, z in tris]
+    elif name == "empty":
+        m.triangles = []
+    return m
+
+
+class TestValidationReference:
+    @pytest.mark.parametrize(
+        "name",
+        ["intact", "deleted", "flipped", "listed-twice", "edge-on-four", "two-copies", "empty"],
+    )
+    def test_report_equals_dict_reference(self, mesh16, name):
+        mesh = _variant(mesh16, name)
+        report = validate_surface(mesh)
+        expected = reference_validate(mesh)
+        assert sorted(report) == sorted(expected)
+        for key, value in expected.items():
+            assert report[key] == value, key
+        # plain Python values, so JSON reports cannot drift to numpy scalars
+        assert all(type(v) in (bool, int, type(None)) for v in report.values())
+
+    def test_edge_cases_read_as_before(self, mesh16):
+        empty = validate_surface(_variant(mesh16, "empty"))
+        assert empty["closed"] and empty["orientable"]
+        assert not empty["connected"] and empty["genus"] is None
+        for name in ("listed-twice", "edge-on-four"):
+            assert not validate_surface(_variant(mesh16, name))["closed"]
+        four = reference_edge_map(_variant(mesh16, "edge-on-four").triangles)
+        assert 4 in map(len, four.values())
+
+    def test_edge_map_equals_dict_reference(self, mesh16):
+        for name in ("intact", "edge-on-four"):
+            tris = _variant(mesh16, name).triangles
+            assert edge_map(tris) == reference_edge_map(tris)  # lists in triangle order
+
+    def test_off_counts_equal_reference(self, mesh16, tmp_path):
+        path = str(tmp_path / "surface.off")
+        export_off(mesh16, path)
+        report = load_off_counts(path)
+        _, expected = reference_counts(len(mesh16.vertices), mesh16.triangles)
+        assert report == expected
+        assert all(type(v) in (bool, int) for v in report.values())
+
+    def test_off_face_with_two_corners_is_refused(self, tmp_path):
+        path = tmp_path / "short.off"
+        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n")
+        with pytest.raises(ValueError, match="non-triangle"):
+            load_off_counts(str(path))
+
+    def test_edge_on_four_triangles_stops_a_chain(self):
+        from fractions import Fraction
+
+        from t3mcg.mesh.curves import DegeneracyError, PlaneField, slice_field
+
+        mesh = build_surface(8)
+        fld = PlaneField(0, Fraction(1, 2))
+        first = min(slice_field(build_surface(8), fld).tri_segments)
+        mesh.triangles = mesh.triangles + [mesh.triangles[first]]
+        with pytest.raises(DegeneracyError, match="not interior"):
+            slice_field(mesh, fld)
+
+
+# ---------------------------------------------------------------------------
+# The integer vertex layer behind the exact views.
+# ---------------------------------------------------------------------------
+
+
+class TestIntegerVertexLayer:
+    @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
+    def test_columns_equal_exact_views(self, mesh_name, request):
+        from fractions import Fraction
+
+        from t3mcg.mesh.surface import _sample_field
+
+        mesh = request.getfixturevalue(mesh_name)
+        n = mesh.resolution
+        g = _sample_field(n)
+        num, den = mesh.vertex_num.tolist(), mesh.vertex_den.tolist()
+        for v, (base, axes, t) in enumerate(mesh.vertex_edges):
+            assert all(Fraction(num[v][c], den[v]) == mesh.vertices[v][c] for c in range(3))
+            glo = int(g[base])
+            ghi = int(g[tuple((b + a) % n for b, a in zip(base, axes))])
+            assert t == Fraction(glo, glo - ghi)
+            assert Fraction(int(mesh.vertex_tnum[v]), den[v] // (2 * n)) == t
+            # the stated int64 bound on every numerator
+            assert max(num[v]) < den[v] <= 8 * n**3
+
+    def test_length_builds_no_row(self):
+        mesh = build_surface(8)
+        assert len(mesh.vertices) == len(mesh.vertex_edges) == len(mesh.vertex_key)
+        assert mesh.vertices._rows.count(None) == len(mesh.vertex_key)
+        assert mesh.vertices[-1] == mesh.vertices[len(mesh.vertices) - 1]
+        assert mesh.vertices[:2] == [mesh.vertices[0], mesh.vertices[1]]
+
+    @pytest.mark.slow
+    def test_mesh_n64_matches_pinned_digest(self):
+        import hashlib
+
+        m = build_surface(64)
+        text = repr((m.vertices, m.vertex_edges, m.triangles, m.tri_cells))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2ae8fa2222412f744b68d8fea853eadd3a4fe243bca1ceba6d48815055960fde"
+        )
+
+
+class TestHalfTranslationChecks:
+    def test_moved_crossing_parameter_raises(self):
+        from t3mcg.mesh.curves import DegeneracyError
+
+        mesh = build_surface(8)
+        mesh.vertex_tnum = mesh.vertex_tnum.copy()
+        mesh.vertex_tnum[0] += 1
+        with pytest.raises(DegeneracyError, match="crossing parameter"):
+            half_translation_vertex_map(mesh)
+
+    def test_missing_translated_edge_raises(self):
+        from t3mcg.mesh.curves import DegeneracyError
+
+        mesh = build_surface(8)
+        mesh.vertex_key = mesh.vertex_key.copy()
+        mesh.vertex_key[0] ^= 7  # another direction from the same corner
+        with pytest.raises(DegeneracyError, match="translated vertex"):
+            half_translation_vertex_map(mesh)
+
+    def test_map_is_plain_ints(self, mesh16):
+        assert all(type(v) is int for v in half_translation_vertex_map(mesh16))
