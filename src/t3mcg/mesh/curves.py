@@ -7,21 +7,23 @@ plane's axis coordinate in the unwrapped frame of its cell; for distance
 tubes it is a PL stand-in whose correctness is certified by the
 radius-stability re-run, and each wrapped vertex is evaluated once, so tube
 slicing reads no triangle frame.  All arithmetic is rational, so membership
-and crossing counts are exact.  The candidate prefilters are exact integer
-tests too, with no slack: a triangle lies in the cell box of its cell, and
-it is sliced only if that box holds a point where the field is negative and
-one where it is not (``cell_box_distances``).  Chaining steps across
-edges through the mesh's edge table (``TriMesh.edges``) and checks that each
-crossing point is the same exact edge point in both triangles on its edge;
-a loop's displacement is the integer count of its steps across the
+and crossing counts are exact.  The candidate prefilters are exact too.  A
+plane slices the triangles whose cell box holds the level mod 1
+(``cell_boxes_holding``).  A tube field is pointwise, so its exact sign at
+every vertex is one int8 vector (``TubeField.vertex_signs``), computed in one
+integer numpy pass; a tube slices exactly the triangles whose corner signs
+are mixed, and builds a ``Fraction`` only at their corners.  Chaining steps
+across edges through the mesh's edge table (``TriMesh.edges``) and checks
+that each crossing point is the same exact edge point in both triangles on
+its edge; a loop's displacement is the integer count of its steps across the
 period, from cell n - 1 to cell 0 or back.  The field kernels compute each
 value on the integer numerators and denominators of the mesh's vertex
 columns and return it as one ``Fraction``; a walk needs only the sign of
 the interpolant at each end of a step.  A walk reads values only in its
-target's walk set, the triangles whose closed cell box meets the zero set
-(``walk_triangles``): off it every corner value has one strict sign, so a
-step there cannot cross.  A crossing on a target vertex is attributed through
-a per-target index of the segment points that sit on vertices.
+target's walk set (``walk_triangles``): off it every corner value has one
+strict sign, so a step there cannot cross.  A crossing on a target vertex is
+attributed through a per-target index of the segment points that sit on
+vertices.  Cutting reads the tube's sign vector.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -35,10 +37,9 @@ Sign conventions, fixed once:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -54,35 +55,17 @@ def dper(w: Fraction) -> Fraction:
     return min(m, 1 - m)
 
 
-def cell_box_distances(n: int, c: Fraction):
-    """Least and greatest periodic distance from each cell box to ``c``.
+def cell_boxes_holding(n: int, c: Fraction) -> np.ndarray:
+    """Whether each of the ``n`` closed cell boxes along an axis holds ``c`` mod 1.
 
     Every vertex of a triangle from cell ``k`` lies on a segment between two
     corners of that cell, so along each axis the triangle lies in the closed
-    box ``[(2k+1)/(2n), (2k+3)/(2n)]``.  Returns ``(near, far, unit)``: for
-    each of the ``n`` cells the least and greatest distance from its box to
-    ``c`` mod 1, as integers in units of ``1/unit`` with ``unit = 2n*den(c)``.
-    A box narrower than the period is an arc, on which the distance is least
-    at ``c`` if the arc holds it and greatest at ``c + 1/2`` if it holds that,
-    and otherwise takes both extremes at the arc's ends.
+    box ``[(2k+1)/(2n), (2k+3)/(2n)]``; decided on integers in units of
+    ``1/(2n*den(c))``.
     """
     cn, cd = Fraction(c).as_integer_ratio()
-    unit = 2 * n * cd
-    half = n * cd
-    centre = 2 * n * cn
-    width = 2 * cd
-
-    def dist(x):
-        m = (x - centre) % unit
-        return min(m, unit - m)
-
-    near, far = [], []
-    for k in range(n):
-        start = (2 * k + 1) * cd
-        ends = (dist(start), dist(start + width))
-        near.append(0 if (centre - start) % unit <= width else min(ends))
-        far.append(half if (centre + half - start) % unit <= width else max(ends))
-    return near, far, unit
+    unit, centre = 2 * n * cd, 2 * n * cn
+    return np.array([(centre - (2 * k + 1) * cd) % unit <= 2 * cd for k in range(n)])
 
 
 def ambient_side(point) -> int:
@@ -158,14 +141,12 @@ class PlaneField:
 
         Off them the box lies strictly between two representatives of the
         level, so every corner value has one strict sign.  The candidate test
-        is closed already ("least distance 0"), so the two sets are equal.
+        is closed already, so the two sets are equal.
         """
         return set(np.nonzero(self._box_meets(mesh))[0].tolist())
 
     def _box_meets(self, mesh: TriMesh):
-        near, _, _ = cell_box_distances(mesh.resolution, self.level)
-        meets = np.array([d == 0 for d in near])
-        return meets[mesh.cell_array[:, self.axis]]
+        return cell_boxes_holding(mesh.resolution, self.level)[mesh.cell_array[:, self.axis]]
 
 
 class TubeField:
@@ -174,9 +155,11 @@ class TubeField:
     Pointwise exact (no branch needed: the cut locus of the distance function
     is far from the zero set for the radii in use) and periodic, because
     ``dper`` reduces mod 1.  A vertex's value therefore does not depend on the
-    frame it is read in, and ``vertex_value`` evaluates each wrapped vertex
-    once.  The memo holds the values of the last mesh read: a field read on
-    another mesh starts a new one.
+    frame it is read in.  ``vertex_signs`` gives the exact sign at every
+    vertex in one integer pass: slicing and walks read ``point_value``, the
+    one exact tube formula, once per vertex (``vertex_value``) and only at
+    the corners of triangles not of one strict sign, and cutting reads signs
+    alone.  The memos hold the values and signs of the last mesh read.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -185,7 +168,6 @@ class TubeField:
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
         self._memo_mesh = None
-        self._vertex_values: dict[int, Fraction] = {}
 
     def point_value(self, p):
         """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction`` at
@@ -218,59 +200,74 @@ class TubeField:
             ((mx * dy) ** 2 + (my * dx) ** 2) * rd * rd - (rn * dxy) ** 2, (dxy * rd) ** 2
         )
 
-    def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
+    def _read(self, mesh: TriMesh):
         if mesh is not self._memo_mesh:
-            self._memo_mesh, self._vertex_values = mesh, {}
+            self._memo_mesh, self._vertex_values, self._vertex_signs = mesh, {}, None
+
+    def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
+        self._read(mesh)
         value = self._vertex_values.get(v)
         if value is None:
             value = self._vertex_values[v] = self.point_value(mesh.int_row(v))
         return value
 
+    def vertex_signs(self, mesh: TriMesh) -> np.ndarray:
+        """The sign of the value at every vertex of ``mesh``, as int8 with an
+        exact zero as 0, computed once per mesh.
+
+        A vertex is ``(xn, yn)/den`` across the axis, and the centre, reduced
+        mod 1, is ``(cu, cv)/L`` with ``L = lcm(ud, vd)``.  Over ``D = den*L``
+        the periodic offsets are ``X/D`` and ``Y/D``, with ``X`` the lesser of
+        ``m = ((xn mod den)*L - cu*den) mod D`` and ``D - m``; likewise ``Y``.
+        The value is ``((X² + Y²)*rd² - rn²*D²) / (D*rd)²`` for ``|r| = rn/rd``,
+        so its sign is that of the numerator.  Bound: ``(xn mod den)*L`` and
+        ``cu*den`` lie in ``[0, D)``, ``X, Y <= D/2``, so ``X² + Y² <= D²/2`` and
+        every intermediate is at most ``(D*max(rn, rd))²``.  When that is below
+        2**63 for the largest ``D`` of the mesh, int64 gives every sign exactly;
+        otherwise every vertex goes to ``point_value``.  The pipeline tubes
+        have ``L = 2``, ``rd <= 256`` and ``max den = 16n²`` (n = 32 to 256).
+        """
+        self._read(mesh)
+        if self._vertex_signs is not None:
+            return self._vertex_signs
+        rn, rd = abs(self.radius).as_integer_ratio()
+        (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in self.center)
+        lcm = math.lcm(ud, vd)
+        den = mesh.vertex_den
+        if (int(den.max(initial=0)) * lcm * max(rn, rd)) ** 2 < 2**63:
+            big, square = den * lcm, 0
+            for col, cn, cd in zip(self.trans, (un, vn), (ud, vd)):
+                m = (mesh.vertex_num[:, col] % den * lcm - cn * (lcm // cd) * den) % big
+                square = square + np.minimum(m, big - m) ** 2
+            signs = np.sign(square * rd**2 - rn**2 * big**2)
+        else:
+            values = map(partial(self.vertex_value, mesh), range(len(den)))
+            signs = [(f > 0) - (f < 0) for f in values]
+        self._vertex_signs = np.asarray(signs, np.int8)
+        return self._vertex_signs
+
     def tri_values(self, mesh: TriMesh, tri: int):
         return tuple(self.vertex_value(mesh, v) for v in mesh.triangles[tri])
 
+    def _corner_counts(self, mesh: TriMesh):
+        """The numbers of negative and of positive corners of every triangle."""
+        code = np.array([1, 0, 4], np.uint8)[self.vertex_signs(mesh) + 1]
+        tris = mesh.edges.tris
+        total = code[tris[:, 0]] + code[tris[:, 1]] + code[tris[:, 2]]
+        return total & 3, total >> 2
+
     def candidate_triangles(self, mesh: TriMesh):
-        """Triangles whose cell box holds a point inside the tube and a point
-        on or outside it, in index order."""
-        near, far, r2 = self._column_bounds(mesh.resolution)
-        column = [[lo < r2 <= hi for lo, hi in zip(*row)] for row in zip(near, far)]
-        return self._by_column(mesh, column).tolist()
+        """Triangles whose corner signs are mixed, zero counting positive, in
+        index order: exactly the triangles ``slice_field`` slices."""
+        negative, _ = self._corner_counts(mesh)
+        return np.flatnonzero((negative > 0) & (negative < 3)).tolist()
 
     def walk_triangles(self, mesh: TriMesh) -> set:
-        """Triangles whose closed cell box meets the tube: ``near <= r**2 <= far``.
-
-        Off them ``r**2 < near`` or ``far < r**2``, so every corner value has
-        one strict sign.  Unlike ``candidate_triangles`` this keeps the
-        columns whose box only touches the tube (``near == r**2``): slicing
-        counts a zero corner there positive, a walk counts it negative.
-        """
-        near, far, r2 = self._column_bounds(mesh.resolution)
-        column = [[lo <= r2 <= hi for lo, hi in zip(*row)] for row in zip(near, far)]
-        return set(self._by_column(mesh, column).tolist())
-
-    def _column_bounds(self, n: int):
-        """``(near, far, r2)``: for each column ``(k_a, k_b)`` of cells, the
-        least and greatest squared distance from its box to the axis line,
-        ``near[k_a][k_b]`` and ``far[k_a][k_b]``, and the squared radius.
-
-        The extremes over a box are the sums of the per-axis extremes.  All
-        three are integer numerators over ``(unit_a*unit_b*rd)**2``.
-        """
-        near_a, far_a, unit_a = cell_box_distances(n, self.center[0])
-        near_b, far_b, unit_b = cell_box_distances(n, self.center[1])
-        rn, rd = self.radius.as_integer_ratio()
-        scale_a, scale_b = unit_b * rd, unit_a * rd
-        near_b2 = [(d * scale_b) ** 2 for d in near_b]
-        far_b2 = [(d * scale_b) ** 2 for d in far_b]
-        near = [[(d * scale_a) ** 2 + nb for nb in near_b2] for d in near_a]
-        far = [[(d * scale_a) ** 2 + fb for fb in far_b2] for d in far_a]
-        return near, far, (rn * unit_a * unit_b) ** 2
-
-    def _by_column(self, mesh: TriMesh, column):
-        """Indices of the triangles whose column of cells is true in ``column``."""
-        a, b = self.trans
-        cells = mesh.cell_array
-        return np.nonzero(np.array(column)[cells[:, a], cells[:, b]])[0]
+        """Triangles whose corners are not all of one strict sign.  Unlike
+        ``candidate_triangles`` this keeps those with zero and no negative
+        corners: slicing counts a zero corner positive, a walk negative."""
+        negative, positive = self._corner_counts(mesh)
+        return set(np.flatnonzero((negative < 3) & (positive < 3)).tolist())
 
 
 # A point on a triangle edge: (vertex_a, vertex_b, t) with position
@@ -292,7 +289,7 @@ class SlicedCurves:
 
     @cached_property
     def walk_set(self) -> set:
-        """Triangles whose closed cell box meets the field's zero set.
+        """The field's ``walk_triangles``.
 
         Off this set every corner value has one strict sign, so no walk step
         there crosses the field (``walk_pairing``).
@@ -339,7 +336,8 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
             a, b = e, (e + 1) % 3
             if signs[a] == signs[b]:
                 continue
-            t = vals[a] / (vals[a] - vals[b])
+            (na, da), (nb, db) = vals[a].as_integer_ratio(), vals[b].as_integer_ratio()
+            t = Fraction(na * db, na * db - nb * da)  # vals[a] / (vals[a] - vals[b])
             pt = (verts[a], verts[b], t)
             if signs[a] > 0:
                 entry = pt
@@ -486,43 +484,42 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     table = mesh.edges
     if (table.count != 2).any():
         raise ValueError("mesh is not closed")
-    positive = np.array(  # zero counts positive
-        [curves.field.vertex_value(mesh, v).numerator >= 0 for v in range(len(mesh.vertices))]
-    )
+    positive = curves.field.vertex_signs(mesh) >= 0  # zero counts positive
     plain = positive[table.low] == positive[table.high]
     sliced = np.zeros(len(mesh.triangles), bool)
     sliced[list(curves.tri_segments)] = True
     # mixed endpoint signs force a segment in both adjacent triangles
-    unsliced = np.flatnonzero(~plain & ~sliced[table.pairs // 3].all(axis=1))
+    mixed = np.flatnonzero(~plain)
+    unsliced = mixed[~sliced[table.pairs[mixed] // 3].all(axis=1)]
     if len(unsliced):
         key = (int(table.low[unsliced[0]]), int(table.high[unsliced[0]]))
         raise DegeneracyError(
             f"edge {key} crosses the zero set but an adjacent triangle was not sliced"
         )
-    plain_edges = np.stack((table.low, table.high), axis=1)[plain]
+    plain_edges = np.stack((table.low[plain], table.high[plain]), axis=1)
     label = components(len(mesh.vertices), plain_edges)
     signs = positive[table.tris]
-    vertices = Counter(label.tolist())
-    edges = Counter(label[plain_edges[:, 0]].tolist())
-    faces = Counter(label[table.tris[(signs == signs[:, :1]).all(axis=1), 0]].tolist())
-    label = label.tolist()
+    count = partial(np.bincount, minlength=len(label))
+    vertices, edges = count(label), count(label[plain_edges[:, 0]])
+    faces = count(label[table.tris[(signs == signs[:, :1]).all(axis=1), 0]])
     loops: dict[int, set] = {}
-    for tri, li in curves.tri_loop.items():
-        for v in mesh.triangles[tri]:
-            loops.setdefault(label[v], set()).add(li)
+    corner_roots = label[table.tris[list(curves.tri_loop)]].tolist()
+    for roots, li in zip(corner_roots, curves.tri_loop.values()):
+        for root in roots:
+            loops.setdefault(root, set()).add(li)
 
     reports = []
-    for root in sorted(vertices, key=lambda r: (-faces[r], r)):
-        euler = vertices[root] - edges[root] + faces[root]
+    for root in sorted(np.flatnonzero(vertices).tolist(), key=lambda r: (-faces[r], r)):
+        v, e, f = int(vertices[root]), int(edges[root]), int(faces[root])
         boundaries = len(loops.get(root, ()))
         reports.append(
             {
-                "faces": faces[root],
-                "vertices": vertices[root],
-                "edges": edges[root],
-                "euler_characteristic": euler,
+                "faces": f,
+                "vertices": v,
+                "edges": e,
+                "euler_characteristic": v - e + f,
                 "boundary_circles": boundaries,
-                "genus": (2 - euler - boundaries) // 2,
+                "genus": (2 - (v - e + f) - boundaries) // 2,
             }
         )
     return reports

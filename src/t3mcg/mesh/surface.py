@@ -360,20 +360,23 @@ def build_surface(n: int) -> TriMesh:
 
 def components(n: int, pairs) -> np.ndarray:
     """Connected-component label of each of n items joined by the given pairs:
-    the least item of its component.  Each round hooks every root to the least
-    root across its pairs, then jumps pointers to the roots; a component not
-    yet one root hooks or is hooked onto, so the roots at least halve."""
+    the least item of its component.  Each round drops the pairs within one
+    component so far, hooks every root to the least root across the rest,
+    then jumps pointers to the roots; a component not yet one root hooks or
+    is hooked onto, so the roots at least halve."""
     u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     label = np.arange(n)
     while True:
-        hook = label.copy()
-        np.minimum.at(hook, label[u], label[v])
-        np.minimum.at(hook, label[v], label[u])
-        while (hook != hook[hook]).any():
-            hook = hook[hook]
-        if (hook == label).all():
+        lu, lv = label[u], label[v]
+        across = lu != lv
+        if not across.any():
             return label
-        label = hook
+        u, v, lu, lv = u[across], v[across], lu[across], lv[across]
+        np.minimum.at(label, lu, lv)  # labels of roots only
+        np.minimum.at(label, lv, lu)
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
 
 
 def validate_surface(mesh: TriMesh) -> dict:

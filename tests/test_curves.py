@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,10 @@ def reference_dper(w):
     return min(m, 1 - m)
 
 
+def sign(f):
+    return (f > 0) - (f < 0)
+
+
 def reference_tube_value(axis, center, radius, p):
     a, b = (axis + 1) % 3, (axis + 2) % 3
     return reference_dper(p[a] - center[0]) ** 2 + reference_dper(p[b] - center[1]) ** 2 - radius ** 2
@@ -316,17 +321,33 @@ def mesh8():
 
 
 PLANE_LEVELS = [Fraction(0), HALF, Fraction(1, 3), Fraction(1, 4), -HALF, Fraction(3, 2)]
-# Field factories: a tube field memoizes its vertex values for one mesh.
-PREFILTERED_FIELDS = [
+# Field factories: a tube field memoizes its vertex values and signs for one mesh.
+PREFILTERED_PLANES = [
     pytest.param(partial(PlaneField, axis, level), id=f"plane{axis}-{level}")
     for axis in range(3)
     for level in PLANE_LEVELS
-] + [
+]
+PREFILTERED_TUBES = [
     pytest.param(
         partial(TubeField, axis, center, radius), id=f"tube{axis}-{center[0]},{center[1]}-{radius}"
     )
     for axis, center in HOMOLOGY_AND_PAIR_TUBES
     for radius in RADII + [Fraction(1, 4)]
+]
+PREFILTERED_FIELDS = PREFILTERED_PLANES + PREFILTERED_TUBES
+# Tubes off the pipeline's centres: a centre with thirds, an unreduced centre,
+# and centres on cell-box ends at n = 16.
+ODD_TUBES = [
+    pytest.param(
+        partial(TubeField, 0, (Fraction(1, 3), Fraction(3, 4)), TUBE_RADIUS), id="tube0-third"
+    ),
+    pytest.param(
+        partial(TubeField, 2, (-HALF, Fraction(5, 4)), Fraction(1, 8)), id="tube2-unreduced"
+    ),
+    pytest.param(
+        partial(TubeField, 1, (Fraction(3, 32), Fraction(-1, 32)), Fraction(3, 16)),
+        id="tube1-box-ends",
+    ),
 ]
 
 
@@ -376,41 +397,18 @@ def reference_box_extremes(n, k, c):
 
 def reference_candidates(mesh, fld):
     n = mesh.resolution
-
-    def extremes(c):
-        return [reference_box_extremes(n, k, c) for k in range(n)]
-
-    if isinstance(fld, PlaneField):
-        along = extremes(fld.level)
-        return [tri for tri, cell in enumerate(mesh.tri_cells) if along[cell[fld.axis]][0] == 0]
-    (a, b), (u, v) = fld.trans, fld.center
-    along_a, along_b = extremes(u), extremes(v)
-    keep = []
-    for tri, cell in enumerate(mesh.tri_cells):
-        (near_a, far_a), (near_b, far_b) = along_a[cell[a]], along_b[cell[b]]
-        if near_a**2 + near_b**2 < fld.radius**2 <= far_a**2 + far_b**2:
-            keep.append(tri)
-    return keep
+    along = [reference_box_extremes(n, k, fld.level) for k in range(n)]
+    return [tri for tri, cell in enumerate(mesh.tri_cells) if along[cell[fld.axis]][0] == 0]
 
 
 class TestPrefilterExactness:
     @pytest.mark.parametrize(
         "make_field",
-        PREFILTERED_FIELDS
+        PREFILTERED_PLANES
         + [
             pytest.param(partial(PlaneField, 1, Fraction(2, 7)), id="plane1-2/7"),
-            pytest.param(
-                partial(TubeField, 0, (Fraction(1, 3), Fraction(3, 4)), TUBE_RADIUS), id="tube0-third"
-            ),
-            pytest.param(
-                partial(TubeField, 2, (-HALF, Fraction(5, 4)), Fraction(1, 8)), id="tube2-unreduced"
-            ),
-            # centres on cell-box ends at n = 16, whose antipodes are box ends too
+            # a level on a cell-box end at n = 16, whose antipode is a box end too
             pytest.param(partial(PlaneField, 2, Fraction(1, 32)), id="plane2-box-end"),
-            pytest.param(
-                partial(TubeField, 1, (Fraction(3, 32), Fraction(-1, 32)), Fraction(3, 16)),
-                id="tube1-box-ends",
-            ),
         ],
     )
     def test_candidates_equal_fraction_box_test(self, mesh16, make_field):
@@ -419,15 +417,25 @@ class TestPrefilterExactness:
         assert type(candidates) is list
         assert candidates == reference_candidates(mesh16, fld)
 
+    @pytest.mark.parametrize("make_field", PREFILTERED_TUBES + ODD_TUBES)
+    def test_tube_sets_equal_corner_sign_sets(self, mesh16, make_field):
+        # brute force: point_value on the exact coordinates of every corner
+        fld = make_field()
+        signs = [sign(fld.point_value(p)) for p in mesh16.vertices]
+        corners = [[signs[v] for v in tri] for tri in mesh16.triangles]
+        candidates = fld.candidate_triangles(mesh16)
+        assert type(candidates) is list
+        assert candidates == [tri for tri, s in enumerate(corners) if min(s) < 0 <= max(s)]
+        one_sign = {tri for tri, s in enumerate(corners) if min(s) > 0 or max(s) < 0}
+        assert fld.walk_triangles(mesh16) == set(range(len(corners))) - one_sign
+
 
 # ---------------------------------------------------------------------------
 # Walk sets: a walk reads the target only where its values can change sign.
 # ---------------------------------------------------------------------------
 
 
-BOX_END_TUBE = pytest.param(
-    partial(TubeField, 1, (Fraction(3, 32), Fraction(-1, 32)), Fraction(3, 16)), id="tube1-box-ends"
-)
+BOX_END_TUBE = ODD_TUBES[2]
 
 # Tubes through a mesh vertex at the far corner of a cell box, at n = 16 and at
 # n = 8: that column's greatest squared distance equals r**2 exactly.
@@ -462,6 +470,91 @@ def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
     walk = slice_field(mesh16, fld).walk_set
     touching = walk - set(fld.candidate_triangles(mesh16))
     assert sum(any(v == 0 for v in fld.tri_values(mesh16, tri)) for tri in touching) == 7
+
+
+# ---------------------------------------------------------------------------
+# The exact vertex-sign vector of a tube field.
+# ---------------------------------------------------------------------------
+
+
+def point_value_signs(mesh, fld):
+    return [sign(fld.point_value(mesh.int_row(v))) for v in range(len(mesh.vertices))]
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
+@pytest.mark.parametrize("make_field", PREFILTERED_TUBES + ODD_TUBES + FAR_CORNER_TUBES)
+def test_vertex_signs_equal_point_value_signs(request, mesh_name, make_field):
+    mesh = request.getfixturevalue(mesh_name)
+    fld = make_field()
+    signs = fld.vertex_signs(mesh)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == point_value_signs(mesh, fld)
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+@pytest.mark.parametrize("axis,center", HOMOLOGY_AND_PAIR_TUBES)
+def test_exact_zero_vertices_of_the_pipeline_tubes(request, mesh_name, axis, center):
+    # 16 vertices lie on each tube at the default radius and 12 at 1/4, and 4
+    # of the 12 lie on no sliced triangle; the probe radii meet no vertex
+    mesh = request.getfixturevalue(mesh_name)
+    for radius, zeros, off_slices in [(TUBE_RADIUS, 16, 0), (Fraction(1, 4), 12, 4)] + [
+        (r, 0, 0) for r in (RADII[0], RADII[2])
+    ]:
+        fld = TubeField(axis, center, radius)
+        on_zero = set(np.flatnonzero(fld.vertex_signs(mesh) == 0).tolist())
+        sliced = {v for tri in slice_field(mesh, fld).tri_segments for v in mesh.triangles[tri]}
+        assert (len(on_zero), len(on_zero - sliced)) == (zeros, off_slices)
+
+
+def test_vertex_signs_evaluate_no_vertex_within_the_bound(mesh32, monkeypatch):
+    def refuse(self, p):
+        raise AssertionError("an in-bound sign vector called point_value")
+
+    monkeypatch.setattr(TubeField, "point_value", refuse)
+    for radius in RADII:
+        assert TubeField(2, (HALF, Fraction(0)), radius).vertex_signs(mesh32).any()
+
+
+def edge_of_bound_radius(mesh, lcm):
+    # the largest radius denominator the int64 form accepts on this mesh
+    rd = math.isqrt(2**63 - 1) // (int(mesh.vertex_den.max()) * lcm)
+    rn = next(k for k in range(rd * 5 // 16, rd) if math.gcd(k, rd) == 1)
+    return Fraction(rn, rd)
+
+
+@pytest.mark.parametrize(
+    "center,radius,past",
+    [
+        ((HALF, Fraction(0)), Fraction(5 * 2**40 + 1, 2**44), True),
+        ((Fraction(1, 3**10), HALF), TUBE_RADIUS, True),
+        ((HALF, Fraction(0)), None, False),
+        # reduced mod 1, a centre many periods away keeps the int64 form
+        ((Fraction(3 * 10**18 + 1, 3), Fraction(-(10**18))), TUBE_RADIUS, False),
+    ],
+    ids=["radius-past", "centre-past", "radius-at-edge", "centre-far-periods"],
+)
+def test_sign_vector_at_and_past_the_int64_bound(mesh16, monkeypatch, center, radius, past):
+    if radius is None:
+        radius = edge_of_bound_radius(mesh16, 2)
+    calls = []
+    point_value = TubeField.point_value
+
+    def counted(self, p):
+        calls.append(p)
+        return point_value(self, p)
+
+    fld = TubeField(2, center, radius)
+    monkeypatch.setattr(TubeField, "point_value", counted)
+    with np.errstate(over="raise"):
+        signs = fld.vertex_signs(mesh16)
+        sec = slice_field(mesh16, fld)
+    monkeypatch.undo()
+    # past the bound every vertex goes to point_value, and only then
+    assert len(calls) >= len(mesh16.vertices) if past else len(calls) < len(mesh16.vertices)
+    assert signs.tolist() == point_value_signs(mesh16, fld)
+    ref = slice_field(mesh16, AllTriangles(fld))
+    assert sec.loops and list(sec.tri_segments.items()) == list(ref.tri_segments.items())
+    assert sec.loops == ref.loops
 
 
 def reference_sign(vals, verts, pt):
