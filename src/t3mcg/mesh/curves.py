@@ -511,15 +511,15 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     reports = []
     for root in sorted(np.flatnonzero(vertices).tolist(), key=lambda r: (-faces[r], r)):
         v, e, f = int(vertices[root]), int(edges[root]), int(faces[root])
-        boundaries = len(loops.get(root, ()))
+        euler, boundaries = v - e + f, len(loops.get(root, ()))
         reports.append(
             {
                 "faces": f,
                 "vertices": v,
                 "edges": e,
-                "euler_characteristic": v - e + f,
+                "euler_characteristic": euler,
                 "boundary_circles": boundaries,
-                "genus": (2 - (v - e + f) - boundaries) // 2,
+                "genus": (2 - euler - boundaries) // 2,
             }
         )
     return reports
