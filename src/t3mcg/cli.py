@@ -25,7 +25,7 @@ from .mesh import (
     load_off_counts,
     validate_surface,
 )
-from .mesh.curves import DegeneracyError, TransversalityError, plane_section
+from .mesh.curves import TUBE_RADIUS, DegeneracyError, TransversalityError, plane_section
 from .mesh.homology import build_homology
 from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
 from .verifier import run_suite
@@ -89,6 +89,10 @@ def load_or_derive_table(args, derive_if_missing: bool):
             raise UsageError(
                 f"table {path} was derived at resolution {table.resolution}, "
                 f"not {args.resolution}"
+            )
+        if not table.tube_radius or Fraction(table.tube_radius) != TUBE_RADIUS:
+            raise UsageError(
+                f"table {path} records tube radius {table.tube_radius!r}, not {TUBE_RADIUS}"
             )
         return table, None
     if not derive_if_missing:

@@ -12,18 +12,19 @@ plane slices the triangles whose cell box holds the level mod 1
 (``cell_boxes_holding``).  A tube field is pointwise, so its exact sign at
 every vertex is one int8 vector (``TubeField.vertex_signs``), computed in one
 integer numpy pass; a tube slices exactly the triangles whose corner signs
-are mixed, and builds a ``Fraction`` only at their corners.  Chaining steps
-across edges through the mesh's edge table (``TriMesh.edges``) and checks
-that each crossing point is the same exact edge point in both triangles on
-its edge; a loop's displacement is the integer count of its steps across the
-period, from cell n - 1 to cell 0 or back.  The field kernels compute each
-value on the integer numerators and denominators of the mesh's vertex
-columns and return it as one ``Fraction``; a walk needs only the sign of
-the interpolant at each end of a step.  A walk reads values only in its
-target's walk set (``walk_triangles``): off it every corner value has one
-strict sign, so a step there cannot cross.  A crossing on a target vertex is
-attributed through a per-target index of the segment points that sit on
-vertices.  Cutting reads the tube's sign vector.
+are mixed.  The field kernels return each value as one ``Fraction`` built
+from integer numerators and denominators; every crossing is decided on those
+integers, and a ``Fraction`` is built only for a stored crossing parameter.
+Chaining steps across edges through the mesh's edge table (``TriMesh.edges``)
+and checks, on the reduced parameters' integers, that each crossing point is
+the same edge point in both triangles on its edge; a loop's displacement, the
+count of its steps from cell n - 1 to cell 0 or back, is one numpy pass.  A
+walk needs only the sign of the interpolant at each end of a step, which is
+that of one integer (``_interpolant``), and reads values only in its target's
+walk set (``walk_triangles``): off it every corner value has one strict sign,
+so a step there cannot cross.  A crossing on a target vertex is attributed
+through a per-target index of the segment points that sit on vertices.
+Cutting reads the tube's sign vector.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -302,8 +303,8 @@ class SlicedCurves:
         index: dict[int, set] = {}
         for tri, segment in self.tri_segments.items():
             for va, vb, t in segment:
-                if t == 0 or t == 1:
-                    index.setdefault(va if t == 0 else vb, set()).add(self.tri_loop[tri])
+                if t.numerator == 0 or t.numerator == t.denominator:
+                    index.setdefault(vb if t.numerator else va, set()).add(self.tri_loop[tri])
         return index
 
 
@@ -323,60 +324,60 @@ def step_positions(mesh: TriMesh, step):
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant."""
     curves = SlicedCurves(mesh, fld, [], {}, {})
-    neighbour = mesh.edges.neighbour
-
     for tri in fld.candidate_triangles(mesh):
-        vals = fld.tri_values(mesh, tri)
-        signs = [1 if v.numerator >= 0 else -1 for v in vals]  # zero counts positive
-        if signs[0] == signs[1] == signs[2]:
+        ratios = [v.as_integer_ratio() for v in fld.tri_values(mesh, tri)]
+        positive = [n >= 0 for n, _ in ratios]  # zero counts positive
+        if positive[0] == positive[1] == positive[2]:
             continue
         verts = mesh.triangles[tri]
         entry = exit_ = None
-        for e in range(3):
-            a, b = e, (e + 1) % 3
-            if signs[a] == signs[b]:
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            if positive[a] == positive[b]:
                 continue
-            (na, da), (nb, db) = vals[a].as_integer_ratio(), vals[b].as_integer_ratio()
-            t = Fraction(na * db, na * db - nb * da)  # vals[a] / (vals[a] - vals[b])
-            pt = (verts[a], verts[b], t)
-            if signs[a] > 0:
-                entry = pt
+            (na, da), (nb, db) = ratios[a], ratios[b]
+            t = Fraction(na * db, na * db - nb * da)  # f_a / (f_a - f_b)
+            if positive[a]:
+                entry = (verts[a], verts[b], t)
             else:
-                exit_ = pt
+                exit_ = (verts[a], verts[b], t)
         assert entry is not None and exit_ is not None
         curves.tri_segments[tri] = (entry, exit_)
+    return _chain(curves)
 
-    # A step's exit point is the next step's entry point in the next frame; the
-    # two frames differ by a period only between cells n - 1 and 0.
-    last = mesh.resolution - 1
-    cells = mesh.tri_cells
-    loops = curves.loops  # each loop starts at its least triangle, so they come in that order
-    for start in sorted(curves.tri_segments):
+
+def _chain(curves: SlicedCurves) -> SlicedCurves:
+    """Chain the sliced segments into loops, each from its least triangle."""
+    mesh, segments = curves.mesh, curves.tri_segments
+    neighbour, triangles, last = mesh.edges.neighbour, mesh.triangles, mesh.resolution - 1
+    for start in sorted(segments):
         if start in curves.tri_loop:
             continue
-        steps = []
-        tri = start
-        disp = [0, 0, 0]
+        tris, tri = [], start
         while True:
-            curves.tri_loop[tri] = len(loops)
-            entry, exit_ = curves.tri_segments[tri]
-            steps.append((tri, entry, exit_))
-            va, vb, t = exit_
-            nxt = int(neighbour[3 * tri + mesh.triangles[tri].index(va)])
+            curves.tri_loop[tri] = len(curves.loops)
+            tris.append(tri)
+            va, vb, t = segments[tri][1]
+            nxt = int(neighbour[3 * tri + triangles[tri].index(va)])
             if nxt < 0:
                 raise DegeneracyError(f"edge {(min(va, vb), max(va, vb))} is not interior")
-            segment = curves.tri_segments.get(nxt)
+            segment = segments.get(nxt)
             if segment is None:
                 raise DegeneracyError("curve chain left the sliced triangle set")
-            # coherent neighbours traverse the shared edge in opposite directions
-            if segment[0] != (vb, va, 1 - t):
+            # coherent neighbours traverse the shared edge in opposite directions;
+            # both parameters are reduced, so ``s == 1 - t`` is a test on integers
+            wa, wb, s = segment[0]
+            q = t.denominator
+            if wa != vb or wb != va or s.denominator != q or s.numerator != q - t.numerator:
                 raise DegeneracyError(f"triangles {tri} and {nxt} disagree on their shared point")
-            for c, (here, there) in enumerate(zip(cells[tri], cells[nxt])):
-                disp[c] += (here == last and there == 0) - (here == 0 and there == last)
             tri = nxt
             if tri == start:
                 break
-        loops.append(Loop(steps=steps, displacement=tuple(disp)))
+        # a step's exit point is the next step's entry point in the next frame;
+        # the two frames differ by a period only between cells n - 1 and 0
+        here, there = mesh.cell_array[tris], mesh.cell_array[tris[1:] + tris[:1]]
+        forward, back = (here == last) & (there == 0), (here == 0) & (there == last)
+        disp = tuple((forward.sum(axis=0) - back.sum(axis=0)).tolist())
+        curves.loops.append(Loop(steps=[(tri, *segments[tri]) for tri in tris], displacement=disp))
     return curves
 
 
@@ -427,7 +428,8 @@ def _edge_sign(vals, verts, pt) -> int:
     """Sign of the field's PL interpolant at an edge point, zero counting negative.
 
     Ends of one strict sign decide it without the interpolant: for ``t`` in
-    [0, 1] it is a convex combination of them.
+    [0, 1] it is a convex combination of them.  Otherwise it is the sign of
+    the integer ``_interpolant``; no ``Fraction`` is built.
     """
     va, vb, t = pt
     fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
@@ -435,7 +437,14 @@ def _edge_sign(vals, verts, pt) -> int:
         return 1
     if fa.numerator < 0 and fb.numerator < 0:
         return -1
-    return 1 if (fa + t * (fb - fa)).numerator > 0 else -1
+    return 1 if _interpolant(fa, fb, t) > 0 else -1
+
+
+def _interpolant(fa, fb, t) -> int:
+    """``fa + t*(fb - fa)`` times ``q*da*db > 0`` for ``fa = na/da``, ``fb = nb/db``
+    and ``t = p/q``: the integer ``(q - p)*na*db + p*nb*da``."""
+    p, q = t.numerator, t.denominator
+    return (q - p) * fa.numerator * fb.denominator + p * fb.numerator * fa.denominator
 
 
 def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
@@ -447,10 +456,10 @@ def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
     zero_verts = set()
     for va, vb, t in points:
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-        if fa + t * (fb - fa) != 0:
+        if _interpolant(fa, fb, t) != 0:
             continue
         for v, f in ((va, fa), (vb, fb)):
-            if f == 0:
+            if f.numerator == 0:
                 zero_verts.add(v)
     loop_ids = set()
     for v in zero_verts:

@@ -14,7 +14,7 @@ exact integer one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -110,7 +110,10 @@ class CurveRef:
 @dataclass
 class HomologyData:
     """Distinguished curves, their Gram matrix ``G`` and the basis change ``B``
-    with ``B^T G B = J``, which ``build_homology`` checks; neither is inverted."""
+    with ``B^T G B = J``, which ``build_homology`` checks; neither is inverted.
+    ``curve_class`` walks a loop once, memoized on the identity of its
+    ``SlicedCurves`` (held, so the id is not reused) and its index.
+    ``build_homology`` fixes every ``orientation_sign`` first, so no class goes stale."""
 
     mesh: TriMesh
     disk_sections_a: list  # CurveRef, plane x_i = 1/2, canonically oriented
@@ -120,6 +123,7 @@ class HomologyData:
     gram: tuple  # 6x6 crossing matrix of (a_1..a_3, T_1..T_3)
     basis_change: tuple  # columns: canonical basis in generator coordinates
     tube_radius: Fraction
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def disk_b_classes(self) -> tuple:
@@ -142,9 +146,11 @@ class HomologyData:
         return (-w[3], -w[4], -w[5], w[0], w[1], w[2])
 
     def curve_class(self, ref: CurveRef):
-        """Canonical coordinates of a curve's homology class."""
-        loop = ref.loop
-        return self.class_of_steps(walk_steps(loop), loop.orientation_sign)
+        """Canonical coordinates of a curve's homology class, walked once."""
+        loop, key = ref.loop, (id(ref.curves), ref.index)
+        if key not in self._memo:
+            self._memo[key] = ref.curves, self.class_of_steps(loop.steps, loop.orientation_sign)
+        return self._memo[key][1]
 
     def displacement_of_class(self, cls):
         return mat_vec(PROJECTION, cls)

@@ -11,6 +11,7 @@ letter first, mirroring the 3x3 convention.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
@@ -156,6 +157,17 @@ def _str_map(value, value_type) -> bool:
     )
 
 
+def _radius_text(value) -> bool:
+    """Whether ``value`` is ``""`` (no radius recorded) or a positive ``p`` or ``p/q``
+    in decimal digits, as ``str(Fraction)`` writes it; no exponent is expanded."""
+    if type(value) is not str or not re.fullmatch(r"([0-9]+(/[0-9]+)?)?", value):
+        return False
+    try:
+        return value == "" or Fraction(value) > 0
+    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
+        return False
+
+
 @dataclass
 class GeneratorTable6:
     """The eight generator matrices; construction builds all 16 letters once.
@@ -233,7 +245,7 @@ class GeneratorTable6:
             ("provenance", _str_map(meta["provenance"], str)),
             ("candidate_counts", _str_map(meta["candidate_counts"], int)),
             ("handedness", meta["handedness"] in TWIST_PATTERNS),
-            ("tube_radius", type(meta["tube_radius"]) is str),
+            ("tube_radius", _radius_text(meta["tube_radius"])),
         ):
             if not ok:
                 raise ValueError(f"malformed {key}: {meta[key]!r}")

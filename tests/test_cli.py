@@ -370,6 +370,38 @@ class TestHugeTableEntries:
         assert json.loads(out) == [list(r) for r in mat_mul(table32.matrices["a12"], t)]
 
 
+class TestCachedTubeRadius:
+    COMMANDS = [["table", "show"], ["eval", "--level", "6", "t s"], ["verify"]]
+
+    def forged(self, table32, tmp_path, radius):
+        data = table32.to_json()
+        data["tube_radius"] = radius
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["show", "eval", "verify"])
+    @pytest.mark.parametrize("radius", ["abc", "-5/16"])
+    def test_malformed_radius_exits_2(self, radius, command, table32, tmp_path, capsys):
+        path = self.forged(table32, tmp_path, radius)
+        code, out, err = run_cli(["--json", "--table", str(path)] + command, capsys)
+        assert (code, out) == (2, "")
+        assert f"cannot read table {path}" in err and "malformed tube_radius" in err
+
+    @pytest.mark.parametrize("command", COMMANDS[1:], ids=["eval", "verify"])
+    @pytest.mark.parametrize("radius", ["1/4", ""])
+    def test_other_radius_exits_2(self, radius, command, table32, tmp_path, capsys):
+        path = self.forged(table32, tmp_path, radius)
+        code, out, err = run_cli(["--json", "--table", str(path)] + command, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: table {path} records tube radius {radius!r}, not 5/16\n"
+
+    def test_equal_radius_in_other_notation_is_used(self, table32, tmp_path, capsys):
+        path = self.forged(table32, tmp_path, "10/32")
+        code, out, _ = run_cli(["--json", "--table", str(path), "eval", "--level", "6", "t s"], capsys)
+        assert code == 0 and json.loads(out)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         import subprocess

@@ -11,9 +11,12 @@ from t3mcg.mesh.curves import (
     TUBE_RADIUS,
     DegeneracyError,
     PlaneField,
+    SlicedCurves,
     TransversalityError,
     TubeField,
+    _chain,
     _edge_sign,
+    _interpolant,
     cut_along,
     plane_section,
     slice_field,
@@ -230,6 +233,21 @@ _values = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=60
 _params = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=60))
 
 
+# Corner values with numerators near 2**46, as at the n = 32 probe radii, and
+# parameters with denominators up to 2**40.
+_big_numerators = st.integers(2**46 - 2**16, 2**46 + 2**16)
+_big_values = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        lambda n, s, d: Fraction(s * n, d),
+        _big_numerators, st.sampled_from([-1, 1]), st.integers(1, 2**46),
+    ),
+)
+_fine_params = st.builds(
+    lambda q, p: Fraction(p % (q + 1), q), st.integers(1, 2**40), st.integers(0, 2**40)
+)
+
+
 class TestEdgeSign:
     @settings(max_examples=300, deadline=None)
     @given(_values, _values, _values, _params, st.permutations(range(3)), st.booleans())
@@ -242,6 +260,27 @@ class TestEdgeSign:
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
         exact = fa + t * (fb - fa)
         assert _edge_sign(vals, verts, (va, vb, t)) == (1 if exact > 0 else -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_big_values, _big_values, _fine_params)
+    def test_sign_at_the_probe_radius_scale(self, fa, fb, t):
+        exact = fa + t * (fb - fa)
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, t)) == sign(exact or -1)
+        assert sign(_interpolant(fa, fb, t)) == sign(exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_big_numerators, _big_numerators, st.integers(1, 2**46), st.integers(1, 2**46),
+           st.integers(-1, 1))
+    def test_sign_next_to_the_crossing_at_scale(self, na, nb, da, db, shift):
+        # a positive and a negative corner, read at their exact crossing
+        # parameter and one step of 2**-40 to either side of it
+        fa, fb = Fraction(na, da), Fraction(-nb, db)
+        t = min(max(fa / (fa - fb) + Fraction(shift, 2**40), Fraction(0)), Fraction(1))
+        exact = fa + t * (fb - fa)
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, t)) == sign(exact or -1)
+        assert sign(_interpolant(fa, fb, t)) == sign(exact)
+        if shift == 0:
+            assert _interpolant(fa, fb, t) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +337,31 @@ class TestChaining:
 
         with pytest.raises(DegeneracyError):
             slice_field(mesh16, Moved())
+
+    @pytest.mark.parametrize(
+        "fld",
+        [TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS), PlaneField(0, HALF)],
+        ids=["tube", "plane"],
+    )
+    @pytest.mark.parametrize("mutant", ["vertices-unswapped", "other-denominator"])
+    def test_mutated_shared_point_breaks_the_chain(self, mesh16, fld, mutant):
+        sec = slice_field(mesh16, fld)
+        segments = dict(sec.tri_segments)
+        assert _chain(SlicedCurves(mesh16, fld, [], {}, dict(segments))).loops == sec.loops
+        # a step strictly inside its exit edge, and the next triangle's entry
+        _, _, (va, vb, t) = next(
+            step for loop in sec.loops for step in loop.steps if 0 < step[2][2] < 1
+        )
+        nxt = next(n for n, (entry, _) in segments.items() if entry == (vb, va, 1 - t))
+        s = 1 - t
+        if mutant == "vertices-unswapped":
+            moved = (va, vb, s)  # the right parameter read from the wrong end
+        else:
+            moved = (vb, va, Fraction(s.numerator, s.numerator * s.denominator + 1))
+            assert moved[2].numerator == s.numerator and moved[2].denominator != s.denominator
+        segments[nxt] = (moved, segments[nxt][1])
+        with pytest.raises(DegeneracyError, match="disagree on their shared point"):
+            _chain(SlicedCurves(mesh16, fld, [], {}, segments))
 
     def test_tube_slicing_reads_no_frame(self, mesh16, monkeypatch):
         def no_frame(self, tri_index):

@@ -139,3 +139,39 @@ class TestClassOfSteps:
                 steps = walk_steps(loop)
                 v = h.pair_with_generators(steps, sign)
                 assert h.class_of_steps(steps, sign) == mat_vec(basis_inv, mat_vec(gram_inv, v))
+
+
+class TestCurveClassMemo:
+    def test_memoized_classes_equal_fresh_walks(self, homology16, monkeypatch):
+        from fractions import Fraction
+
+        from t3mcg.mesh.curves import TUBE_RADIUS, tube_section, walk_steps
+        from t3mcg.mesh.homology import HomologyData
+
+        h = homology16
+        sections = [ref.curves for ref in list(h.disk_sections_a) + list(h.disk_sections_b)]
+        sections += list(h.tubes)
+        # two separate slices of the (1,3) pair tube, the second one reversed
+        pair = [tube_section(h.mesh, 2, (Fraction(0), Fraction(1, 2)), TUBE_RADIUS) for _ in "ab"]
+        for loop in pair[1].loops:
+            loop.orientation_sign = -1
+        refs = [CurveRef(sec, i) for sec in sections + pair for i in range(len(sec.loops))]
+        assert len(refs) == 6 + 12 + 8
+        fresh = [h.class_of_steps(walk_steps(ref.loop), ref.loop.orientation_sign) for ref in refs]
+        assert fresh[22:] == [tuple(-x for x in cls) for cls in fresh[18:22]]
+
+        walks = []
+        original = HomologyData.class_of_steps
+
+        def counted(self, steps, walker_sign):
+            walks.append(steps)
+            return original(self, steps, walker_sign)
+
+        monkeypatch.setattr(HomologyData, "class_of_steps", counted)
+        assert [h.curve_class(ref) for ref in refs[18:]] == fresh[18:]
+        assert len(walks) == 8  # each pair-tube loop once: the two sections apart
+        assert [h.curve_class(ref) for ref in refs] == fresh
+        walked = len(walks)
+        assert walked <= 8 + 9  # build_homology walked the plane sections and longitudes
+        assert [h.curve_class(ref) for ref in refs] == fresh
+        assert len(walks) == walked

@@ -289,6 +289,21 @@ class TestPersistence:
         loaded = GeneratorTable6.from_json(data)
         assert (loaded.provenance, loaded.candidate_counts, loaded.tube_radius) == ({}, {}, "")
 
+    @pytest.mark.parametrize(
+        "radius", ["abc", "-5/16", "0", "1/0", "nan", " ", "0.3125", "1e999999999", "9" * 5000]
+    )
+    def test_radius_that_is_not_a_positive_rational_is_rejected(self, radius, table32):
+        data = table32.to_json()
+        data["tube_radius"] = radius
+        with pytest.raises(ValueError, match="malformed tube_radius: "):
+            GeneratorTable6.from_json(data)
+
+    @pytest.mark.parametrize("radius", ["", "1/4", "5/16", "10/32", "3"])
+    def test_positive_or_unrecorded_radius_loads(self, radius, table32):
+        data = table32.to_json()
+        data["tube_radius"] = radius
+        assert GeneratorTable6.from_json(data).tube_radius == radius
+
     def test_json_is_deterministic(self, table32, tmp_path):
         p1, p2 = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
         table32.save(p1)
