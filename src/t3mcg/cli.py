@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (UsageError, W.ParseError, rep3.DeterminantError) as exc:
+    except (UsageError, W.ParseError, rep3.DeterminantError, rep3.WordTooLongError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegeneracyError, TransversalityError, HandednessError, SampleOnSurfaceError) as exc:

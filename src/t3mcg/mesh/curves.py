@@ -2,29 +2,29 @@
 
 Curves are cut out of the mesh as zero sets of exact scalar fields evaluated
 at mesh vertices and interpolated linearly over triangles.  For coordinate
-planes the interpolant is the field itself, evaluated per triangle on the
-plane's axis coordinate in the unwrapped frame of its cell; for distance
+planes the interpolant is the field itself, branch-corrected per triangle on
+the plane's axis coordinate in the unwrapped frame of its cell; for distance
 tubes it is a PL stand-in whose correctness is certified by the
-radius-stability re-run, and each wrapped vertex is evaluated once, so tube
-slicing reads no triangle frame.  All arithmetic is rational, so membership
-and crossing counts are exact.  The candidate prefilters are exact too.  A
-plane slices the triangles whose cell box holds the level mod 1
-(``cell_boxes_holding``).  A tube field is pointwise, so its exact sign at
-every vertex is one int8 vector (``TubeField.vertex_signs``), computed in one
-integer numpy pass; a tube slices exactly the triangles whose corner signs
-are mixed.  The field kernels return each value as one ``Fraction`` built
-from integer numerators and denominators; every crossing is decided on those
-integers, and a ``Fraction`` is built only for a stored crossing parameter.
-Chaining steps across edges through the mesh's edge table (``TriMesh.edges``)
-and checks, on the reduced parameters' integers, that each crossing point is
-the same edge point in both triangles on its edge; a loop's displacement, the
-count of its steps from cell n - 1 to cell 0 or back, is one numpy pass.  A
-walk needs only the sign of the interpolant at each end of a step, which is
-that of one integer (``_interpolant``), and reads values only in its target's
-walk set (``walk_triangles``): off it every corner value has one strict sign,
-so a step there cannot cross.  A crossing on a target vertex is attributed
-through a per-target index of the segment points that sit on vertices.
-Cutting reads the tube's sign vector.
+radius-stability re-run.  All arithmetic is rational, so membership and
+crossing counts are exact, and so are the candidate prefilters: a plane
+slices the triangles whose cell box holds the level mod 1
+(``cell_boxes_holding``), a tube those whose corner signs, one int8 vector
+from one integer numpy pass (``TubeField.vertex_signs``), are mixed.  Each
+field has one kernel, ``corner_ratios``, that returns the exact integer
+numerators and denominators of the corner values of a list of triangles;
+``tri_values`` is its one-triangle ``Fraction`` view.  Slicing makes one
+kernel call over the candidates and chooses the mixed triangles and their
+edges with numpy on the numerators' signs; only a stored crossing parameter
+is built as a ``Fraction``.  Chaining steps across edges through the mesh's
+edge table (``TriMesh.edges``) and checks, on the reduced parameters'
+integers, that each crossing point is the same edge point in both triangles
+on its edge; a loop's displacement, the count of its steps from cell n - 1
+to cell 0 or back, is one numpy pass.  A walk makes one kernel call over its
+steps in the target's walk set (``walk_triangles``): off it every corner
+value has one strict sign, so a step there cannot cross.  The sign at each
+end of a step is that of one integer (``_interpolant``).  A crossing on a
+target vertex is attributed through a per-target index of the segment
+points that sit on vertices.  Cutting reads the tube's sign vector.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -75,22 +75,23 @@ def ambient_side(point) -> int:
     Negative means the point is nearer the origin spine.  Exact; the point
     must not be equidistant.
     """
-    half = Fraction(1, 2)
-    best_a = None
-    best_b = None
-    for axis in range(3):
-        a, b = (axis + 1) % 3, (axis + 2) % 3
-        da = dper(point[a]) ** 2 + dper(point[b]) ** 2
-        db = dper(point[a] - half) ** 2 + dper(point[b] - half) ** 2
-        best_a = da if best_a is None else min(best_a, da)
-        best_b = db if best_b is None else min(best_b, db)
-    diff = best_a - best_b
+    half, pairs = Fraction(1, 2), [((axis + 1) % 3, (axis + 2) % 3) for axis in range(3)]
+    diff = min(dper(point[a]) ** 2 + dper(point[b]) ** 2 for a, b in pairs) - min(
+        dper(point[a] - half) ** 2 + dper(point[b] - half) ** 2 for a, b in pairs
+    )
     if diff == 0:
         raise DegeneracyError(f"point {point} is equidistant from both spines")
     return 1 if diff > 0 else -1
 
 
-class PlaneField:
+class _CornerValues:
+    def tri_values(self, mesh: TriMesh, tri: int) -> tuple:
+        """One triangle's corner values as ``Fraction``s, read through ``corner_ratios``."""
+        num, den = self.corner_ratios(mesh, [tri])
+        return tuple(map(Fraction, num[0].tolist(), den[0].tolist()))
+
+
+class PlaneField(_CornerValues):
     """Affine field x_axis - level, branch-corrected per triangle.
 
     The representative of the level nearest the triangle decides the branch,
@@ -102,33 +103,34 @@ class PlaneField:
         self.axis = axis
         self.level = Fraction(level)
 
-    def tri_values(self, mesh: TriMesh, tri: int):
-        """``x - rep`` at each corner, with ``rep = level + k`` and ``k`` the
-        floor of ``mean - level + 1/2``, on integer numerators and
-        denominators: each value is built as one ``Fraction``.
+    def corner_ratios(self, mesh: TriMesh, tris):
+        """``x - rep`` at the corners of ``tris`` as integer numerators and
+        denominators, two ``(len(tris), 3)`` arrays, with ``rep = f + k``, ``f``
+        the level reduced mod 1 and ``k`` the floor of ``mean - f + 1/2``.
 
-        Only the ``axis`` coordinate of each corner is read; in the last cell
-        along ``axis`` a coordinate below 1/2 is unwrapped by one period, as
-        in ``TriMesh.triangle_local``.
+        Only the ``axis`` coordinate of each corner is read, unwrapped as in
+        ``TriMesh.triangle_local``.  Each corner lies in its cell's closed box
+        ``[lo, lo + 1/n]`` (``cell_boxes_holding``), so ``k`` is that of ``lo``
+        unless the box holds ``f + 1/2`` mod 1; there the exact mean decides,
+        in Python ints.  With ``f = fn/ld`` every intermediate is below
+        ``8*ld*max(den, n)``: int64 below 2**63, else Python ints.
         """
-        axis, num, den = self.axis, mesh.vertex_num.item, mesh.vertex_den.item
-        v0, v1, v2 = mesh.triangles[tri]
-        n0, n1, n2 = num(v0, axis), num(v1, axis), num(v2, axis)
-        d0, d1, d2 = den(v0), den(v1), den(v2)
-        if mesh.tri_cells[tri][axis] == mesh.resolution - 1:
-            n0 += d0 if 2 * n0 < d0 else 0
-            n1 += d1 if 2 * n1 < d1 else 0
-            n2 += d2 if 2 * n2 < d2 else 0
-        ln, ld = self.level.as_integer_ratio()
-        den = d0 * d1 * d2
-        total = n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1  # sum of corners = total / den
-        k = (2 * total * ld - (6 * ln - 3 * ld) * den) // (6 * ld * den)
-        rn = ln + k * ld  # rep = rn / ld
-        return (
-            Fraction(n0 * ld - rn * d0, d0 * ld),
-            Fraction(n1 * ld - rn * d1, d1 * ld),
-            Fraction(n2 * ld - rn * d2, d2 * ld),
-        )
+        n, (fn, ld) = mesh.resolution, self.level.as_integer_ratio()
+        fn, unit, tris = fn % ld, 2 * n * ld, np.asarray(tris, np.int64)
+        corners = mesh.edges.tris[tris]
+        x, den = mesh.vertex_num[corners, self.axis], mesh.vertex_den[corners]
+        cell = mesh.cell_array[tris, self.axis].astype(np.int64)
+        if 8 * ld * max(int(den.max(initial=1)), n) >= 2**63:
+            x, den, cell = x.astype(object), den.astype(object), cell.astype(object)
+        x = x + den * ((cell == n - 1)[:, None] & (2 * x < den))
+        low = cell * (2 * ld) + (ld + n * ld - 2 * n * fn)  # (lo - f + 1/2) * unit
+        k = low // unit
+        rn = k * ld + fn  # rep = rn / ld
+        for i in (k * unit + (unit - 2 * ld) <= low).nonzero()[0].tolist():
+            (n0, n1, n2), (d0, d1, d2) = x[i].tolist(), den[i].tolist()
+            prod, total = d0 * d1 * d2, n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1
+            rn[i] = fn + (2 * total * ld - (6 * fn - 3 * ld) * prod) // (6 * ld * prod) * ld
+        return x * ld - rn[:, None] * den, den * ld
 
     def candidate_triangles(self, mesh: TriMesh):
         """Triangles whose cell box meets the plane mod 1, in index order.
@@ -150,17 +152,16 @@ class PlaneField:
         return cell_boxes_holding(mesh.resolution, self.level)[mesh.cell_array[:, self.axis]]
 
 
-class TubeField:
+class TubeField(_CornerValues):
     """Squared transverse distance to an axis line, minus radius squared.
 
     Pointwise exact (no branch needed: the cut locus of the distance function
     is far from the zero set for the radii in use) and periodic, because
-    ``dper`` reduces mod 1.  A vertex's value therefore does not depend on the
-    frame it is read in.  ``vertex_signs`` gives the exact sign at every
-    vertex in one integer pass: slicing and walks read ``point_value``, the
-    one exact tube formula, once per vertex (``vertex_value``) and only at
-    the corners of triangles not of one strict sign, and cutting reads signs
-    alone.  The memos hold the values and signs of the last mesh read.
+    ``dper`` reduces mod 1, so a vertex's value does not depend on the frame
+    it is read in.  ``vertex_signs`` gives the exact sign at every vertex in
+    one integer pass; ``corner_ratios`` evaluates each vertex it reads once,
+    through ``point_value``, the one exact tube formula, and cutting reads
+    signs alone.  The memos hold the ratios and signs of the last mesh read.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -203,14 +204,17 @@ class TubeField:
 
     def _read(self, mesh: TriMesh):
         if mesh is not self._memo_mesh:
-            self._memo_mesh, self._vertex_values, self._vertex_signs = mesh, {}, None
+            self._memo_mesh, self._ratios, self._vertex_signs = mesh, {}, None
 
-    def vertex_value(self, mesh: TriMesh, v: int) -> Fraction:
+    def _vertex_ratios(self, mesh: TriMesh, vertices) -> list:
+        """The reduced ``(numerator, denominator)`` of the value at each vertex;
+        each vertex new to the memo is evaluated once, through ``point_value``."""
         self._read(mesh)
-        value = self._vertex_values.get(v)
-        if value is None:
-            value = self._vertex_values[v] = self.point_value(mesh.int_row(v))
-        return value
+        memo, new = self._ratios, list(set(vertices).difference(self._ratios))
+        if new:  # ``TriMesh.int_row`` of each new vertex, in one gather
+            rows = np.column_stack((mesh.vertex_num[new], mesh.vertex_den[new])).tolist()
+            memo.update(zip(new, (self.point_value(row).as_integer_ratio() for row in rows)))
+        return [memo[v] for v in vertices]
 
     def vertex_signs(self, mesh: TriMesh) -> np.ndarray:
         """The sign of the value at every vertex of ``mesh``, as int8 with an
@@ -225,8 +229,7 @@ class TubeField:
         ``cu*den`` lie in ``[0, D)``, ``X, Y <= D/2``, so ``X² + Y² <= D²/2`` and
         every intermediate is at most ``(D*max(rn, rd))²``.  When that is below
         2**63 for the largest ``D`` of the mesh, int64 gives every sign exactly;
-        otherwise every vertex goes to ``point_value``.  The pipeline tubes
-        have ``L = 2``, ``rd <= 256`` and ``max den = 16n²`` (n = 32 to 256).
+        otherwise every vertex goes to ``point_value``.
         """
         self._read(mesh)
         if self._vertex_signs is not None:
@@ -242,13 +245,14 @@ class TubeField:
                 square = square + np.minimum(m, big - m) ** 2
             signs = np.sign(square * rd**2 - rn**2 * big**2)
         else:
-            values = map(partial(self.vertex_value, mesh), range(len(den)))
-            signs = [(f > 0) - (f < 0) for f in values]
+            signs = [(f > 0) - (f < 0) for f, _ in self._vertex_ratios(mesh, range(len(den)))]
         self._vertex_signs = np.asarray(signs, np.int8)
         return self._vertex_signs
 
-    def tri_values(self, mesh: TriMesh, tri: int):
-        return tuple(self.vertex_value(mesh, v) for v in mesh.triangles[tri])
+    def corner_ratios(self, mesh: TriMesh, tris):
+        """The values at the corners of ``tris`` as integer numerators and
+        denominators, two ``(len(tris), 3)`` arrays of Python ints."""
+        return _split(self._vertex_ratios(mesh, mesh.edges.tris[tris].ravel().tolist()))
 
     def _corner_counts(self, mesh: TriMesh):
         """The numbers of negative and of positive corners of every triangle."""
@@ -290,11 +294,7 @@ class SlicedCurves:
 
     @cached_property
     def walk_set(self) -> set:
-        """The field's ``walk_triangles``.
-
-        Off this set every corner value has one strict sign, so no walk step
-        there crosses the field (``walk_pairing``).
-        """
+        """The field's ``walk_triangles``: off them no walk step crosses the field."""
         return self.field.walk_triangles(self.mesh)
 
     @cached_property
@@ -321,43 +321,63 @@ def step_positions(mesh: TriMesh, step):
     return pos(pt_in), pos(pt_out)
 
 
+def _split(ratios: list) -> tuple:
+    """Flat corner ratios as ``(numerators, denominators)``, two ``(m, 3)`` object arrays."""
+    return tuple(np.array([r[k] for r in ratios], object).reshape(-1, 3) for k in (0, 1))
+
+
+def _corner_ratios(fld, mesh: TriMesh, tris) -> tuple:
+    """``fld.corner_ratios``; a field with ``tri_values`` alone is read through it."""
+    if hasattr(fld, "corner_ratios"):
+        return fld.corner_ratios(mesh, tris)
+    return _split([v.as_integer_ratio() for tri in tris for v in fld.tri_values(mesh, tri)])
+
+
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
-    """All components of the zero set of the field's PL interpolant."""
-    curves = SlicedCurves(mesh, fld, [], {}, {})
-    for tri in fld.candidate_triangles(mesh):
-        ratios = [v.as_integer_ratio() for v in fld.tri_values(mesh, tri)]
-        positive = [n >= 0 for n, _ in ratios]  # zero counts positive
-        if positive[0] == positive[1] == positive[2]:
-            continue
-        verts = mesh.triangles[tri]
-        entry = exit_ = None
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            if positive[a] == positive[b]:
-                continue
-            (na, da), (nb, db) = ratios[a], ratios[b]
-            t = Fraction(na * db, na * db - nb * da)  # f_a / (f_a - f_b)
-            if positive[a]:
-                entry = (verts[a], verts[b], t)
-            else:
-                exit_ = (verts[a], verts[b], t)
-        assert entry is not None and exit_ is not None
-        curves.tri_segments[tri] = (entry, exit_)
-    return _chain(curves)
+    """All components of the zero set of the field's PL interpolant.
+
+    One kernel call reads every candidate's corners.  The mixed triangles and
+    their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
+    chosen on the numerators' signs; each ``t = f_a / (f_a - f_b)`` is one
+    ``Fraction`` built in Python ints."""
+    tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
+    num, den = _corner_ratios(fld, mesh, tris)
+    positive = num >= 0  # zero counts positive
+    ahead = positive[:, [1, 2, 0]]
+    rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
+    sliced, points = tris[rows].tolist(), []
+    for crossing in (positive & ~ahead, ahead & ~positive):
+        a = crossing[rows].argmax(axis=1)
+        b = (a + 1) % 3
+        ends = (a, b, num[rows, a], den[rows, a], num[rows, b], den[rows, b])
+        points.append([  # vertex ids from ``mesh.triangles``, whose ints the segments share
+            (verts[i], verts[j], Fraction(na * db, na * db - nb * da))
+            for verts, i, j, na, da, nb, db in zip(
+                map(mesh.triangles.__getitem__, sliced), *(e.tolist() for e in ends)
+            )
+        ])
+    segments = dict(zip(sliced, zip(*points)))
+    return _chain(SlicedCurves(mesh, fld, [], {}, segments))
 
 
 def _chain(curves: SlicedCurves) -> SlicedCurves:
     """Chain the sliced segments into loops, each from its least triangle."""
-    mesh, segments = curves.mesh, curves.tri_segments
-    neighbour, triangles, last = mesh.edges.neighbour, mesh.triangles, mesh.resolution - 1
+    mesh, segments, last = curves.mesh, curves.tri_segments, curves.mesh.resolution - 1
+    tri_loop, loops = curves.tri_loop, curves.loops
+    # the triangle across each exit edge (va, vb), found from the corner va
+    keys = np.fromiter(segments, np.int64, len(segments))
+    exit_va = np.fromiter((segment[1][0] for segment in segments.values()), np.int64, len(keys))
+    at = mesh.edges.tris[keys] == exit_va[:, None]
+    after = dict(zip(keys.tolist(), mesh.edges.neighbour[3 * keys + at.argmax(axis=1)].tolist()))
     for start in sorted(segments):
-        if start in curves.tri_loop:
+        if start in tri_loop:
             continue
         tris, tri = [], start
         while True:
-            curves.tri_loop[tri] = len(curves.loops)
+            tri_loop[tri] = len(loops)
             tris.append(tri)
             va, vb, t = segments[tri][1]
-            nxt = int(neighbour[3 * tri + triangles[tri].index(va)])
+            nxt = after[tri]
             if nxt < 0:
                 raise DegeneracyError(f"edge {(min(va, vb), max(va, vb))} is not interior")
             segment = segments.get(nxt)
@@ -377,7 +397,7 @@ def _chain(curves: SlicedCurves) -> SlicedCurves:
         here, there = mesh.cell_array[tris], mesh.cell_array[tris[1:] + tris[:1]]
         forward, back = (here == last) & (there == 0), (here == 0) & (there == last)
         disp = tuple((forward.sum(axis=0) - back.sum(axis=0)).tolist())
-        curves.loops.append(Loop(steps=[(tri, *segments[tri]) for tri in tris], displacement=disp))
+        loops.append(Loop(steps=[(tri, *segments[tri]) for tri in tris], displacement=disp))
     return curves
 
 
@@ -399,12 +419,12 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     sign and the step cannot cross.
     """
     out: dict[int, list] = {}
-    walk = target.walk_set
     fld, mesh = target.field, target.mesh
-    for tri, pt_in, pt_out in path_steps:
-        if tri not in walk:
-            continue
-        vals = fld.tri_values(mesh, tri)  # one read serves both ends
+    steps = [step for step in path_steps if step[0] in target.walk_set]
+    num, den = _corner_ratios(fld, mesh, [tri for tri, _, _ in steps])
+    for (tri, pt_in, pt_out), (n0, n1, n2), (d0, d1, d2) in zip(steps, num.tolist(), den.tolist()):
+        # the values times d0*d1*d2 > 0: integers whose interpolants keep their signs
+        vals = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
         verts = mesh.triangles[tri]
         s_in = _edge_sign(vals, verts, pt_in)
         s_out = _edge_sign(vals, verts, pt_out)

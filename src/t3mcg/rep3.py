@@ -96,6 +96,17 @@ class DeterminantError(ValueError):
     pass
 
 
+# The longest word ``decompose_sl3`` builds, a stopgap until words are written
+# in length logarithmic in the entries: the Euclidean reduction spells each
+# row operation out letter by letter, so an entry near 10**10 would ask for
+# that many letters.
+MAX_LETTERS = 10**7
+
+
+class WordTooLongError(ValueError):
+    pass
+
+
 def _letters_for_ops(ops) -> Word:
     # Left-multiplying the op list E_1 .. E_m onto m gives E_m ... E_1 m = I,
     # so m = E_1^-1 ... E_m^-1.  With right-to-left evaluation the word reads
@@ -108,7 +119,8 @@ def _letters_for_ops(ops) -> Word:
 
 
 def decompose_sl3(m: Mat3) -> Word:
-    """A word in the shears whose image is m.  Requires det(m) = 1."""
+    """A word in the shears whose image is m.  Requires det(m) = 1, and raises
+    ``WordTooLongError`` before building a word of over ``MAX_LETTERS`` letters."""
     m = mat3(m)
     if det3(m) != 1:
         raise DeterminantError(f"determinant is {det3(m)}, expected 1")
@@ -153,4 +165,7 @@ def decompose_sl3(m: Mat3) -> Word:
     row_op(2, 1, -work[0][1])
     row_op(3, 1, -work[0][2])
     assert tuple(work) == IDENTITY3
+    letters = sum(abs(c) for _, _, c in ops)
+    if letters > MAX_LETTERS:
+        raise WordTooLongError(f"the shear word would have {letters} letters, over {MAX_LETTERS}")
     return _letters_for_ops(ops)

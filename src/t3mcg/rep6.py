@@ -26,7 +26,6 @@ from .mesh.homology import (
     HomologyData,
     PROJECTION,
     identity,
-    invert_unimodular,
     mat_mul,
     mat_neg,
     transpose,
@@ -100,10 +99,14 @@ def derive_twist6(h: HomologyData, pattern: str) -> Mat6:
 # ambient 3x3 action (the winding part transforms like the ambient homology),
 # the zero block is forced because meridian classes have zero winding, and
 # the symplectic condition pins P = R^-T and makes S = R^T Q symmetric.  The
-# remaining freedom, Q, is enumerated exactly over the box |Q| <= SHEAR_BOUND.
+# remaining freedom, Q, is enumerated exactly over the box |Q| <= SHEAR_BOUND,
+# in one numpy pass over the box's 125 integer columns.
 # ---------------------------------------------------------------------------
 
 SHEAR_BOUND = 2
+# the columns with entries in [-b, b]; in this order row i has the base-(2b + 1)
+# digits of i, each shifted by -b
+BOX = np.array(list(product(range(-SHEAR_BOUND, SHEAR_BOUND + 1), repeat=3)), np.int64)
 
 
 @dataclass
@@ -118,29 +121,39 @@ def solve_shear6(r_block) -> ShearSolution:
 
     The candidates are all integer Q in the box with S = R^T Q symmetric.
     Column j of S is R^T q_j, so columns q_0 and q_1 pair on S[1][0] ==
-    S[0][1], and q_2 is looked up by (S[0][2], S[1][2]).  Q = 0 always
-    qualifies, so the search is never empty.  No box on S is needed: |Q| <= b
-    already gives |S| <= b times the largest column sum of |R|, and Q -> R^T Q
-    is a bijection.  The canonical choice is the row-major least Q.
+    S[0][1] (a 125 x 125 mask), and q_2 is looked up by (S[0][2], S[1][2])
+    with ``searchsorted`` in the columns sorted on their first two entries.
+    Q = 0 always qualifies, so the search is never empty.  No box on S is
+    needed: |Q| <= b already gives |S| <= b times the largest column sum of
+    |R|, and Q -> R^T Q is a bijection.  The canonical choice is the row-major
+    least Q: the entries of Q, row by row, are the digits of one base-(2b + 1)
+    key.  Requires det R = 1, so that P = R^-T is the cofactor matrix of R.
     """
-    b = SHEAR_BOUND
-    box = tuple(product(range(-b, b + 1), repeat=3))
-    columns = list(zip(box, mat_mul(box, r_block)))  # row q R is column R^T q
-    by_top = {}
-    for q, v in columns:
-        by_top.setdefault(v[:2], []).append(q)
-    candidates = [
-        (q0, q1, q2)
-        for q0, v0 in columns
-        for q1, v1 in columns
-        if v1[0] == v0[1]
-        for q2 in by_top.get((v0[2], v1[2]), ())
+    b, w, r = SHEAR_BOUND, 2 * SHEAR_BOUND + 1, [list(map(int, row)) for row in r_block]
+    v = BOX @ np.array(r, np.int64)  # row q R is column R^T q
+    i0, i1 = np.nonzero(v[:, None, 1] == v[None, :, 0])
+    shift = int(np.abs(v).max())
+    top = (v[:, 0] + shift) * (2 * shift + 1) + v[:, 1] + shift
+    order = np.argsort(top, kind="stable")
+    want = (v[i0, 2] + shift) * (2 * shift + 1) + v[i1, 2] + shift
+    first = np.searchsorted(top[order], want)
+    count = np.searchsorted(top[order], want, side="right") - first
+    pair = np.repeat(np.arange(len(i0)), count)  # the (q_0, q_1) pair of each candidate
+    i2 = order[np.arange(len(pair)) + np.repeat(first - np.cumsum(count) + count, count)]
+    i0, i1, code = i0[pair], i1[pair], (BOX + b) @ (w**6, w**3, 1)  # a column's digits in Q
+    least = int(((code[i0] * w + code[i1]) * w + code[i2]).argmin())
+    q = np.stack([BOX[i0[least]], BOX[i1[least]], BOX[i2[least]]], axis=1).tolist()
+    p = [
+        [r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+         - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
+        for i in range(3)
     ]
-    q = min(tuple(zip(*cols)) for cols in candidates)  # rows of Q, row-major order
-    p = invert_unimodular(transpose(r_block))
-    m = mat6([p[i] + q[i] for i in range(3)] + [(0, 0, 0) + tuple(row) for row in r_block])
+    det = sum(x * y for x, y in zip(r[0], p[0]))
+    if det != 1:
+        raise ValueError(f"R has determinant {det}, not 1")
+    m = mat6([p[i] + q[i] for i in range(3)] + [[0, 0, 0] + row for row in r])
     assert is_symplectic(m)
-    return ShearSolution(matrix=m, candidate_count=len(candidates), bound=b)
+    return ShearSolution(matrix=m, candidate_count=len(i2), bound=b)
 
 
 # ---------------------------------------------------------------------------

@@ -423,3 +423,14 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+
+class TestDecomposeLength:
+    def test_word_past_the_letter_cap_exits_2(self, capsys):
+        # 10**23 letters would overflow a list; the length is known before the word
+        matrix = "[[1,100000000000000000000000,0],[0,1,0],[0,0,1]]"
+        code, out, err = run_cli(["--json", "decompose", matrix], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "100000000000000000000000 letters" in err

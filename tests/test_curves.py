@@ -766,3 +766,110 @@ def test_tube_field_read_on_a_second_mesh_reads_that_mesh(mesh8, mesh16):
     fresh = slice_field(mesh16, TubeField(2, center, TUBE_RADIUS))
     assert list(sec.tri_segments.items()) == list(fresh.tri_segments.items())
     assert sec.loops == fresh.loops
+
+
+# ---------------------------------------------------------------------------
+# The bulk corner kernels against the Fraction formulas, on every triangle.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def frames(request):
+    # every triangle's unwrapped frame, built once per mesh
+    cache = {}
+
+    def of(mesh_name):
+        if mesh_name not in cache:
+            mesh = request.getfixturevalue(mesh_name)
+            cache[mesh_name] = [mesh.triangle_local(tri) for tri in range(len(mesh.triangles))]
+        return cache[mesh_name]
+
+    return of
+
+
+def reference_corner_values(mesh, fld, frames):
+    # the Fraction formulas: per triangle frame for a plane, per vertex for a tube
+    if isinstance(fld, PlaneField):
+        return [reference_plane_values(fld.axis, fld.level, frame) for frame in frames]
+    at = [reference_tube_value(fld.axis, fld.center, fld.radius, p) for p in mesh.vertices]
+    return [tuple(at[v] for v in tri) for tri in mesh.triangles]
+
+
+def kernel_values(num, den):
+    return [tuple(map(Fraction, n, d)) for n, d in zip(num.tolist(), den.tolist())]
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16"])
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS)
+def test_corner_ratios_on_every_triangle(request, frames, mesh_name, make_field):
+    mesh, fld = request.getfixturevalue(mesh_name), make_field()
+    triangles = np.arange(len(mesh.triangles))
+    num, den = fld.corner_ratios(mesh, triangles)
+    assert num.shape == den.shape == (len(triangles), 3)
+    assert (den > 0).all()
+    values = kernel_values(num, den)
+    assert values == reference_corner_values(mesh, fld, frames(mesh_name))
+    for tri in range(0, len(mesh.triangles), 97):
+        assert fld.tri_values(mesh, tri) == values[tri]
+    # the kernel is exact on any triangle list: reversed, repeated, empty
+    some = triangles[::-37].tolist() * 2
+    assert kernel_values(*fld.corner_ratios(mesh, some)) == [values[tri] for tri in some]
+    assert fld.corner_ratios(mesh, [])[0].shape == (0, 3)
+
+
+@pytest.fixture(scope="module")
+def mesh64():
+    return build_surface(64)
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("level", PLANE_LEVELS + [Fraction(2, 7), Fraction(1, 128)], ids=str)
+def test_plane_kernel_where_the_exact_mean_decides(mesh64, axis, level):
+    # in the cells whose box holds level + 1/2 mod 1 the branch switches
+    # inside the box, so the kernel takes the exact mean there
+    from t3mcg.mesh.curves import cell_boxes_holding
+
+    fld = PlaneField(axis, level)
+    holds = cell_boxes_holding(mesh64.resolution, level + HALF)[mesh64.cell_array[:, axis]]
+    tris = np.flatnonzero(holds).tolist()
+    assert tris
+    values = kernel_values(*fld.corner_ratios(mesh64, tris))
+    reps = set()
+    for tri, got in zip(tris, values):
+        frame = mesh64.triangle_local(tri)
+        assert got == reference_plane_values(axis, level, frame), tri
+        reps.add(frame[0][axis] - got[0])
+    assert len(reps) == 2  # both branches are taken
+
+
+def edge_of_bound_level(mesh, past):
+    # the largest level denominator whose int64 form the plane kernel accepts,
+    # or one 64 times larger, whose values would overflow int64
+    ld = (2**63 - 1) // (8 * max(int(mesh.vertex_den.max()), mesh.resolution))
+    ld = 64 * ld + 1 if past else ld
+    return Fraction(next(k for k in range(ld // 2, ld) if math.gcd(k, ld) == 1), ld)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-edge", "past"])
+def test_plane_kernel_at_and_past_the_int64_bound(mesh16, frames, past):
+    fld = PlaneField(1, edge_of_bound_level(mesh16, past))
+    triangles = np.arange(len(mesh16.triangles))
+    with np.errstate(over="raise"):
+        num, den = fld.corner_ratios(mesh16, triangles)
+        sec = slice_field(mesh16, fld)
+    assert num.dtype == (object if past else np.int64)
+    assert kernel_values(num, den) == reference_corner_values(mesh16, fld, frames("mesh16"))
+    ref = slice_field(mesh16, AllTriangles(fld))
+    assert sec.loops and list(sec.tri_segments.items()) == list(ref.tri_segments.items())
+    assert sec.loops == ref.loops
+
+
+def test_tube_slicing_at_the_edge_of_bound_radius(mesh16, frames):
+    fld = TubeField(2, (HALF, Fraction(0)), edge_of_bound_radius(mesh16, 2))
+    with np.errstate(over="raise"):
+        sec = slice_field(mesh16, fld)
+        num, den = fld.corner_ratios(mesh16, fld.candidate_triangles(mesh16))
+    reference = reference_corner_values(mesh16, fld, frames("mesh16"))
+    assert kernel_values(num, den) == [reference[tri] for tri in fld.candidate_triangles(mesh16)]
+    assert sec.loops
+    assert sec.loops == slice_field(mesh16, AllTriangles(fld)).loops

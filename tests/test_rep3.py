@@ -150,3 +150,23 @@ class TestIntegerEntries:
         rows6[5][5] = bad
         with pytest.raises(ValueError, match="not an integer"):
             mat6(rows6)
+
+
+class TestDecomposeLetterCap:
+    def test_cap_is_checked_before_the_word_is_built(self, monkeypatch):
+        from t3mcg.rep3 import MAX_LETTERS, WordTooLongError, decompose_sl3
+
+        assert MAX_LETTERS == 10**7
+        assert issubclass(WordTooLongError, ValueError)
+        monkeypatch.setattr("t3mcg.rep3.MAX_LETTERS", 5)
+        word = decompose_sl3(((1, 5, 0), (0, 1, 0), (0, 0, 1)))
+        assert len(word) == 5
+        assert word_image3(word) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(WordTooLongError, match="6 letters"):
+            decompose_sl3(((1, 6, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_huge_entry_is_refused_quickly(self):
+        from t3mcg.rep3 import WordTooLongError, decompose_sl3
+
+        with pytest.raises(WordTooLongError):
+            decompose_sl3(((1, 10**23, 0), (0, 1, 0), (0, 0, 1)))

@@ -552,3 +552,70 @@ class TestClosedFormInverses:
         mats["a12"] = non_symmetric_shear()
         with pytest.raises(ValueError, match="matrix a12 is not symplectic"):
             resolve_handedness(homology16, mats)
+
+
+# ---------------------------------------------------------------------------
+# The numpy shear solver against the tuple enumeration it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_shear6(r_block):
+    # every column pair (q0, q1) with v1[0] == v0[1], and each q2 found in a
+    # dict keyed on the first two entries of R^T q2; the row-major least Q
+    from itertools import product
+
+    from t3mcg.mesh.homology import invert_unimodular, transpose
+    from t3mcg.rep6 import mat6
+
+    b = 2
+    box = tuple(product(range(-b, b + 1), repeat=3))
+    columns = list(zip(box, mat_mul(box, r_block)))
+    by_top = {}
+    for q, v in columns:
+        by_top.setdefault(v[:2], []).append(q)
+    candidates = [
+        (q0, q1, q2)
+        for q0, v0 in columns
+        for q1, v1 in columns
+        if v1[0] == v0[1]
+        for q2 in by_top.get((v0[2], v1[2]), ())
+    ]
+    q = min(tuple(zip(*cols)) for cols in candidates)
+    p = invert_unimodular(transpose(r_block))
+    m = mat6([p[i] + q[i] for i in range(3)] + [(0, 0, 0) + tuple(row) for row in r_block])
+    return m, len(candidates), b
+
+
+def seeded_shear_blocks(count=40, seed=11):
+    # images of random shear words whose largest column sum of |R| is at most 2
+    rng = random.Random(seed)
+    tokens = [f"a{i}{j}" for i, j in AXIS_PAIRS]
+    blocks = []
+    while len(blocks) < count:
+        word = tuple(G(rng.choice(tokens), rng.choice((1, -1))) for _ in range(rng.randint(1, 6)))
+        r = rep3.word_image3(word)
+        if r not in blocks and max(sum(abs(r[i][j]) for i in range(3)) for j in range(3)) <= 2:
+            blocks.append(r)
+    return blocks
+
+
+class TestShearSolverReference:
+    @pytest.mark.parametrize("tok", [f"a{i}{j}" for i, j in AXIS_PAIRS])
+    def test_each_shear_equals_the_tuple_enumeration(self, tok):
+        r = gen_image3(G(tok))
+        sol = solve_shear6(r)
+        assert (sol.matrix, sol.candidate_count, sol.bound) == reference_shear6(r)
+
+    def test_seeded_blocks_equal_the_tuple_enumeration(self):
+        blocks = seeded_shear_blocks()
+        assert any(max(sum(abs(r[i][j]) for i in range(3)) for j in range(3)) == 1 for r in blocks)
+        counts = set()
+        for r in blocks + [rep3.word_image3(parse_word("r12"))]:
+            sol = solve_shear6(r)
+            assert (sol.matrix, sol.candidate_count, sol.bound) == reference_shear6(r), r
+            counts.add(sol.candidate_count)
+        assert len(counts) > 2  # blocks of several shapes, not only shear-like ones
+
+    def test_block_of_other_determinant_is_refused(self):
+        with pytest.raises(ValueError, match="determinant -1"):
+            solve_shear6(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
