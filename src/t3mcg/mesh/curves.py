@@ -8,10 +8,13 @@ tubes it is a PL stand-in whose correctness is certified by the
 radius-stability re-run.  All arithmetic is rational, so membership and
 crossing counts are exact, and so are the candidate prefilters: a plane
 slices the triangles whose cell box holds the level mod 1
-(``cell_boxes_holding``), a tube those whose corner signs, one int8 vector
-from one integer numpy pass (``TubeField.vertex_signs``), are mixed.  Each
-field has one kernel, ``corner_ratios``, that returns the exact integer
-numerators and denominators of the corner values of a list of triangles;
+(``cell_boxes_holding``), a tube those whose corner signs are mixed.  A tube
+is pointwise: its values are one vector of exact integer ratios over the
+vertices from one integer numpy pass (``TubeField.vertex_ratios``), and its
+signs are those of the numerators.  Each field has one kernel,
+``corner_ratios``, that returns the exact integer numerators and
+denominators of the corner values of a list of triangles, gathered from that
+vector for a tube;
 ``tri_values`` is its one-triangle ``Fraction`` view.  Slicing makes one
 kernel call over the candidates and chooses the mixed triangles and their
 edges with numpy on the numerators' signs; only a stored crossing parameter
@@ -158,10 +161,11 @@ class TubeField(_CornerValues):
     Pointwise exact (no branch needed: the cut locus of the distance function
     is far from the zero set for the radii in use) and periodic, because
     ``dper`` reduces mod 1, so a vertex's value does not depend on the frame
-    it is read in.  ``vertex_signs`` gives the exact sign at every vertex in
-    one integer pass; ``corner_ratios`` evaluates each vertex it reads once,
-    through ``point_value``, the one exact tube formula, and cutting reads
-    signs alone.  The memos hold the ratios and signs of the last mesh read.
+    it is read in.  ``vertex_ratios`` gives the exact value at every vertex
+    in one integer pass, ``vertex_signs`` their signs; ``corner_ratios``
+    gathers from them, and cutting reads signs alone.  ``point_value`` is the
+    one exact formula at a point, and the fallback past the int64 bound.  The
+    memo holds the ratios and signs of the last mesh read.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -169,7 +173,7 @@ class TubeField(_CornerValues):
         self.trans = ((axis + 1) % 3, (axis + 2) % 3)
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
-        self._memo_mesh = None
+        self._memo = (None,)  # (mesh, numerators, denominators, signs)
 
     def point_value(self, p):
         """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction`` at
@@ -202,57 +206,51 @@ class TubeField(_CornerValues):
             ((mx * dy) ** 2 + (my * dx) ** 2) * rd * rd - (rn * dxy) ** 2, (dxy * rd) ** 2
         )
 
-    def _read(self, mesh: TriMesh):
-        if mesh is not self._memo_mesh:
-            self._memo_mesh, self._ratios, self._vertex_signs = mesh, {}, None
-
-    def _vertex_ratios(self, mesh: TriMesh, vertices) -> list:
-        """The reduced ``(numerator, denominator)`` of the value at each vertex;
-        each vertex new to the memo is evaluated once, through ``point_value``."""
-        self._read(mesh)
-        memo, new = self._ratios, list(set(vertices).difference(self._ratios))
-        if new:  # ``TriMesh.int_row`` of each new vertex, in one gather
-            rows = np.column_stack((mesh.vertex_num[new], mesh.vertex_den[new])).tolist()
-            memo.update(zip(new, (self.point_value(row).as_integer_ratio() for row in rows)))
-        return [memo[v] for v in vertices]
-
-    def vertex_signs(self, mesh: TriMesh) -> np.ndarray:
-        """The sign of the value at every vertex of ``mesh``, as int8 with an
-        exact zero as 0, computed once per mesh.
+    def vertex_ratios(self, mesh: TriMesh) -> tuple:
+        """The value at every vertex of ``mesh`` as integer numerators and
+        denominators, two arrays, computed once per mesh.
 
         A vertex is ``(xn, yn)/den`` across the axis, and the centre, reduced
         mod 1, is ``(cu, cv)/L`` with ``L = lcm(ud, vd)``.  Over ``D = den*L``
         the periodic offsets are ``X/D`` and ``Y/D``, with ``X`` the lesser of
         ``m = ((xn mod den)*L - cu*den) mod D`` and ``D - m``; likewise ``Y``.
         The value is ``((X² + Y²)*rd² - rn²*D²) / (D*rd)²`` for ``|r| = rn/rd``,
-        so its sign is that of the numerator.  Bound: ``(xn mod den)*L`` and
-        ``cu*den`` lie in ``[0, D)``, ``X, Y <= D/2``, so ``X² + Y² <= D²/2`` and
-        every intermediate is at most ``(D*max(rn, rd))²``.  When that is below
-        2**63 for the largest ``D`` of the mesh, int64 gives every sign exactly;
-        otherwise every vertex goes to ``point_value``.
+        unreduced.  Bound: ``(xn mod den)*L`` and ``cu*den`` lie in ``[0, D)``,
+        ``X, Y <= D/2``, so ``X² + Y² <= D²/2`` and every intermediate is at
+        most ``(D*max(rn, rd))²``.  When that is below 2**63 for the largest
+        ``D`` of the mesh, both arrays are int64 and exact; otherwise every
+        vertex goes once to ``point_value`` and they hold Python ints.
         """
-        self._read(mesh)
-        if self._vertex_signs is not None:
-            return self._vertex_signs
-        rn, rd = abs(self.radius).as_integer_ratio()
-        (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in self.center)
-        lcm = math.lcm(ud, vd)
-        den = mesh.vertex_den
-        if (int(den.max(initial=0)) * lcm * max(rn, rd)) ** 2 < 2**63:
-            big, square = den * lcm, 0
-            for col, cn, cd in zip(self.trans, (un, vn), (ud, vd)):
-                m = (mesh.vertex_num[:, col] % den * lcm - cn * (lcm // cd) * den) % big
-                square = square + np.minimum(m, big - m) ** 2
-            signs = np.sign(square * rd**2 - rn**2 * big**2)
-        else:
-            signs = [(f > 0) - (f < 0) for f, _ in self._vertex_ratios(mesh, range(len(den)))]
-        self._vertex_signs = np.asarray(signs, np.int8)
-        return self._vertex_signs
+        if self._memo[0] is not mesh:
+            rn, rd = abs(self.radius).as_integer_ratio()
+            (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in self.center)
+            lcm = math.lcm(ud, vd)
+            den = mesh.vertex_den
+            if (int(den.max(initial=0)) * lcm * max(rn, rd)) ** 2 < 2**63:
+                big, square = den * lcm, 0
+                for col, cn, cd in zip(self.trans, (un, vn), (ud, vd)):
+                    m = (mesh.vertex_num[:, col] % den * lcm - cn * (lcm // cd) * den) % big
+                    square = square + np.minimum(m, big - m) ** 2
+                num, den = square * rd**2 - rn**2 * big**2, (big * rd) ** 2
+            else:
+                rows = np.column_stack((mesh.vertex_num, den)).tolist()
+                ratios = [self.point_value(row).as_integer_ratio() for row in rows]
+                num, den = np.array(ratios, object).T
+            self._memo = (mesh, num, den, np.sign(num).astype(np.int8))
+        return self._memo[1:3]
+
+    def vertex_signs(self, mesh: TriMesh) -> np.ndarray:
+        """The sign of the value at every vertex of ``mesh``, as int8 with an
+        exact zero as 0: the signs of the ``vertex_ratios`` numerators."""
+        self.vertex_ratios(mesh)
+        return self._memo[3]
 
     def corner_ratios(self, mesh: TriMesh, tris):
         """The values at the corners of ``tris`` as integer numerators and
-        denominators, two ``(len(tris), 3)`` arrays of Python ints."""
-        return _split(self._vertex_ratios(mesh, mesh.edges.tris[tris].ravel().tolist()))
+        denominators, two ``(len(tris), 3)`` arrays gathered from ``vertex_ratios``."""
+        num, den = self.vertex_ratios(mesh)
+        corners = mesh.edges.tris[np.asarray(tris, np.int64)]
+        return num[corners], den[corners]
 
     def _corner_counts(self, mesh: TriMesh):
         """The numbers of negative and of positive corners of every triangle."""

@@ -164,11 +164,16 @@ class TestTubeVertexValues:
             return point_value(self, p)
 
         monkeypatch.setattr(TubeField, "point_value", counted)
-        fld = TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS)
-        slice_field(mesh16, fld)
-        candidates = fld.candidate_triangles(mesh16)
-        vertices = {v for tri in candidates for v in mesh16.triangles[tri]}
-        assert 0 < len(evaluated) <= len(vertices)
+        walker = plane_section(mesh16, 3, HALF).loops[0]
+        # in the int64 bound slicing, a walk against the section and cutting
+        # read the value vector alone; past it each vertex is evaluated once
+        past = Fraction(5 * 2**40 + 1, 2**44)
+        for radius, most in ((TUBE_RADIUS, 0), (past, len(mesh16.vertices))):
+            sec = slice_field(mesh16, TubeField(2, (HALF, Fraction(0)), radius))
+            assert walk_pairing(walk_steps(walker), walker.orientation_sign, sec)
+            cut_along(mesh16, sec)
+            assert (0 < len(evaluated) <= most) if most else not evaluated
+            evaluated.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +560,27 @@ def test_vertex_signs_equal_point_value_signs(request, mesh_name, make_field):
     assert signs.tolist() == point_value_signs(mesh, fld)
 
 
+@pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
+@pytest.mark.parametrize("make_field", PREFILTERED_TUBES + ODD_TUBES)
+def test_vertex_ratios_equal_point_value(request, mesh_name, make_field):
+    mesh, fld = request.getfixturevalue(mesh_name), make_field()
+    num, den = fld.vertex_ratios(mesh)
+    assert num.dtype == den.dtype == np.int64 and num.shape == (len(mesh.vertices),)
+    assert (den > 0).all()
+    values = [fld.point_value(mesh.int_row(v)) for v in range(len(mesh.vertices))]
+    assert list(map(Fraction, num.tolist(), den.tolist())) == values
+    assert fld.vertex_signs(mesh).tolist() == [sign(f) for f in values]
+
+
+def test_vertex_ratios_read_on_a_second_mesh_are_that_meshs(mesh16, mesh32):
+    reused = TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS)
+    for mesh in (mesh16, mesh32, mesh16):
+        fresh = TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS)
+        for got, want in zip(reused.vertex_ratios(mesh), fresh.vertex_ratios(mesh)):
+            assert got.shape == (len(mesh.vertices),) and (got == want).all()
+        assert (reused.vertex_signs(mesh) == fresh.vertex_signs(mesh)).all()
+
+
 @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
 @pytest.mark.parametrize("axis,center", HOMOLOGY_AND_PAIR_TUBES)
 def test_exact_zero_vertices_of_the_pipeline_tubes(request, mesh_name, axis, center):
@@ -579,9 +605,10 @@ def test_vertex_signs_evaluate_no_vertex_within_the_bound(mesh32, monkeypatch):
         assert TubeField(2, (HALF, Fraction(0)), radius).vertex_signs(mesh32).any()
 
 
-def edge_of_bound_radius(mesh, lcm):
-    # the largest radius denominator the int64 form accepts on this mesh
-    rd = math.isqrt(2**63 - 1) // (int(mesh.vertex_den.max()) * lcm)
+def edge_of_bound_radius(mesh, lcm, step=0):
+    # the largest radius denominator the int64 form accepts on this mesh, or
+    # ``step`` more
+    rd = math.isqrt(2**63 - 1) // (int(mesh.vertex_den.max()) * lcm) + step
     rn = next(k for k in range(rd * 5 // 16, rd) if math.gcd(k, rd) == 1)
     return Fraction(rn, rd)
 
@@ -591,15 +618,16 @@ def edge_of_bound_radius(mesh, lcm):
     [
         ((HALF, Fraction(0)), Fraction(5 * 2**40 + 1, 2**44), True),
         ((Fraction(1, 3**10), HALF), TUBE_RADIUS, True),
-        ((HALF, Fraction(0)), None, False),
+        ((HALF, Fraction(0)), 0, False),
         # reduced mod 1, a centre many periods away keeps the int64 form
         ((Fraction(3 * 10**18 + 1, 3), Fraction(-(10**18))), TUBE_RADIUS, False),
+        ((HALF, Fraction(0)), 1, True),
     ],
-    ids=["radius-past", "centre-past", "radius-at-edge", "centre-far-periods"],
+    ids=["radius-past", "centre-past", "radius-at-edge", "centre-far-periods", "radius-one-past"],
 )
 def test_sign_vector_at_and_past_the_int64_bound(mesh16, monkeypatch, center, radius, past):
-    if radius is None:
-        radius = edge_of_bound_radius(mesh16, 2)
+    if isinstance(radius, int):
+        radius = edge_of_bound_radius(mesh16, 2, step=radius)
     calls = []
     point_value = TubeField.point_value
 
@@ -613,12 +641,78 @@ def test_sign_vector_at_and_past_the_int64_bound(mesh16, monkeypatch, center, ra
         signs = fld.vertex_signs(mesh16)
         sec = slice_field(mesh16, fld)
     monkeypatch.undo()
+    assert_kernel_bound(mesh16, fld, past)
     # past the bound every vertex goes to point_value, and only then
     assert len(calls) >= len(mesh16.vertices) if past else len(calls) < len(mesh16.vertices)
     assert signs.tolist() == point_value_signs(mesh16, fld)
     ref = slice_field(mesh16, AllTriangles(fld))
     assert sec.loops and list(sec.tri_segments.items()) == list(ref.tri_segments.items())
     assert sec.loops == ref.loops
+
+
+def tube_kernel_peak(mesh, fld):
+    # every intermediate of ``TubeField.vertex_ratios``, in Python ints over
+    # every vertex: the largest magnitude and the bound the kernel checks
+    rn, rd = abs(fld.radius).as_integer_ratio()
+    (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in fld.center)
+    lcm = math.lcm(ud, vd)
+    peak = max(rn**2, rd**2)
+    for row, den in zip(mesh.vertex_num.tolist(), mesh.vertex_den.tolist()):
+        big, square = den * lcm, 0
+        for col, cn, cd in zip(fld.trans, (un, vn), (ud, vd)):
+            a, b = row[col] % den * lcm, cn * (lcm // cd) * den
+            m = (a - b) % big
+            square += min(m, big - m) ** 2
+            peak = max(peak, abs(row[col]), a, cn * (lcm // cd), b, abs(a - b), big, square)
+        scaled, radial = square * rd**2, rn**2 * big**2
+        peak = max(peak, scaled, big**2, radial, abs(scaled - radial), big * rd, (big * rd) ** 2)
+    return peak, (int(mesh.vertex_den.max()) * lcm * max(rn, rd)) ** 2
+
+
+def plane_kernel_peak(mesh, fld):
+    # every intermediate of ``PlaneField.corner_ratios`` over every triangle,
+    # with both the box's and the exact mean's representative on each, in
+    # Python ints: the largest magnitude and the bound the kernel checks
+    n, (fn, ld) = mesh.resolution, fld.level.as_integer_ratio()
+    fn, unit = fn % ld, 2 * n * ld
+    const = ld + n * ld - 2 * n * fn
+    peak = max(ld, 2 * ld, n * ld, 2 * n * fn, unit, abs(const), unit - 2 * ld)
+    xs, dens = mesh.vertex_num[:, fld.axis].tolist(), mesh.vertex_den.tolist()
+    for tri, cell in zip(mesh.triangles, mesh.cell_array[:, fld.axis].tolist()):
+        corners = []
+        for v in tri:
+            x, den = xs[v], dens[v]
+            shift = den * (cell == n - 1 and 2 * x < den)
+            peak = max(peak, x, 2 * x, den, shift, x + shift)
+            corners.append((x + shift, den))
+        low = cell * 2 * ld + const
+        k = low // unit
+        (x0, d0), (x1, d1), (x2, d2) = corners
+        prod, total = d0 * d1 * d2, x0 * d1 * d2 + x1 * d0 * d2 + x2 * d0 * d1
+        exact = fn + (2 * total * ld - (6 * fn - 3 * ld) * prod) // (6 * ld * prod) * ld
+        peak = max(peak, abs(cell * 2 * ld), abs(low), abs(k), abs(k * unit))
+        peak = max(peak, abs(k * unit + unit - 2 * ld), abs(k * ld))
+        for rn in (k * ld + fn, exact):
+            for x, den in corners:
+                peak = max(peak, abs(rn), abs(x * ld), abs(rn * den), abs(x * ld - rn * den))
+                peak = max(peak, den * ld)
+    return peak, 8 * ld * max(int(mesh.vertex_den.max()), n)
+
+
+def assert_kernel_bound(mesh, fld, past):
+    # numpy wraps int64 array arithmetic silently, even under
+    # ``np.errstate(over="raise")``, so the bound is proved here instead: in
+    # bound every intermediate is below 2**63 and the kernel took int64, past
+    # it the kernel took Python ints
+    if isinstance(fld, TubeField):
+        (peak, bound), num = tube_kernel_peak(mesh, fld), fld.vertex_ratios(mesh)[0]
+    else:
+        peak, bound = plane_kernel_peak(mesh, fld)
+        num = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))[0]
+    assert peak <= bound
+    assert (bound >= 2**63) == past
+    assert num.dtype == (object if past else np.int64)
+    assert past or peak < 2**63
 
 
 def reference_sign(vals, verts, pt):
@@ -844,19 +938,20 @@ def test_plane_kernel_where_the_exact_mean_decides(mesh64, axis, level):
 
 def edge_of_bound_level(mesh, past):
     # the largest level denominator whose int64 form the plane kernel accepts,
-    # or one 64 times larger, whose values would overflow int64
+    # one 64 times larger, whose values would overflow int64, or one more
     ld = (2**63 - 1) // (8 * max(int(mesh.vertex_den.max()), mesh.resolution))
-    ld = 64 * ld + 1 if past else ld
+    ld = [ld, 64 * ld + 1, ld + 1][past]
     return Fraction(next(k for k in range(ld // 2, ld) if math.gcd(k, ld) == 1), ld)
 
 
-@pytest.mark.parametrize("past", [0, 1], ids=["at-edge", "past"])
+@pytest.mark.parametrize("past", [0, 1, 2], ids=["at-edge", "past", "one-past"])
 def test_plane_kernel_at_and_past_the_int64_bound(mesh16, frames, past):
     fld = PlaneField(1, edge_of_bound_level(mesh16, past))
     triangles = np.arange(len(mesh16.triangles))
     with np.errstate(over="raise"):
         num, den = fld.corner_ratios(mesh16, triangles)
         sec = slice_field(mesh16, fld)
+    assert_kernel_bound(mesh16, fld, bool(past))
     assert num.dtype == (object if past else np.int64)
     assert kernel_values(num, den) == reference_corner_values(mesh16, fld, frames("mesh16"))
     ref = slice_field(mesh16, AllTriangles(fld))
@@ -869,6 +964,7 @@ def test_tube_slicing_at_the_edge_of_bound_radius(mesh16, frames):
     with np.errstate(over="raise"):
         sec = slice_field(mesh16, fld)
         num, den = fld.corner_ratios(mesh16, fld.candidate_triangles(mesh16))
+    assert_kernel_bound(mesh16, fld, past=False)
     reference = reference_corner_values(mesh16, fld, frames("mesh16"))
     assert kernel_values(num, den) == [reference[tri] for tri in fld.candidate_triangles(mesh16)]
     assert sec.loops
