@@ -26,7 +26,8 @@ from .mesh import (
     validate_surface,
 )
 from .mesh.curves import TUBE_RADIUS, DegeneracyError, TransversalityError, plane_section
-from .mesh.homology import build_homology
+from .mesh.homology import CurveRef, build_homology, crossings
+from .mesh.surface import MAX_RESOLUTION
 from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
 from .verifier import run_suite
 
@@ -41,9 +42,9 @@ def power_of_two_resolution(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"resolution must be an integer, got {text!r}")
-    if n < 8 or n & (n - 1):
+    if not 8 <= n <= MAX_RESOLUTION or n & (n - 1):
         raise argparse.ArgumentTypeError(
-            f"resolution must be a power of two and >= 8, got {n}"
+            f"resolution must be a power of two from 8 to {MAX_RESOLUTION}, got {n}"
         )
     return n
 
@@ -81,6 +82,15 @@ def check_table_directory(path: str):
         raise UsageError(f"cannot write table {path}: no directory {directory}")
 
 
+def derive_and_write_table(resolution: int, path: str):
+    """Derive the table at ``resolution`` and persist it; returns it with its homology."""
+    check_table_directory(path)
+    h = build_homology(build_surface(resolution))
+    table = derive_table(h)
+    write_table(table, path)
+    return table, h
+
+
 def load_or_derive_table(args, derive_if_missing: bool):
     path = args.table or default_table_path(args.resolution)
     if os.path.exists(path):
@@ -97,12 +107,7 @@ def load_or_derive_table(args, derive_if_missing: bool):
         return table, None
     if not derive_if_missing:
         raise UsageError(f"no generator table at {path}; run `t3mcg table derive` first")
-    check_table_directory(path)
-    mesh = build_surface(args.resolution)
-    h = build_homology(mesh)
-    table = derive_table(h)
-    write_table(table, path)
-    return table, h
+    return derive_and_write_table(args.resolution, path)
 
 
 def cmd_eval(args) -> int:
@@ -160,15 +165,10 @@ def cmd_mesh_validate(args) -> int:
 
 def cmd_mesh_curves(args) -> int:
     mesh = build_surface(args.resolution)
-    refs = []
-    names = []
-    for axis in (1, 2, 3):
-        refs.append(plane_section(mesh, axis, Fraction(1, 2)))
-        names.append(f"A{axis}")
-    for axis in (1, 2, 3):
-        refs.append(plane_section(mesh, axis, Fraction(0)))
-        names.append(f"B{axis}")
-    from .mesh.curves import walk_pairing, walk_steps, step_positions
+    names = [f"{side}{axis}" for side in "AB" for axis in (1, 2, 3)]
+    levels = (Fraction(1, 2), Fraction(0))
+    refs = [plane_section(mesh, axis, level) for level in levels for axis in (1, 2, 3)]
+    from .mesh.curves import step_positions
 
     out = {"resolution": args.resolution, "curves": {}, "pairwise": {}}
     for name, sec in zip(names, refs):
@@ -182,9 +182,7 @@ def cmd_mesh_curves(args) -> int:
         out["curves"][name] = loops
     for i in range(6):
         for j in range(i + 1, 6):
-            l1 = refs[i].loops[0]
-            res = walk_pairing(walk_steps(l1), l1.orientation_sign, refs[j])
-            alg, geo = res.get(0, (0, 0))
+            alg, geo = crossings(CurveRef(refs[i], 0), CurveRef(refs[j], 0))
             out["pairwise"][f"{names[i]},{names[j]}"] = {"algebraic": alg, "geometric": geo}
     if args.json:
         print(json.dumps(out, sort_keys=True))
@@ -214,8 +212,7 @@ def cmd_mesh_export(args) -> int:
 def cmd_verify(args) -> int:
     table, h = load_or_derive_table(args, derive_if_missing=True)
     if h is None:
-        mesh = build_surface(args.resolution)
-        h = build_homology(mesh)
+        h = build_homology(build_surface(args.resolution))
     report = run_suite(table, h, seed=args.seed)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -228,11 +225,7 @@ def cmd_verify(args) -> int:
 
 def cmd_table_derive(args) -> int:
     path = args.table or default_table_path(args.resolution)
-    check_table_directory(path)
-    mesh = build_surface(args.resolution)
-    h = build_homology(mesh)
-    table = derive_table(h)
-    write_table(table, path)
+    table, _ = derive_and_write_table(args.resolution, path)
     if args.json:
         print(json.dumps({"path": path, "handedness": table.handedness}, sort_keys=True))
     else:
@@ -266,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution",
         type=power_of_two_resolution,
         default=32,
-        help="grid resolution (a power of two, >= 8)",
+        help=f"grid resolution (a power of two from 8 to {MAX_RESOLUTION})",
     )
     parser.add_argument("--json", action="store_true", help="structured JSON output")
     parser.add_argument("--table", default=None, help="path to a persisted generator table")

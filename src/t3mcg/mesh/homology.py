@@ -29,15 +29,9 @@ from .curves import (
     step_positions,
     tube_section,
     walk_pairing,
-    walk_steps,
 )
 
 HALF = Fraction(1, 2)
-
-# Tube k runs parallel to axis k through the crossing line of the two planes
-# {x_i = 1/2} and {x_j = 0}, (i, j, k) cyclic; its transverse coordinates are
-# (x_i, x_j) in that order.
-TUBE_CENTER = (HALF, Fraction(0))
 
 
 def mat_vec(a, v):
@@ -162,14 +156,27 @@ def form_product(x, y):
     return sum(a * b for a, b in zip(x, jy))
 
 
+def pair_tube(mesh: TriMesh, i: int, j: int) -> SlicedCurves:
+    """Section by the tube of the disk pair (i, j), through {x_i = 1/2} ∩ {x_j = 0}:
+    along axis k = 6 - i - j, with its centre listed in ``TubeField``'s transverse
+    order (x_{k mod 3 + 1}, x_{(k + 1) mod 3 + 1})."""
+    k = 6 - i - j
+    center = {i: HALF, j: Fraction(0)}
+    return tube_section(mesh, k, (center[k % 3 + 1], center[(k + 1) % 3 + 1]), TUBE_RADIUS)
+
+
+def crossings(walker: CurveRef, target: CurveRef) -> tuple:
+    """(algebraic, geometric) crossings of the walker's loop with the target loop."""
+    loop = walker.loop
+    res = walk_pairing(loop.steps, loop.orientation_sign, target.curves)
+    return tuple(res.get(target.index, (0, 0)))
+
+
 def intersection_number(h: HomologyData, c1: CurveRef, c2: CurveRef):
     """(algebraic, geometric) crossing counts of two curves on the mesh."""
     if c1.curves is c2.curves and c1.index == c2.index:
         return 0, 0
-    loop = c1.loop
-    res = walk_pairing(walk_steps(loop), loop.orientation_sign, c2.curves)
-    alg, geo = res.get(c2.index, (0, 0))
-    return alg, geo
+    return crossings(c1, c2)
 
 
 def twist_matrix(h: HomologyData, loops):
@@ -246,7 +253,13 @@ def tube_pattern(h: HomologyData, tube: SlicedCurves, kind: str):
     return eps
 
 
-def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
+def tube_twist(h: HomologyData, tube: SlicedCurves, pattern: str):
+    """Composite twist along every loop of a tube section, handed by ``pattern``."""
+    eps = tube_pattern(h, tube, pattern)
+    return twist_matrix(h, [(CurveRef(tube, i), e) for i, e in enumerate(eps)])
+
+
+def build_homology(mesh: TriMesh) -> HomologyData:
     """Distinguished curves, canonical basis and exact intersection data."""
     sections_a = []
     sections_b = []
@@ -263,56 +276,41 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
         sections_a.append(CurveRef(sa, 0))
         sections_b.append(CurveRef(sb, 0))
 
+    # tube k serves the disk pair (k mod 3 + 1, (k + 1) mod 3 + 1); its loop 0,
+    # oriented along +e_k, is the longitude
     tubes = []
     longitudes = []
     for k in (1, 2, 3):
-        tube = tube_section(mesh, k, TUBE_CENTER, tube_radius)
+        tube = pair_tube(mesh, k % 3 + 1, (k + 1) % 3 + 1)
         if len(tube.loops) != 4:
             raise DegeneracyError(
                 f"tube along axis {k} has {len(tube.loops)} loops, expected 4"
             )
         e_k = tuple(1 if c == k - 1 else 0 for c in range(3))
         neg_e_k = tuple(-x for x in e_k)
-        chosen = None
-        for idx, loop in enumerate(tube.loops):
+        for loop in tube.loops:
             if loop.displacement not in (e_k, neg_e_k):
                 raise DegeneracyError(
                     f"tube loop displacement {loop.displacement} is not +-e_{k}"
                 )
-            if chosen is None:
-                chosen = idx
-                if loop.displacement == neg_e_k:
-                    loop.orientation_sign = -1
+        tube.loops[0].orientation_sign = tube.loops[0].displacement[k - 1]
         tubes.append(tube)
-        longitudes.append(CurveRef(tube, chosen))
+        longitudes.append(CurveRef(tube, 0))
 
     # Orient the A-side plane sections so they pair +1 with their longitude.
-    for i in range(3):
-        ref = sections_a[i]
-        loop = ref.loop
-        tl = longitudes[i].loop
-        res = walk_pairing(walk_steps(tl), tl.orientation_sign, ref.curves)
-        d = res.get(ref.index, (0, 0))[0]
+    for i, (ref, longitude) in enumerate(zip(sections_a, longitudes)):
+        d, _ = crossings(longitude, ref)
         if d not in (1, -1):
             raise DegeneracyError(
                 f"winding pairing of longitude {i + 1} with its plane section is {d}"
             )
         # <section, longitude> = -<longitude, section> must equal +1
-        loop.orientation_sign = -d
+        ref.loop.orientation_sign = -d
 
     generators = list(sections_a) + list(longitudes)
-    gram = []
-    for g1 in generators:
-        row = []
-        l1 = g1.loop
-        for g2 in generators:
-            if g1 is g2:
-                row.append(0)
-                continue
-            res = walk_pairing(walk_steps(l1), l1.orientation_sign, g2.curves)
-            row.append(res.get(g2.index, (0, 0))[0])
-        gram.append(tuple(row))
-    gram = tuple(gram)
+    gram = tuple(
+        tuple(0 if g1 is g2 else crossings(g1, g2)[0] for g2 in generators) for g1 in generators
+    )
 
     for i in range(6):
         for j in range(6):
@@ -346,7 +344,7 @@ def build_homology(mesh: TriMesh, tube_radius=TUBE_RADIUS) -> HomologyData:
         longitudes=longitudes,
         gram=gram,
         basis_change=basis_change,
-        tube_radius=Fraction(tube_radius),
+        tube_radius=TUBE_RADIUS,
     )
 
     # Projection sanity: p(a_i) = 0 and p(b_i) = e_i in canonical coordinates.

@@ -28,6 +28,9 @@ from itertools import chain, permutations
 
 import numpy as np
 
+# The largest resolution whose int64 vertex arithmetic ``TriMesh`` proves exact.
+MAX_RESOLUTION = 512
+
 
 class ResolutionError(ValueError):
     pass
@@ -327,9 +330,9 @@ def _triangulate(g: np.ndarray):
 
 
 def build_surface(n: int) -> TriMesh:
-    """Extract the equidistant surface at grid resolution n (even, >= 8)."""
-    if n % 2 != 0 or n < 8:
-        raise ResolutionError(f"resolution must be even and >= 8, got {n}")
+    """Extract the equidistant surface at grid resolution n (even, 8 to ``MAX_RESOLUTION``)."""
+    if n % 2 != 0 or not 8 <= n <= MAX_RESOLUTION:
+        raise ResolutionError(f"resolution must be even and from 8 to {MAX_RESOLUTION}, got {n}")
     g = _sample_field(n)
     if (g == 0).any():
         raise SampleOnSurfaceError(f"a sample at resolution {n} lies exactly on the surface")
@@ -415,6 +418,25 @@ def half_translation_vertex_map(mesh: TriMesh) -> list:
     if (t_num[image] * t_den != t_num * t_den[image]).any():
         raise DegeneracyError("the half translation moves a crossing parameter")
     return image.tolist()
+
+
+def triangle_map(edges: EdgeTable, vmap) -> list:
+    """Triangle permutation induced by the vertex permutation ``vmap``: the image
+    of a triangle is the triangle on the image (a, b) of its least edge that holds
+    the image c of its third vertex.  Edges are keyed ``a * len(vmap) + b``, so no
+    key is a product of three vertex ids."""
+    size, tris = len(vmap), edges.tris
+    image = np.asarray(vmap)[tris]
+    image.sort(axis=1)
+    keys, query = edges.low * size + edges.high, image[:, 0] * size + image[:, 1]
+    edge = np.searchsorted(keys, query).clip(max=len(keys) - 1)
+    half = edges.order[edges.start[edge]]  # a half-edge on (a, b); its neighbour is across it
+    on_first = (tris[half // 3] == image[:, 2:]).any(axis=1)
+    found = np.where(on_first, half // 3, edges.neighbour[half])
+    missing = (keys[edge] != query) | (found < 0) | ~(tris[found] == image[:, 2:]).any(axis=1)
+    if missing.any():
+        raise DegeneracyError(f"no triangle with vertices {image[missing][0].tolist()}")
+    return found.tolist()
 
 
 def export_off(mesh: TriMesh, path: str):

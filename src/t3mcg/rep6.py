@@ -22,18 +22,16 @@ from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
 from .rep3 import gen_image3, int_matrix, word_image3
 from .mesh.homology import (
     CANONICAL_J,
-    CurveRef,
     HomologyData,
     PROJECTION,
     identity,
     mat_mul,
     mat_neg,
+    pair_tube,
     transpose,
-    tube_pattern,
-    twist_matrix,
+    tube_twist,
 )
-from .mesh.curves import tube_section, walk_steps
-from .mesh.surface import half_translation_vertex_map, lookup
+from .mesh.surface import half_translation_vertex_map, triangle_map
 
 Mat6 = tuple
 
@@ -60,7 +58,7 @@ def translate_steps(loop, vmap, tmap):
     parameters.
     """
     out = []
-    for tri, (va, vb, t), (vc, vd, u) in walk_steps(loop):
+    for tri, (va, vb, t), (vc, vd, u) in loop.steps:
         out.append((tmap[tri], (vmap[va], vmap[vb], t), (vmap[vc], vmap[vd], u)))
     return out
 
@@ -68,14 +66,8 @@ def translate_steps(loop, vmap, tmap):
 def derive_swap6(h: HomologyData) -> Mat6:
     """Matrix of the handlebody swap: translate each generator curve, read
     off the classes, and change to the canonical basis."""
-    mesh = h.mesh
-    vmap = half_translation_vertex_map(mesh)
-    # each triangle keyed by its sorted vertex triple, before and after
-    tris = mesh.edges.tris
-    dims = (len(vmap),) * 3
-    own = np.ravel_multi_index(np.sort(tris, axis=1).T, dims)
-    image = np.ravel_multi_index(np.sort(np.array(vmap)[tris], axis=1).T, dims)
-    tmap = lookup(own, image, "translated triangle").tolist()
+    vmap = half_translation_vertex_map(h.mesh)
+    tmap = triangle_map(h.mesh.edges, vmap)
     cols = []
     for ref in list(h.disk_sections_a) + list(h.longitudes):
         loop = ref.loop
@@ -87,10 +79,7 @@ def derive_swap6(h: HomologyData) -> Mat6:
 
 def derive_twist6(h: HomologyData, pattern: str) -> Mat6:
     """Composite twist along the four loops of the reference tube (axis 3)."""
-    tube = h.tubes[2]
-    eps = tube_pattern(h, tube, pattern)
-    loops = [(CurveRef(tube, i), eps[i]) for i in range(len(tube.loops))]
-    return twist_matrix(h, loops)
+    return tube_twist(h, h.tubes[2], pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +279,9 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
     one pattern should pass; the caller reports anything else, never
     defaults it.
     """
-    # (i, j) = (1, 3) crosses planes x_1 = 1/2 and x_3 = 0; the tube runs
-    # along axis 2 with transverse coordinates (x_3, x_1).
-    pair_tube = tube_section(h.mesh, 2, (Fraction(0), Fraction(1, 2)), h.tube_radius)
-    if len(pair_tube.loops) != 4:
-        raise HandednessError(f"(1,3) tube has {len(pair_tube.loops)} loops")
+    tube = pair_tube(h.mesh, 1, 3)
+    if len(tube.loops) != 4:
+        raise HandednessError(f"(1,3) tube has {len(tube.loops)} loops")
     word_t13 = expand_macro(Macro("t13", 1))
 
     winners = []
@@ -311,8 +298,7 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
             tube_radius=str(h.tube_radius),
         )
         lhs = word_image6(word_t13, table)
-        eps = tube_pattern(h, pair_tube, pattern)
-        rhs = twist_matrix(h, [(CurveRef(pair_tube, i), eps[i]) for i in range(4)])
+        rhs = tube_twist(h, tube, pattern)
         details[pattern] = {"conjugated": lhs, "direct": rhs}
         if lhs == rhs:
             winners.append(pattern)

@@ -17,7 +17,6 @@ from .rep3 import IDENTITY3, decompose_sl3, word_image3
 from .mesh.homology import (
     HomologyData,
     PROJECTION,
-    defining_pair_check,
     intersection_number,
     mat_mul,
 )
@@ -236,9 +235,10 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
         problems = []
         refs = list(h.disk_sections_a) + list(h.disk_sections_b)
         names = [f"A{i}" for i in (1, 2, 3)] + [f"B{i}" for i in (1, 2, 3)]
+        counts = {}
         for x in range(6):
             for y in range(x + 1, 6):
-                alg, geo = intersection_number(h, refs[x], refs[y])
+                alg, geo = counts[x, y] = intersection_number(h, refs[x], refs[y])
                 same_family = (x < 3) == (y < 3)
                 expect_geo = 0 if same_family or (x % 3 == y % 3) else 2
                 if alg != 0 or geo != expect_geo:
@@ -250,8 +250,8 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
                         }
                     )
         for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if defining_pair_check(h, i, j) != (i == j):
+            for j in (1, 2, 3):  # (A_i, B_j) is pair (i - 1, 2 + j)
+                if (counts[i - 1, 2 + j][1] == 0) != (i == j):
                     problems.append({"defining_pair": (i, j)})
         tube = h.tubes[2]
         if len(tube.loops) != 4:

@@ -434,3 +434,22 @@ class TestDecomposeLength:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "100000000000000000000000 letters" in err
+
+
+class TestResolutionCap:
+    @pytest.mark.parametrize("resolution", ["1024", "1048576"])
+    def test_past_the_cap_exits_2_before_building(self, resolution, capsys, monkeypatch):
+        def build(_):
+            raise AssertionError("built a surface past the resolution cap")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", build)
+        code, out, err = run_cli(["--resolution", resolution, "--json", "mesh", "validate"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert f"a power of two from 8 to 512, got {resolution}" in err
+
+    def test_cap_itself_is_accepted(self):
+        from t3mcg.cli import power_of_two_resolution
+
+        assert power_of_two_resolution("512") == 512

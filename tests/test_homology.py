@@ -175,3 +175,46 @@ class TestCurveClassMemo:
         assert walked <= 8 + 9  # build_homology walked the plane sections and longitudes
         assert [h.curve_class(ref) for ref in refs] == fresh
         assert len(walks) == walked
+
+
+class TestPairHelpers:
+    def test_pair_tube_axis_and_center(self, mesh16):
+        from fractions import Fraction
+
+        from t3mcg.mesh.homology import pair_tube
+
+        half, zero = Fraction(1, 2), Fraction(0)
+        expect = {(2, 3): (0, (half, zero)), (3, 1): (1, (half, zero)),
+                  (1, 2): (2, (half, zero)), (1, 3): (1, (zero, half))}
+        for (i, j), (axis, center) in expect.items():
+            tube = pair_tube(mesh16, i, j)
+            assert (tube.field.axis, tube.field.center) == (axis, center)
+            assert len(tube.loops) == 4
+
+    def test_homology_tubes_are_pair_tubes(self, homology16):
+        from t3mcg.mesh.curves import TUBE_RADIUS
+
+        assert [tube.field.axis for tube in homology16.tubes] == [0, 1, 2]
+        assert homology16.tube_radius == TUBE_RADIUS
+        assert all(ref.index == 0 for ref in homology16.longitudes)
+
+    def test_crossings_match_intersection_numbers(self, homology16):
+        from t3mcg.mesh.homology import crossings
+
+        h = homology16
+        generators = list(h.disk_sections_a) + list(h.longitudes)
+        pairs = [(g1, g2) for g1 in generators for g2 in generators if g1 is not g2]
+        assert len(pairs) == 30
+        for g1, g2 in pairs:
+            assert crossings(g1, g2) == intersection_number(h, g1, g2)
+
+    def test_tube_twist_is_the_reference_twist(self, homology32):
+        from t3mcg.mesh.homology import tube_twist
+        from t3mcg.rep6 import derive_twist6
+
+        h = homology32
+        tube = h.tubes[2]
+        for kind in ("all_plus", "alternating"):
+            eps = tube_pattern(h, tube, kind)
+            loops = [(CurveRef(tube, i), eps[i]) for i in range(4)]
+            assert tube_twist(h, tube, kind) == twist_matrix(h, loops) == derive_twist6(h, kind)

@@ -396,3 +396,51 @@ class TestHalfTranslationChecks:
 
     def test_map_is_plain_ints(self, mesh16):
         assert all(type(v) is int for v in half_translation_vertex_map(mesh16))
+
+
+class TestResolutionCap:
+    @pytest.mark.parametrize("n", [1024, 2**20])
+    def test_build_surface_refuses_before_sampling(self, n, monkeypatch):
+        from t3mcg.mesh.surface import MAX_RESOLUTION
+
+        def sample(_):
+            raise AssertionError("sampled a resolution past the cap")
+
+        monkeypatch.setattr("t3mcg.mesh.surface._sample_field", sample)
+        assert n > MAX_RESOLUTION == 512
+        with pytest.raises(ResolutionError, match=f"from 8 to 512, got {n}"):
+            build_surface(n)
+
+
+class TestTriangleMap:
+    def test_half_translation_is_an_involution(self, mesh16):
+        from t3mcg.mesh.surface import triangle_map
+
+        tmap = triangle_map(mesh16.edges, half_translation_vertex_map(mesh16))
+        assert sorted(tmap) == list(range(len(mesh16.triangles)))
+        assert [tmap[t] for t in tmap] == list(range(len(tmap)))
+
+    def test_vertex_ids_past_the_cube_root_of_int64(self, mesh16):
+        # ids 1000 v + 7 reach 2.7e6 > 2^21, where a key of three ids overflows int64
+        import numpy as np
+
+        from t3mcg.mesh.surface import EdgeTable, triangle_map
+
+        vmap = half_translation_vertex_map(mesh16)
+        big = [0] * (1000 * len(vmap))
+        for v, w in enumerate(vmap):
+            big[1000 * v + 7] = 1000 * w + 7
+        tris = EdgeTable([tuple(1000 * v + 7 for v in tri) for tri in mesh16.triangles])
+        assert triangle_map(tris, big) == triangle_map(mesh16.edges, vmap)
+        with pytest.raises(ValueError):
+            np.ravel_multi_index(np.sort(tris.tris, axis=1).T, (len(big),) * 3)
+
+    def test_missing_image_is_degenerate(self, mesh16):
+        from t3mcg.mesh.curves import DegeneracyError
+        from t3mcg.mesh.surface import triangle_map
+
+        vmap = half_translation_vertex_map(mesh16)
+        a, b, _ = mesh16.triangles[0]
+        vmap[a], vmap[b] = vmap[b], vmap[a]  # no longer induced by a mesh symmetry
+        with pytest.raises(DegeneracyError, match="no triangle with vertices"):
+            triangle_map(mesh16.edges, vmap)

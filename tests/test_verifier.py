@@ -73,3 +73,24 @@ class TestNegativeControls:
         by_name = {c["name"]: c for c in report.checks}
         assert by_name["handedness_arbiter"]["status"] == "fail"
         assert by_name["handedness_arbiter"]["witness"]["winners"] == ["alternating"]
+
+
+def test_suite_walk_count_on_fresh_homology(mesh16, monkeypatch):
+    # a fresh homology: the session fixtures' memo would depend on test order
+    import t3mcg.mesh.homology as homology
+    from t3mcg.rep6 import derive_table
+
+    h = homology.build_homology(mesh16)
+    table = derive_table(h)
+    walks = []
+    original = homology.walk_pairing
+
+    def counted(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, "walk_pairing", counted)
+    assert run_suite(table, h).passed
+    # 24 for the (1,3) pair tube's four classes and 15 disk pairs; the nine
+    # defining-pair verdicts reuse the 15 counts
+    assert len(walks) == 39
