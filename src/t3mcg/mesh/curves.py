@@ -343,18 +343,18 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     positive = num >= 0  # zero counts positive
     ahead = positive[:, [1, 2, 0]]
     rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
-    sliced, points = tris[rows].tolist(), []
+    sliced, points = tris[rows], []
+    corners, at = mesh.edges.tris[sliced], np.arange(len(rows))
     for crossing in (positive & ~ahead, ahead & ~positive):
         a = crossing[rows].argmax(axis=1)
         b = (a + 1) % 3
-        ends = (a, b, num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        points.append([  # vertex ids from ``mesh.triangles``, whose ints the segments share
-            (verts[i], verts[j], Fraction(na * db, na * db - nb * da))
-            for verts, i, j, na, da, nb, db in zip(
-                map(mesh.triangles.__getitem__, sliced), *(e.tolist() for e in ends)
-            )
+        ends = (corners[at, a], corners[at, b])
+        ends += (num[rows, a], den[rows, a], num[rows, b], den[rows, b])
+        points.append([  # vertex ids as Python ints, read in bulk from the edge table
+            (va, vb, Fraction(na * db, na * db - nb * da))
+            for va, vb, na, da, nb, db in zip(*(e.tolist() for e in ends))
         ])
-    segments = dict(zip(sliced, zip(*points)))
+    segments = dict(zip(sliced.tolist(), zip(*points)))
     return _chain(SlicedCurves(mesh, fld, [], {}, segments))
 
 
@@ -419,11 +419,13 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     out: dict[int, list] = {}
     fld, mesh = target.field, target.mesh
     steps = [step for step in path_steps if step[0] in target.walk_set]
-    num, den = _corner_ratios(fld, mesh, [tri for tri, _, _ in steps])
-    for (tri, pt_in, pt_out), (n0, n1, n2), (d0, d1, d2) in zip(steps, num.tolist(), den.tolist()):
+    tris = [tri for tri, _, _ in steps]
+    num, den = _corner_ratios(fld, mesh, tris)
+    corners = mesh.edges.tris[np.array(tris, np.int64)].tolist()
+    rows = zip(steps, corners, num.tolist(), den.tolist())
+    for (tri, pt_in, pt_out), verts, (n0, n1, n2), (d0, d1, d2) in rows:
         # the values times d0*d1*d2 > 0: integers whose interpolants keep their signs
         vals = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
-        verts = mesh.triangles[tri]
         s_in = _edge_sign(vals, verts, pt_in)
         s_out = _edge_sign(vals, verts, pt_out)
         if s_in == s_out:

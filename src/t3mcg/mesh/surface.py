@@ -16,6 +16,10 @@ integer denominator; its exact ``Fraction`` coordinates are built only when
 read.  Welding vertices by grid edge is exact, so the output is a closed,
 coherently oriented manifold mesh.  Its edges are one sorted int64 key table
 (``EdgeTable``), which validation, curve chaining and cutting all read.
+The triangles and their cells stay the int arrays the triangulation returns;
+``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
+(``IntRows``) whose rows read as tuples of Python ints, and the edge table of
+a built mesh is made from the triangle array itself, without a copy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -124,7 +128,8 @@ def _sample_field(n: int) -> np.ndarray:
 
 class ExactRows(Sequence):
     """A read-only list of exact rows, each built on its first read; ``len``
-    builds none, and equality and ``repr`` are those of the plain list."""
+    builds none, and equality, ``repr``, ``+`` and ``*`` are those of the plain
+    list, as is a slice."""
 
     def __init__(self, size: int, row):
         self._row, self._rows = row, [None] * size
@@ -145,8 +150,30 @@ class ExactRows(Sequence):
     def __repr__(self):
         return repr(list(self))
 
+    def __add__(self, other) -> list:
+        return list(self) + other
+
+    def __radd__(self, other) -> list:
+        return other + list(self)
+
     def __mul__(self, times: int) -> list:
         return list(self) * times
+
+
+class IntRows(ExactRows):
+    """The rows of a 2-d int array as an ``ExactRows`` of tuples of Python ints.
+    Iteration reads the whole array at once, and ``np.asarray`` of the view is
+    the array itself, not a copy."""
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(len(array), lambda i: tuple(array[i].tolist()))
+        self.array = array
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype, copy=copy)
 
 
 @dataclass(eq=False)
@@ -164,6 +191,13 @@ class TriMesh:
     even before its reduction: int64 holds it, and up to n = 512 a product of two.
     ``vertices`` (3 ``Fraction`` coordinates in [0, 1)) and ``vertex_edges``
     (``(base, axes, Fraction t)``) are exact views of these columns.
+    The oriented triangles are the rows of an int64 ``(T, 3)`` array of vertex
+    indices, and the lattice cell of each triangle the matching row of the
+    int32 ``cell_array``; a built mesh holds both as ``IntRows`` views
+    (``triangles``, ``tri_cells``), and the edge table of such a mesh reads the
+    triangle array without a copy.  A list of triangle tuples may stand in for
+    ``triangles`` on a shallow copy; it is converted where an ``EdgeTable`` is
+    made from it.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -176,9 +210,9 @@ class TriMesh:
     vertex_num: np.ndarray
     vertex_den: np.ndarray
     vertex_tnum: np.ndarray
-    triangles: list  # (i, j, k) vertex indices, oriented
-    tri_cells: list  # lattice cell each triangle came from, one tuple per cell
-    cell_array: np.ndarray  # tri_cells as one array
+    triangles: Sequence  # (i, j, k) vertex indices, oriented: an IntRows view or a list
+    tri_cells: Sequence  # the lattice cell each triangle came from: IntRows of cell_array
+    cell_array: np.ndarray  # tri_cells as one (T, 3) array
 
     def __post_init__(self):
         n, q = self.resolution, self.offset_den
@@ -230,7 +264,12 @@ class TriMesh:
 
 
 class EdgeTable:
-    """The undirected edges of a triangle list, as one sorted int64 key table.
+    """The undirected edges of a list of triangles, as one sorted int64 key table.
+
+    The triangles are anything ``np.asarray`` reads as int64 vertex triples: a
+    ``(T, 3)`` array or ``IntRows`` view of one, which it keeps without a copy
+    when already int64, or a list of triples (tuples or lists), which it
+    converts; not a generator.
 
     Half-edge ``h = 3*tri + s`` runs from corner ``s`` of triangle ``tri`` to
     corner ``s + 1`` (mod 3), with key ``low * size + high`` for its vertices
@@ -243,7 +282,7 @@ class EdgeTable:
     """
 
     def __init__(self, triangles):
-        self.tris = np.fromiter(chain.from_iterable(triangles), np.int64).reshape(-1, 3)
+        self.tris = np.asarray(triangles, np.int64).reshape(-1, 3)
         tail, head = self.tris.ravel(), self.tris[:, [1, 2, 0]].ravel()
         size = int(self.tris.max(initial=0)) + 1
         key = np.ravel_multi_index((np.minimum(tail, head), np.maximum(tail, head)), (size, size))
@@ -347,17 +386,16 @@ def build_surface(n: int) -> TriMesh:
     den = q * n * d
     num = ((q * base + p) * d[:, None] + q * tnum[:, None] * axes) % den[:, None]
 
-    ids = list(range(len(vertex_key)))  # one int object per vertex, shared by its triangles
-    cells = list(map(tuple, active.tolist()))
+    cell_array = active[tri_cell]
     return TriMesh(
         resolution=n,
         vertex_key=vertex_key,
         vertex_num=num,
         vertex_den=den,
         vertex_tnum=tnum,
-        triangles=list(zip(*(map(ids.__getitem__, col) for col in tris.T.tolist()))),
-        tri_cells=list(map(cells.__getitem__, tri_cell.tolist())),
-        cell_array=active[tri_cell],
+        triangles=IntRows(tris),
+        tri_cells=IntRows(cell_array),
+        cell_array=cell_array,
     )
 
 
@@ -465,4 +503,4 @@ def load_off_counts(path: str) -> dict:
         faces = [fh.readline().split() for _ in range(nf)]
     if any(face[0] != "3" or len(face) < 4 for face in faces):
         raise ValueError("non-triangle face in OFF file")
-    return EdgeTable([int(x) for x in face[1:4]] for face in faces).report(nv)
+    return EdgeTable([[int(x) for x in face[1:4]] for face in faces]).report(nv)

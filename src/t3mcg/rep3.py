@@ -10,6 +10,8 @@ integers, no floats.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .words import AXIS_PAIRS, Generator, Word
 
 Mat3 = tuple  # 3x3 tuple of tuples of ints, row-major
@@ -107,14 +109,19 @@ class WordTooLongError(ValueError):
     pass
 
 
+# The 12 shear letters, one object each, keyed (i, j, sign).
+_SHEAR_LETTERS = {
+    (i, j, sign): Generator(f"a{i}{j}", sign) for i, j in AXIS_PAIRS for sign in (1, -1)
+}
+
+
 def _letters_for_ops(ops) -> Word:
     # Left-multiplying the op list E_1 .. E_m onto m gives E_m ... E_1 m = I,
     # so m = E_1^-1 ... E_m^-1.  With right-to-left evaluation the word reads
     # the inverted ops in reverse.
     letters = []
     for (i, j, c) in reversed(ops):
-        sign = -1 if c > 0 else 1
-        letters.extend([Generator(f"a{i}{j}", sign)] * abs(c))
+        letters.extend(repeat(_SHEAR_LETTERS[i, j, -1 if c > 0 else 1], abs(c)))
     return tuple(letters)
 
 

@@ -444,3 +444,73 @@ class TestTriangleMap:
         vmap[a], vmap[b] = vmap[b], vmap[a]  # no longer induced by a mesh symmetry
         with pytest.raises(DegeneracyError, match="no triangle with vertices"):
             triangle_map(mesh16.edges, vmap)
+
+
+# ---------------------------------------------------------------------------
+# Triangle and cell rows as views of the triangulation's int arrays.
+# ---------------------------------------------------------------------------
+
+
+class TestIntRows:
+    def test_triangles_share_the_edge_table_array(self, mesh16):
+        import numpy as np
+
+        assert np.shares_memory(np.asarray(mesh16.triangles), mesh16.edges.tris)
+        assert np.shares_memory(np.asarray(mesh16.tri_cells), mesh16.cell_array)
+
+    @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
+    def test_rows_are_tuples_of_python_ints(self, mesh16, name):
+        rows = getattr(mesh16, name)
+        for row in (rows[0], rows[-1], rows[len(rows) // 2], *rows[:3], *list(rows)[-3:]):
+            assert type(row) is tuple and len(row) == 3
+            assert all(type(x) is int for x in row)
+        assert all(type(x) is int for row in rows for x in row)
+
+    @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
+    def test_rows_read_as_the_plain_list(self, mesh16, name):
+        import numpy as np
+
+        rows = getattr(mesh16, name)
+        plain = list(map(tuple, np.asarray(rows).tolist()))
+        assert len(rows) == len(plain) == len(list(rows))
+        assert rows == plain and plain == rows and rows == rows
+        assert rows != plain[:-1]
+        assert repr(rows) == repr(plain)
+        assert rows[:-1] == plain[:-1] and rows[5:1:-2] == plain[5:1:-2]
+        assert type(rows[1:4]) is list
+        extra = [(1, 2, 3)]
+        assert rows + extra == plain + extra and type(rows + extra) is list
+        assert extra + rows == extra + plain and type(extra + rows) is list
+        assert rows.index(plain[7]) == plain.index(plain[7])
+
+    def test_asarray_warns_of_nothing(self, mesh16):
+        import warnings
+
+        import numpy as np
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = np.asarray(mesh16.triangles)
+            cells = np.asarray(mesh16.tri_cells, dtype=np.int64)
+            copied = np.array(mesh16.triangles, copy=True)
+        assert array is mesh16.triangles.array
+        assert (cells == mesh16.cell_array).all()
+        assert not np.shares_memory(copied, array) and (copied == array).all()
+
+    def test_a_list_of_triangles_reads_as_the_view(self, mesh16):
+        import copy
+        from fractions import Fraction
+
+        from t3mcg.mesh.curves import PlaneField, slice_field
+
+        plain = copy.copy(mesh16)
+        vars(plain).pop("edges", None)  # the edge table is rebuilt from the list
+        plain.triangles = list(mesh16.triangles)
+        assert validate_surface(plain) == validate_surface(mesh16)
+        assert plain.edges is not mesh16.edges
+        for axis, level in ((0, Fraction(1, 2)), (2, Fraction(0))):
+            fld = PlaneField(axis, level)
+            segments = slice_field(plain, fld).tri_segments
+            assert segments == slice_field(mesh16, fld).tri_segments
+            ends = [v for segment in segments.values() for va, vb, _ in segment for v in (va, vb)]
+            assert all(type(v) is int for v in ends)
