@@ -162,18 +162,29 @@ class ExactRows(Sequence):
 
 class IntRows(ExactRows):
     """The rows of a 2-d int array as an ``ExactRows`` of tuples of Python ints.
-    Iteration reads the whole array at once, and ``np.asarray`` of the view is
-    the array itself, not a copy."""
+    A row is read from the array on each access, as a row of ints is cheap to
+    build and a memo would hold one object per row; iteration reads the whole
+    array at once, and ``np.asarray`` of the view is the array itself, not a
+    copy."""
 
     def __init__(self, array: np.ndarray):
-        super().__init__(len(array), lambda i: tuple(array[i].tolist()))
         self.array = array
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(tuple, self.array[i].tolist()))
+        return tuple(self.array[i].tolist())
 
     def __iter__(self):
         return map(tuple, self.array.tolist())
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.array, dtype, copy=copy)
+        # NumPy 1.x calls this without ``copy``, and its np.array rejects copy=None
+        array = np.asarray(self.array, dtype)
+        return array.copy() if copy else array
 
 
 @dataclass(eq=False)
@@ -193,9 +204,9 @@ class TriMesh:
     (``(base, axes, Fraction t)``) are exact views of these columns.
     The oriented triangles are the rows of an int64 ``(T, 3)`` array of vertex
     indices, and the lattice cell of each triangle the matching row of the
-    int32 ``cell_array``; a built mesh holds both as ``IntRows`` views
-    (``triangles``, ``tri_cells``), and the edge table of such a mesh reads the
-    triangle array without a copy.  A list of triangle tuples may stand in for
+    int32 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
+    views (``triangles``, ``tri_cells``), and the edge table of such a mesh
+    reads the triangle array without a copy.  A list of triangle tuples may stand in for
     ``triangles`` on a shallow copy; it is converted where an ``EdgeTable`` is
     made from it.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
@@ -387,6 +398,7 @@ def build_surface(n: int) -> TriMesh:
     num = ((q * base + p) * d[:, None] + q * tnum[:, None] * axes) % den[:, None]
 
     cell_array = active[tri_cell]
+    tris.flags.writeable = cell_array.flags.writeable = False  # the views are read-only
     return TriMesh(
         resolution=n,
         vertex_key=vertex_key,

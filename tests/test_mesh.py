@@ -497,6 +497,28 @@ class TestIntRows:
         assert (cells == mesh16.cell_array).all()
         assert not np.shares_memory(copied, array) and (copied == array).all()
 
+    @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
+    def test_array_protocol_without_copy_argument(self, mesh16, name):
+        # NumPy 1.x calls __array__() or __array__(dtype), never with ``copy``
+        import numpy as np
+
+        rows = getattr(mesh16, name)
+        assert rows.__array__() is rows.array
+        as64 = rows.__array__(np.int64)
+        assert as64.dtype == np.int64 and (as64 == rows.array).all()
+        assert rows.__array__(rows.array.dtype) is rows.array
+        assert rows.__array__(None, False) is rows.array
+        copied = rows.__array__(None, True)
+        assert copied is not rows.array and (copied == rows.array).all()
+
+    def test_backing_arrays_are_read_only(self, mesh16):
+        import numpy as np
+
+        for array in (np.asarray(mesh16.triangles), mesh16.edges.tris, mesh16.cell_array):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
     def test_a_list_of_triangles_reads_as_the_view(self, mesh16):
         import copy
         from fractions import Fraction
