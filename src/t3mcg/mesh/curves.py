@@ -331,13 +331,38 @@ def _corner_ratios(fld, mesh: TriMesh, tris) -> tuple:
     return _split([v.as_integer_ratio() for tri in tris for v in fld.tri_values(mesh, tri)])
 
 
+def crossing_parameters(na, da, nb, db) -> tuple:
+    """``t = f_a / (f_a - f_b)`` for ``f_a = na/da``, ``f_b = nb/db`` of opposite
+    signs (zero counting either), denominators positive, as reduced ``(p, q)``,
+    ``q > 0``: int64 arrays, or object arrays of Python ints past the bound.
+
+    Each corner is reduced, ``gcd(na, nb)`` and ``gcd(da, db)`` are divided out,
+    and ``p = na*db``, ``q = p - nb*da``.  A prime factor of ``na`` then divides
+    neither ``nb`` nor ``da``, and one of ``db`` neither ``nb`` nor ``da``, so no
+    prime factor of ``p`` divides ``nb*da`` or ``q``: they are coprime.  Both
+    products are below 2**62 when ``|na| <= (2**62 - 1)//db`` and
+    ``|nb| <= (2**62 - 1)//da``.
+    """
+    g, h = np.gcd(na, da), np.gcd(nb, db)
+    na, da, nb, db = na // g, da // g, nb // h, db // h
+    g, h = np.gcd(na, nb), np.gcd(da, db)
+    na, nb, da, db = na // g, nb // g, da // h, db // h
+    bound = 2**62 - 1
+    if na.dtype != object and not ((abs(na) <= bound // db) & (abs(nb) <= bound // da)).all():
+        na, da, nb, db = (x.astype(object) for x in (na, da, nb, db))
+    p = na * db
+    q = p - nb * da
+    return np.where(q < 0, -p, p), abs(q)
+
+
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant.
 
     One kernel call reads every candidate's corners.  The mixed triangles and
     their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
-    chosen on the numerators' signs; each ``t = f_a / (f_a - f_b)`` is one
-    ``Fraction`` built in Python ints."""
+    chosen on the numerators' signs; each ``t = f_a / (f_a - f_b)`` is reduced
+    in numpy (``crossing_parameters``) and built as a ``Fraction`` from its
+    coprime pair."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
     num, den = _corner_ratios(fld, mesh, tris)
     positive = num >= 0  # zero counts positive
@@ -348,12 +373,9 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     for crossing in (positive & ~ahead, ahead & ~positive):
         a = crossing[rows].argmax(axis=1)
         b = (a + 1) % 3
-        ends = (corners[at, a], corners[at, b])
-        ends += (num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        points.append([  # vertex ids as Python ints, read in bulk from the edge table
-            (va, vb, Fraction(na * db, na * db - nb * da))
-            for va, vb, na, da, nb, db in zip(*(e.tolist() for e in ends))
-        ])
+        p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
+        ends = corners[at, a].tolist(), corners[at, b].tolist()
+        points.append(list(zip(*ends, map(Fraction, p.tolist(), q.tolist()))))
     segments = dict(zip(sliced.tolist(), zip(*points)))
     return _chain(SlicedCurves(mesh, fld, [], {}, segments))
 

@@ -11,11 +11,12 @@ Each grid cell is split into the six path tetrahedra sharing the main
 diagonal, and the zero set is triangulated from one marching-tetrahedra case
 table indexed by (path, negative-corner mask), run with numpy over every
 mixed tetrahedron at once.  A vertex is the crossing on one grid edge, keyed
-by the edge as one int64, and is stored as three integer numerators over one
+by the edge as one integer, and is stored as three integer numerators over one
 integer denominator; its exact ``Fraction`` coordinates are built only when
 read.  Welding vertices by grid edge is exact, so the output is a closed,
-coherently oriented manifold mesh.  Its edges are one sorted int64 key table
-(``EdgeTable``), which validation, curve chaining and cutting all read.
+coherently oriented manifold mesh.  Its edges are one table sorted on int64
+keys (``EdgeTable``), which validation, curve chaining and cutting all read.
+Ids are int32 and cells int16, widened to int64 wherever two are multiplied.
 The triangles and their cells stay the int arrays the triangulation returns;
 ``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
 (``IntRows``) whose rows read as tuples of Python ints, and the edge table of
@@ -32,7 +33,8 @@ from itertools import permutations
 
 import numpy as np
 
-# The largest resolution whose int64 vertex arithmetic ``TriMesh`` proves exact.
+# The largest resolution whose int64 vertex arithmetic ``TriMesh`` proves exact;
+# int32 also holds every id and grid-edge key up to it (8 * 512**3 = 2**30).
 MAX_RESOLUTION = 512
 
 
@@ -89,7 +91,7 @@ def _tet_case(corners, mask: int):
 # the numbers of crossed edges and of triangles, the edges and the triangles.
 # Masks 0 and 15 have no crossing and an empty entry.
 _CASES = [_tet_case(c, m) if 0 < m < 15 else ([], []) for c in _TET_PATHS for m in range(16)]
-_CASE_SIZES = np.array([(len(edges), len(tris)) for edges, tris in _CASES])
+_CASE_SIZES = np.array([(len(edges), len(tris)) for edges, tris in _CASES], np.int8)
 _CASE_EDGES = np.array([edges + [(0, 0, 0, 0)] * (4 - len(edges)) for edges, _ in _CASES], np.int8)
 _CASE_TRIS = np.array([tris + [(0, 0, 0)] * (2 - len(tris)) for _, tris in _CASES], np.int8)
 
@@ -97,13 +99,14 @@ _CASE_TRIS = np.array([tris + [(0, 0, 0)] * (2 - len(tris)) for _, tris in _CASE
 # corner (x, y, z) is negative when bit 4x + 2y + z of ``cube`` is set.
 _BITS = np.array([[4 * x + 2 * y + z for x, y, z in corners] for corners in _TET_PATHS])
 _NEG = np.arange(256)[:, None, None] >> _BITS & 1  # [cube, path, k]: corner k is negative
-_CUBE_CASES = 16 * np.arange(6) + (_NEG << np.arange(4)).sum(axis=2)
+_CUBE_CASES = (16 * np.arange(6) + (_NEG << np.arange(4)).sum(axis=2)).astype(np.int8)
 
 
 def _expand(counts):
-    """``(owner, rank)`` of each item, when owner ``i`` has ``counts[i]`` items."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    """``(owner, rank)``, int32 and int8, of each item when owner ``i`` has ``counts[i]``."""
+    owner = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    first = np.cumsum(counts, dtype=np.int32) - counts
+    return owner, (np.arange(len(owner), dtype=np.int32) - first[owner]).astype(np.int8)
 
 
 def _sample_field(n: int) -> np.ndarray:
@@ -202,13 +205,13 @@ class TriMesh:
     even before its reduction: int64 holds it, and up to n = 512 a product of two.
     ``vertices`` (3 ``Fraction`` coordinates in [0, 1)) and ``vertex_edges``
     (``(base, axes, Fraction t)``) are exact views of these columns.
-    The oriented triangles are the rows of an int64 ``(T, 3)`` array of vertex
+    The oriented triangles are the rows of an int32 ``(T, 3)`` array of vertex
     indices, and the lattice cell of each triangle the matching row of the
-    int32 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
-    views (``triangles``, ``tri_cells``), and the edge table of such a mesh
-    reads the triangle array without a copy.  A list of triangle tuples may stand in for
-    ``triangles`` on a shallow copy; it is converted where an ``EdgeTable`` is
-    made from it.
+    int16 ``cell_array``; a built mesh holds
+    both, non-writeable, as ``IntRows`` views (``triangles``, ``tri_cells``),
+    and the edge table of such a mesh reads the triangle array without a copy.
+    A list of triangle tuples may stand in for ``triangles`` on a shallow copy;
+    it is converted where an ``EdgeTable`` is made from it.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -277,37 +280,40 @@ class TriMesh:
 class EdgeTable:
     """The undirected edges of a list of triangles, as one sorted int64 key table.
 
-    The triangles are anything ``np.asarray`` reads as int64 vertex triples: a
-    ``(T, 3)`` array or ``IntRows`` view of one, which it keeps without a copy
-    when already int64, or a list of triples (tuples or lists), which it
-    converts; not a generator.
+    The triangles are anything ``np.asarray`` reads as int vertex triples: a
+    ``(T, 3)`` int array or ``IntRows`` view of one, which it keeps without a
+    copy in its own dtype (int32 on a built mesh), or a list of triples
+    (tuples or lists), which it converts; not a generator.
 
     Half-edge ``h = 3*tri + s`` runs from corner ``s`` of triangle ``tri`` to
     corner ``s + 1`` (mod 3), with key ``low * size + high`` for its vertices
-    ``low < high``.  Sorted stably by key (``order``), each edge's half-edges
+    ``low < high``, in int64.  Sorted stably by key (``order``), each edge's half-edges
     come in triangle order: edge ``e``, with vertices ``low[e]`` and ``high[e]``
     in ascending key order, has half-edges ``order[start[e]:start[e] + count[e]]``.
     ``pairs`` holds the two half-edges of each edge on exactly two triangles,
     and ``neighbour[h]`` the triangle across half-edge ``h`` on such an edge,
     else -1; ``tris`` is the triangle list as a ``(triangles, 3)`` array.
+    ``low`` and ``high`` have the dtype of ``tris``, and the half-edge and
+    edge arrays are int32, which holds every id up to ``MAX_RESOLUTION``.
     """
 
     def __init__(self, triangles):
-        self.tris = np.asarray(triangles, np.int64).reshape(-1, 3)
+        self.tris = _ids(triangles).reshape(-1, 3)
         tail, head = self.tris.ravel(), self.tris[:, [1, 2, 0]].ravel()
         size = int(self.tris.max(initial=0)) + 1
-        key = np.ravel_multi_index((np.minimum(tail, head), np.maximum(tail, head)), (size, size))
-        self.order = np.argsort(key, kind="stable")
+        self.ascending = tail < head
+        key = np.minimum(tail, head).astype(np.int64) * size + np.maximum(tail, head)
+        del tail, head
+        self.order = np.argsort(key, kind="stable").astype(np.int32)
         key = key[self.order]
         first = np.ones(len(key), bool)
         first[1:] = key[1:] != key[:-1]
-        self.start = np.flatnonzero(first)
-        self.low, self.high = np.divmod(key[self.start], size)
-        self.count = np.diff(np.append(self.start, len(key)))
-        self.ascending = tail < head
+        self.start = np.flatnonzero(first).astype(np.int32)
+        self.low, self.high = (x.astype(self.tris.dtype) for x in np.divmod(key[self.start], size))
+        self.count = np.diff(self.start, append=np.int32(len(key)))
         inner = self.start[self.count == 2]
         self.pairs = np.stack((self.order[inner], self.order[inner + 1]), axis=1)
-        self.neighbour = np.full(len(key), -1)
+        self.neighbour = np.full(len(key), -1, np.int32)
         self.neighbour[self.pairs] = self.pairs[:, ::-1] // 3
 
     def report(self, n_vertices: int) -> dict:
@@ -347,7 +353,8 @@ def _triangulate(g: np.ndarray):
     vertices, and each vertex's grid-edge key.  The walk runs over the active
     cells in ``argwhere`` order, their tetrahedra in ``_TET_PATHS`` order and
     each case's triangles in table order; a vertex is numbered at the first
-    use of its grid edge.
+    use of its grid edge.  Ids and grid-edge keys ``((x*n + y)*n + z)*8 + axes``
+    (below ``8n^3``) are int32, ranks int8; the vertex keys are returned as int64.
     """
     n = len(g)
     # Bit 4x + 2y + z of cube[cell] is set when corner (x, y, z) of the cell is
@@ -362,21 +369,23 @@ def _triangulate(g: np.ndarray):
     # The mixed tetrahedra as (active cell, path) slots in walk order, and
     # each use of a crossed grid edge, keyed by (wrapped lower corner, axes).
     case = _CUBE_CASES[cube[tuple(active.T)]].ravel()
-    slot = np.flatnonzero(_CASE_SIZES[case, 0])
+    del neg, cube  # n^3 bytes each, freed before the per-edge arrays
+    slot = np.flatnonzero(_CASE_SIZES[case, 0]).astype(np.int32)
     case, slot_cell = case[slot], slot // len(_TET_PATHS)
     n_edges = _CASE_SIZES[case, 0]
     use_slot, use_rank = _expand(n_edges)
     use = _CASE_EDGES[case[use_slot], use_rank]
-    lower = (active[slot_cell[use_slot]] + use[:, :3]) % n
-    keys = np.ravel_multi_index(lower.T, g.shape) * 8 + use[:, 3]
+    x, y, z = ((active[slot_cell[use_slot]] + use[:, :3]) % n).T
+    keys = ((x * n + y) * n + z) * 8 + use[:, 3]
+    del use_slot, use_rank, use, x, y, z  # freed before the sort
     unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
-    number = np.empty_like(by_first)
-    number[by_first] = np.arange(len(by_first))
+    number = np.empty(len(by_first), np.int32)
+    number[by_first] = np.arange(len(by_first), dtype=np.int32)
     tri_slot, tri_rank = _expand(_CASE_SIZES[case, 1])
     local = _CASE_TRIS[case[tri_slot], tri_rank]
-    tris = number[inverse][(np.cumsum(n_edges) - n_edges)[tri_slot, None] + local]
-    return active, slot_cell[tri_slot], tris, unique[by_first]
+    tris = number[inverse][(np.cumsum(n_edges, dtype=np.int32) - n_edges)[tri_slot, None] + local]
+    return active, slot_cell[tri_slot], tris, unique[by_first].astype(np.int64)
 
 
 def build_surface(n: int) -> TriMesh:
@@ -397,7 +406,7 @@ def build_surface(n: int) -> TriMesh:
     den = q * n * d
     num = ((q * base + p) * d[:, None] + q * tnum[:, None] * axes) % den[:, None]
 
-    cell_array = active[tri_cell]
+    cell_array = active.astype(np.int16)[tri_cell]
     tris.flags.writeable = cell_array.flags.writeable = False  # the views are read-only
     return TriMesh(
         resolution=n,
@@ -411,14 +420,20 @@ def build_surface(n: int) -> TriMesh:
     )
 
 
+def _ids(array) -> np.ndarray:
+    """``array`` as an int array: in its own dtype when it has one, else int64."""
+    array = np.asarray(array)
+    return array if array.dtype.kind == "i" else array.astype(np.int64)
+
+
 def components(n: int, pairs) -> np.ndarray:
     """Connected-component label of each of n items joined by the given pairs:
     the least item of its component.  Each round drops the pairs within one
     component so far, hooks every root to the least root across the rest,
     then jumps pointers to the roots; a component not yet one root hooks or
-    is hooked onto, so the roots at least halve."""
-    u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    label = np.arange(n)
+    is hooked onto, so the roots at least halve.  Labels are int32."""
+    u, v = _ids(pairs).reshape(-1, 2).T
+    label = np.arange(n, dtype=np.int32)
     while True:
         lu, lv = label[u], label[v]
         across = lu != lv
@@ -437,7 +452,8 @@ def validate_surface(mesh: TriMesh) -> dict:
     edges = EdgeTable(mesh.triangles)  # afresh: the triangle list may have changed
     vars(mesh).setdefault("edges", edges)  # kept as ``mesh.edges`` if none is built yet
     report = edges.report(len(mesh.vertices))
-    connected = len(np.unique(components(len(mesh.triangles), edges.pairs // 3))) == 1
+    # every label is the least triangle of its component: all are 0 when connected
+    connected = bool(components(len(mesh.triangles), edges.pairs // 3).max(initial=-1) == 0)
     genus = (2 - report["euler_characteristic"]) // 2 if report["closed"] and connected else None
     return {**report, "connected": connected, "genus": genus}
 
@@ -473,12 +489,13 @@ def half_translation_vertex_map(mesh: TriMesh) -> list:
 def triangle_map(edges: EdgeTable, vmap) -> list:
     """Triangle permutation induced by the vertex permutation ``vmap``: the image
     of a triangle is the triangle on the image (a, b) of its least edge that holds
-    the image c of its third vertex.  Edges are keyed ``a * len(vmap) + b``, so no
-    key is a product of three vertex ids."""
+    the image c of its third vertex.  Edges are keyed ``a * len(vmap) + b`` in
+    int64, whatever the dtype of the ids, so no key is a product of three ids."""
     size, tris = len(vmap), edges.tris
-    image = np.asarray(vmap)[tris]
+    image = np.asarray(vmap, np.int64)[tris]
     image.sort(axis=1)
-    keys, query = edges.low * size + edges.high, image[:, 0] * size + image[:, 1]
+    keys = edges.low.astype(np.int64) * size + edges.high
+    query = image[:, 0] * size + image[:, 1]
     edge = np.searchsorted(keys, query).clip(max=len(keys) - 1)
     half = edges.order[edges.start[edge]]  # a half-edge on (a, b); its neighbour is across it
     on_first = (tris[half // 3] == image[:, 2:]).any(axis=1)

@@ -17,6 +17,7 @@ from t3mcg.mesh.curves import (
     _chain,
     _edge_sign,
     _interpolant,
+    crossing_parameters,
     cut_along,
     plane_section,
     slice_field,
@@ -969,3 +970,70 @@ def test_tube_slicing_at_the_edge_of_bound_radius(mesh16, frames):
     assert kernel_values(num, den) == [reference[tri] for tri in fld.candidate_triangles(mesh16)]
     assert sec.loops
     assert sec.loops == slice_field(mesh16, AllTriangles(fld)).loops
+
+
+# ---------------------------------------------------------------------------
+# Crossing parameters reduced in numpy: equal to the Fraction formula.
+# ---------------------------------------------------------------------------
+
+
+def fraction_crossings(na, da, nb, db):
+    return [
+        (f.numerator, f.denominator)
+        for f in (Fraction(x * w, x * w - y * z) for x, z, y, w in zip(na, da, nb, db))
+    ]
+
+
+def assert_crossings(na, da, nb, db):
+    p, q = crossing_parameters(*(np.asarray(x) for x in (na, da, nb, db)))
+    got = list(zip(p.tolist(), q.tolist()))
+    assert got == fraction_crossings(na, da, nb, db)
+    assert all(math.gcd(x, y) == 1 and y > 0 for x, y in got)
+    return p
+
+
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS)
+def test_crossing_parameters_on_every_sliced_edge(mesh16, make_field):
+    fld = make_field()
+    num, den = fld.corner_ratios(mesh16, fld.candidate_triangles(mesh16))
+    crossed = 0
+    for a in range(3):
+        b = (a + 1) % 3
+        rows = (num[:, a] >= 0) != (num[:, b] >= 0)
+        crossed += int(rows.sum())
+        ends = (num[rows, a], den[rows, a], num[rows, b], den[rows, b])
+        p = assert_crossings(*(x.tolist() for x in ends))  # the Fraction formula in Python ints
+        assert p.dtype == np.int64
+    assert crossed > 0
+
+
+_crossing_corner = st.tuples(st.integers(0, 2**40), st.integers(1, 2**40))
+_factor = st.integers(1, 2**8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crossing_corner, _crossing_corner, _factor, _factor, _factor, st.booleans())
+def test_crossing_parameters_equal_the_fraction_formula(pos, neg, s, u, c, entry):
+    # a corner >= 0 and one < 0, unreduced by c, with common factors s of
+    # their numerators and u of their denominators, either way round
+    (pn, pd), (nn, nd) = pos, neg
+    a, b = (pn * s * c, pd * u * c), (-(nn + 1) * s, nd * u)
+    (na, da), (nb, db) = (a, b) if entry else (b, a)
+    assert_crossings([na], [da], [nb], [db])
+
+
+def test_crossing_parameters_at_zero_corners():
+    # t = 0 at a zero first corner, t = 1 at a zero second one
+    p = assert_crossings([0, 0, -6, -5], [4, 7, 9, 1], [-3, -8, 0, 0], [2, 5, 4, 3])
+    assert p.tolist() == [0, 0, 1, 1]
+
+
+def test_crossing_parameters_one_past_the_int64_bound():
+    # |na| at (2**62 - 1)//db stays int64; one more takes Python ints
+    limit = (2**62 - 1) // 3
+    for na, kind in ((limit, np.int64), (limit + 1, object)):
+        assert math.gcd(na, 5) == 1
+        p = assert_crossings([na], [5], [-1], [3])
+        assert p.dtype == kind
+        q = assert_crossings([-1], [3], [na], [5])  # the bound on nb*da likewise
+        assert q.dtype == kind

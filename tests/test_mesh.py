@@ -536,3 +536,47 @@ class TestIntRows:
             assert segments == slice_field(mesh16, fld).tri_segments
             ends = [v for segment in segments.values() for va, vb, _ in segment for v in (va, vb)]
             assert all(type(v) is int for v in ends)
+
+
+# ---------------------------------------------------------------------------
+# Ids in int32 wherever int32 holds them; keys of two ids in int64.
+# ---------------------------------------------------------------------------
+
+
+class TestIdDtypes:
+    def test_built_mesh_dtypes(self, mesh16):
+        import numpy as np
+
+        from t3mcg.mesh.surface import components
+
+        assert np.asarray(mesh16.triangles).dtype == np.int32
+        assert mesh16.cell_array.dtype == np.int16
+        assert mesh16.vertex_key.dtype == np.int64
+        table = mesh16.edges
+        for name in ("tris", "order", "start", "low", "high", "count", "pairs", "neighbour"):
+            assert getattr(table, name).dtype == np.int32, name
+        assert components(len(mesh16.triangles), table.pairs // 3).dtype == np.int32
+
+    def test_int32_table_past_two_to_the_sixteen_equals_int64(self, mesh16):
+        # ids v + 2^16 make low * size about 4.6e9, past int32, while every id fits it
+        import numpy as np
+
+        from t3mcg.mesh.surface import EdgeTable, triangle_map
+
+        shift = 2**16
+        tris32 = np.asarray(mesh16.triangles) + np.int32(shift)
+        assert tris32.dtype == np.int32
+        narrow = EdgeTable(tris32)
+        wide = EdgeTable([tuple(v + shift for v in tri) for tri in mesh16.triangles])
+        assert narrow.low.dtype == np.int32 and wide.tris.dtype == np.int64
+        assert int(narrow.low.max()) * (int(tris32.max()) + 1) > 2**31
+        for name in ("low", "high", "pairs", "neighbour", "order", "start", "count"):
+            assert (getattr(narrow, name) == getattr(wide, name)).all(), name
+        size = len(mesh16.vertices) + shift
+        assert narrow.report(size) == wide.report(size)
+
+        vmap = half_translation_vertex_map(mesh16)
+        big = list(range(shift)) + [w + shift for w in vmap]
+        expected = triangle_map(mesh16.edges, vmap)
+        assert triangle_map(narrow, big) == triangle_map(wide, big) == expected
+        assert triangle_map(narrow, np.array(big, np.int32)) == expected
