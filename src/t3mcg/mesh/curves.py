@@ -14,15 +14,15 @@ vertices from one integer numpy pass (``TubeField.vertex_ratios``), and its
 signs are those of the numerators.  Each field has one kernel,
 ``corner_ratios``, that returns the exact integer numerators and
 denominators of the corner values of a list of triangles, gathered from that
-vector for a tube;
-``tri_values`` is its one-triangle ``Fraction`` view.  Slicing makes one
-kernel call over the candidates and chooses the mixed triangles and their
-edges with numpy on the numerators' signs; only a stored crossing parameter
-is built as a ``Fraction``.  Chaining steps across edges through the mesh's
-edge table (``TriMesh.edges``) and checks, on the reduced parameters'
-integers, that each crossing point is the same edge point in both triangles
-on its edge; a loop's displacement, the count of its steps from cell n - 1
-to cell 0 or back, is one numpy pass.  A walk makes one kernel call over its
+vector for a tube; ``tri_values`` is its one-triangle ``Fraction`` view.
+Slicing makes one kernel call over the candidates and chooses the mixed
+triangles and their edges with numpy on the numerators' signs; only a stored
+crossing parameter is a ``Fraction``, built unreduced from its coprime pair.
+Chaining reads the points' integer columns ``(va, vb, p, q)``, steps across
+edges through the mesh's edge table (``TriMesh.edges``) and checks in numpy
+that each crossing point is the same edge point in both triangles on its
+edge; a loop's displacement, the count of its steps from cell n - 1 to cell
+0 or back, is one numpy pass.  A walk makes one kernel call over its
 steps in the target's walk set (``walk_triangles``): off it every corner
 value has one strict sign, so a step there cannot cross.  The sign at each
 end of a step is that of one integer (``_interpolant``).  A crossing on a
@@ -355,69 +355,88 @@ def crossing_parameters(na, da, nb, db) -> tuple:
     return np.where(q < 0, -p, p), abs(q)
 
 
+def _coprime_fraction(p: int, q: int) -> Fraction:
+    """``Fraction(p, q)`` for coprime Python ints, ``q > 0``, built without the gcd
+    of ``Fraction.__new__``, as CPython 3.12's ``Fraction._from_coprime_ints``."""
+    fraction = object.__new__(Fraction)
+    fraction._numerator, fraction._denominator = p, q
+    return fraction
+
+
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant.
 
     One kernel call reads every candidate's corners.  The mixed triangles and
     their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
     chosen on the numerators' signs; each ``t = f_a / (f_a - f_b)`` is reduced
-    in numpy (``crossing_parameters``) and built as a ``Fraction`` from its
-    coprime pair."""
+    in numpy (``crossing_parameters``) to a coprime ``(p, q)``, which ``_chain``
+    reads as integers and ``_coprime_fraction`` builds, unreduced."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
     num, den = _corner_ratios(fld, mesh, tris)
     positive = num >= 0  # zero counts positive
     ahead = positive[:, [1, 2, 0]]
     rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
-    sliced, points = tris[rows], []
-    corners, at = mesh.edges.tris[sliced], np.arange(len(rows))
+    sliced = tris[rows]
+    corners, at, points, columns = mesh.edges.tris[sliced], np.arange(len(rows)), [], [sliced]
     for crossing in (positive & ~ahead, ahead & ~positive):
         a = crossing[rows].argmax(axis=1)
         b = (a + 1) % 3
         p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        ends = corners[at, a].tolist(), corners[at, b].tolist()
-        points.append(list(zip(*ends, map(Fraction, p.tolist(), q.tolist()))))
+        columns.append((corners[at, a], corners[at, b], p, q))
+        ends = (end.tolist() for end in columns[-1][:2])
+        points.append(list(zip(*ends, map(_coprime_fraction, p.tolist(), q.tolist()))))
     segments = dict(zip(sliced.tolist(), zip(*points)))
-    return _chain(SlicedCurves(mesh, fld, [], {}, segments))
+    return _chain(SlicedCurves(mesh, fld, [], {}, segments), columns)
 
 
-def _chain(curves: SlicedCurves) -> SlicedCurves:
-    """Chain the sliced segments into loops, each from its least triangle."""
+def _segment_columns(segments: dict) -> list:
+    """The sorted keys of ``segments`` and the object columns ``(va, vb, p, q)``
+    of their entry and exit points, ``t = p/q``."""
+    keys = sorted(segments)
+    rows = [[(va, vb, *t.as_integer_ratio()) for va, vb, t in segments[k]] for k in keys]
+    ends = np.array(rows, object).reshape(-1, 2, 4).transpose(1, 2, 0)  # (end, column, key)
+    return [np.array(keys, np.int64), *map(tuple, ends)]
+
+
+def _chain(curves: SlicedCurves, columns=None) -> SlicedCurves:
+    """Chain the sliced segments into loops, each from its least triangle.
+
+    ``columns`` are the sorted keys and the columns ``(va, vb, p, q)`` of every
+    entry and exit point, ``t = p/q`` reduced (else ``_segment_columns``).  The
+    checks are numpy passes over all segments; a failure names the least
+    failing triangle.  The loops follow the successor map in Python ints."""
     mesh, segments, last = curves.mesh, curves.tri_segments, curves.mesh.resolution - 1
-    tri_loop, loops = curves.tri_loop, curves.loops
+    keys, (in_a, in_b, in_p, in_q), (va, vb, p, q) = columns or _segment_columns(segments)
     # the triangle across each exit edge (va, vb), found from the corner va
-    keys = np.fromiter(segments, np.int64, len(segments))
-    exit_va = np.fromiter((segment[1][0] for segment in segments.values()), np.int64, len(keys))
-    at = mesh.edges.tris[keys] == exit_va[:, None]
-    after = dict(zip(keys.tolist(), mesh.edges.neighbour[3 * keys + at.argmax(axis=1)].tolist()))
-    for start in sorted(segments):
-        if start in tri_loop:
-            continue
-        tris, tri = [], start
-        while True:
-            tri_loop[tri] = len(loops)
-            tris.append(tri)
-            va, vb, t = segments[tri][1]
-            nxt = after[tri]
-            if nxt < 0:
-                raise DegeneracyError(f"edge {(min(va, vb), max(va, vb))} is not interior")
-            segment = segments.get(nxt)
-            if segment is None:
-                raise DegeneracyError("curve chain left the sliced triangle set")
-            # coherent neighbours traverse the shared edge in opposite directions;
-            # both parameters are reduced, so ``s == 1 - t`` is a test on integers
-            wa, wb, s = segment[0]
-            q = t.denominator
-            if wa != vb or wb != va or s.denominator != q or s.numerator != q - t.numerator:
-                raise DegeneracyError(f"triangles {tri} and {nxt} disagree on their shared point")
-            tri = nxt
-            if tri == start:
-                break
-        # a step's exit point is the next step's entry point in the next frame;
-        # the two frames differ by a period only between cells n - 1 and 0
-        here, there = mesh.cell_array[tris], mesh.cell_array[tris[1:] + tris[:1]]
-        forward, back = (here == last) & (there == 0), (here == 0) & (there == last)
-        disp = tuple((forward.sum(axis=0) - back.sum(axis=0)).tolist())
-        loops.append(Loop(steps=[(tri, *segments[tri]) for tri in tris], displacement=disp))
+    at = (mesh.edges.tris[keys] == va[:, None]).argmax(axis=1)
+    after = mesh.edges.neighbour[3 * keys + at]
+    for bad in np.flatnonzero(after < 0)[:1].tolist():
+        raise DegeneracyError(f"edge {tuple(sorted((int(va[bad]), int(vb[bad]))))} is not interior")
+    nxt = np.minimum(np.searchsorted(keys, after), len(keys) - 1)
+    if (keys[nxt] != after).any():
+        raise DegeneracyError("curve chain left the sliced triangle set")
+    # coherent neighbours traverse the shared edge in opposite directions;
+    # both parameters are reduced, so ``s == 1 - t`` is a test on integers
+    same = (in_a[nxt] == vb) & (in_b[nxt] == va) & (in_q[nxt] == q) & (in_p[nxt] == q - p)
+    for bad in np.flatnonzero(~same)[:1].tolist():
+        tri, other = int(keys[bad]), int(after[bad])
+        raise DegeneracyError(f"triangles {tri} and {other} disagree on their shared point")
+    # a step's exit point is the next step's entry point in the next frame;
+    # the two frames differ by a period only between cells n - 1 and 0
+    here, there = mesh.cell_array[keys], mesh.cell_array[after]
+    shift = ((here == last) & (there == 0)).astype(np.int64) - ((here == 0) & (there == last))
+    tris, succ = keys.tolist(), nxt.tolist()
+    for start in range(len(tris)):
+        order, i = [], start
+        while succ[i] >= 0:  # a visited triangle's successor is -1
+            order.append(i)
+            succ[i], i = -1, succ[i]
+        if order:
+            chain = [tris[i] for i in order]
+            curves.tri_loop.update(dict.fromkeys(chain, len(curves.loops)))
+            steps = [(tri, *segments[tri]) for tri in chain]
+            disp = tuple(shift[order].sum(axis=0).tolist())
+            curves.loops.append(Loop(steps=steps, displacement=disp))
     return curves
 
 

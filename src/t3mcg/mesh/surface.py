@@ -131,14 +131,18 @@ def _sample_field(n: int) -> np.ndarray:
 
 class ExactRows(Sequence):
     """A read-only list of exact rows, each built on its first read; ``len``
-    builds none, and equality, ``repr``, ``+`` and ``*`` are those of the plain
-    list, as is a slice."""
+    builds none and allocates no memo, and equality, ``repr``, ``+`` and ``*``
+    are those of the plain list, as is a slice."""
 
     def __init__(self, size: int, row):
-        self._row, self._rows = row, [None] * size
+        self._row, self._size = row, size
+
+    @cached_property
+    def _rows(self) -> list:  # the memo, allocated on the first row read
+        return [None] * self._size
 
     def __len__(self):
-        return len(self._rows)
+        return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice):

@@ -55,24 +55,22 @@ def det3(m: Mat3) -> int:
     )
 
 
-def _add_row(rows: list, i: int, j: int, c: int):
-    """row_j += c * row_i on a list of row tuples (1-based indices, i != j).
-
-    This is left multiplication by the image of a_ij^c.
-    """
-    (a0, a1, a2), (b0, b1, b2) = rows[i - 1], rows[j - 1]
-    rows[j - 1] = (b0 + c * a0, b1 + c * a1, b2 + c * a2)
-
-
-_SHEAR_AXES = {f"a{i}{j}": (i, j) for i, j in AXIS_PAIRS}
+# Each shear's row_j += sign * row_i, 0-based (i, j): left multiplication by its image.
+_ROW_OPS = {f"a{i}{j}": (i - 1, j - 1) for i, j in AXIS_PAIRS}
 
 
 def word_image3(w: Word) -> Mat3:
+    """The image of a word in the eight base generators; other letters raise ValueError."""
     rows = list(IDENTITY3)
     for g in w:  # first letter acts first => row operation on the left
-        axes = _SHEAR_AXES.get(g.kind)
-        if axes is not None:  # the swap and twist act trivially
-            _add_row(rows, *axes, g.sign)
+        op = _ROW_OPS.get(g.kind)
+        if op is None:
+            if g.kind in ("s", "t"):
+                continue
+            raise ValueError(f"{g.kind!r} is not a base generator")
+        i, j = op
+        (a0, a1, a2), (b0, b1, b2), c = rows[i], rows[j], g.sign
+        rows[j] = (b0 + c * a0, b1 + c * a1, b2 + c * a2)
     return tuple(rows)
 
 
@@ -131,12 +129,13 @@ def decompose_sl3(m: Mat3) -> Word:
     m = mat3(m)
     if det3(m) != 1:
         raise DeterminantError(f"determinant is {det3(m)}, expected 1")
-    work = list(m)
+    work = [list(row) for row in m]
     ops: list[tuple[int, int, int]] = []
 
     def row_op(i: int, j: int, c: int):
         if c != 0:
-            _add_row(work, i, j, c)
+            a, b = work[i - 1], work[j - 1]
+            b[0], b[1], b[2] = b[0] + c * a[0], b[1] + c * a[1], b[2] + c * a[2]
             ops.append((i, j, c))
 
     def clear_column(col: int, rows: list[int]):
@@ -149,9 +148,12 @@ def decompose_sl3(m: Mat3) -> Word:
                 break
             nz.sort(key=lambda r: abs(work[r - 1][col]))
             piv = nz[0]
-            for r in nz[1:]:
-                q = work[r - 1][col] // work[piv - 1][col]
-                row_op(piv, r, -q)
+            a = work[piv - 1]
+            for r in nz[1:]:  # row_op(piv, r, -q) inline: |b[col]| >= |a[col]|, so q != 0
+                b = work[r - 1]
+                q = b[col] // a[col]
+                b[0], b[1], b[2] = b[0] - q * a[0], b[1] - q * a[1], b[2] - q * a[2]
+                ops.append((piv, r, -q))
         r = nz[0]
         top = rows[0]
         if r != top:
@@ -171,7 +173,7 @@ def decompose_sl3(m: Mat3) -> Word:
     row_op(3, 2, -work[1][2])
     row_op(2, 1, -work[0][1])
     row_op(3, 1, -work[0][2])
-    assert tuple(work) == IDENTITY3
+    assert work == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     letters = sum(abs(c) for _, _, c in ops)
     if letters > MAX_LETTERS:
         raise WordTooLongError(f"the shear word would have {letters} letters, over {MAX_LETTERS}")

@@ -15,6 +15,7 @@ from t3mcg.mesh.curves import (
     TransversalityError,
     TubeField,
     _chain,
+    _coprime_fraction,
     _edge_sign,
     _interpolant,
     crossing_parameters,
@@ -316,6 +317,25 @@ SLICED_FIELDS = [
 
 
 class TestChaining:
+    @pytest.mark.parametrize("fld", SLICED_FIELDS)
+    def test_chain_of_segments_in_reverse_key_order(self, mesh16, fld):
+        # read off the segments alone, in any order, the loops are the same
+        sec = slice_field(mesh16, fld)
+        reverse = dict(sorted(sec.tri_segments.items(), reverse=True))
+        again = _chain(SlicedCurves(mesh16, fld, [], {}, reverse))
+        assert again.loops == sec.loops
+        assert list(again.tri_loop.items()) == list(sec.tri_loop.items())
+        assert [loop.steps[0][0] for loop in sec.loops] == [
+            min(step[0] for step in loop.steps) for loop in sec.loops
+        ]
+
+    def test_chain_leaving_the_sliced_set_is_refused(self, mesh16):
+        fld = PlaneField(0, HALF)
+        segments = dict(slice_field(mesh16, fld).tri_segments)
+        del segments[max(segments)]
+        with pytest.raises(DegeneracyError, match="left the sliced triangle set"):
+            _chain(SlicedCurves(mesh16, fld, [], {}, segments))
+
     @pytest.mark.parametrize("fld", SLICED_FIELDS)
     def test_wrap_count_equals_frame_sum(self, mesh16, fld):
         sec = slice_field(mesh16, fld)
@@ -1037,3 +1057,46 @@ def test_crossing_parameters_one_past_the_int64_bound():
         assert p.dtype == kind
         q = assert_crossings([-1], [3], [na], [5])  # the bound on nb*da likewise
         assert q.dtype == kind
+
+
+# ---------------------------------------------------------------------------
+# Crossing Fractions built from coprime pairs: equal to Fraction(p, q).
+# ---------------------------------------------------------------------------
+
+
+def assert_same_fraction(p, q):
+    built, reference = _coprime_fraction(p, q), Fraction(p, q)
+    assert type(built) is Fraction
+    assert built == reference and hash(built) == hash(reference)
+    assert repr(built) == repr(reference) and str(built) == str(reference)
+    assert type(built._numerator) is int and type(built._denominator) is int
+    assert built.as_integer_ratio() == (p, q)
+
+
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS)
+def test_coprime_fraction_on_every_sliced_edge(mesh16, make_field):
+    fld = make_field()
+    num, den = fld.corner_ratios(mesh16, fld.candidate_triangles(mesh16))
+    crossed = 0
+    for a in range(3):
+        b = (a + 1) % 3
+        rows = (num[:, a] >= 0) != (num[:, b] >= 0)
+        p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
+        for x, y in zip(p.tolist(), q.tolist()):
+            assert_same_fraction(x, y)
+            crossed += 1
+    assert crossed > 0
+    # every stored parameter holds Python ints, not numpy scalars
+    for segment in slice_field(mesh16, fld).tri_segments.values():
+        for _, _, t in segment:
+            assert type(t._numerator) is int and type(t._denominator) is int
+
+
+def test_coprime_fraction_past_the_int64_bound():
+    limit = (2**62 - 1) // 3
+    p, q = crossing_parameters(*(np.asarray(x) for x in ([limit + 1], [5], [-1], [3])))
+    assert p.dtype == object
+    assert_same_fraction(p.tolist()[0], q.tolist()[0])
+    assert_same_fraction(-(2**70) - 1, 2**70)
+    assert_same_fraction(0, 1)
+    assert_same_fraction(1, 1)

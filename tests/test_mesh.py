@@ -364,6 +364,23 @@ class TestIntegerVertexLayer:
         assert mesh.vertices[-1] == mesh.vertices[len(mesh.vertices) - 1]
         assert mesh.vertices[:2] == [mesh.vertices[0], mesh.vertices[1]]
 
+    def test_length_allocates_no_memo(self):
+        import tracemalloc
+
+        from t3mcg.mesh.surface import ExactRows
+
+        built = []
+        tracemalloc.start()
+        try:
+            rows = ExactRows(10**6, lambda i: built.append(i) or (i,))
+            assert len(rows) == 10**6
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert built == []
+        assert rows[5] == rows[5] == (5,) and built == [5]  # row reads stay memoized
+
     @pytest.mark.slow
     def test_mesh_n64_matches_pinned_digest(self):
         import hashlib

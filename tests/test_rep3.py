@@ -170,3 +170,62 @@ class TestDecomposeLetterCap:
 
         with pytest.raises(WordTooLongError):
             decompose_sl3(((1, 10**23, 0), (0, 1, 0), (0, 0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The inline row operations: the same images and the same words.
+# ---------------------------------------------------------------------------
+
+ALL_LETTERS = [G(f"a{i}{j}", s) for i, j in AXIS_PAIRS for s in (1, -1)] + [
+    G(k, s) for k in ("s", "t") for s in (1, -1)
+]
+
+
+def elementary(g):
+    """The image of one letter built by hand: a_ij^c puts c in row j, column i."""
+    rows = [[int(r == c) for c in range(3)] for r in range(3)]
+    if g.kind not in ("s", "t"):
+        i, j = int(g.kind[1]), int(g.kind[2])
+        rows[j - 1][i - 1] = g.sign
+    return tuple(map(tuple, rows))
+
+
+class TestInlineRowOperations:
+    def test_letter_images_are_the_elementary_matrices(self):
+        assert len(ALL_LETTERS) == 16
+        for g in ALL_LETTERS:
+            assert gen_image3(g) == elementary(g)
+
+    def test_word_image_is_the_product_of_letter_images(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            w = tuple(rng.choice(ALL_LETTERS) for _ in range(rng.randint(0, 40)))
+            expected = IDENTITY3
+            for g in w:  # first letter acts first
+                expected = mat_mul(elementary(g), expected)
+            assert word_image3(w) == expected
+            assert all(type(x) is int for row in word_image3(w) for x in row)
+
+    @pytest.mark.parametrize("letter", [Macro("r12", 1), Macro("t13", -1)], ids=str)
+    def test_unknown_letter_kind_is_refused(self, letter):
+        with pytest.raises(ValueError, match="not a base generator"):
+            word_image3((letter,))
+        with pytest.raises(ValueError, match="not a base generator"):
+            word_image3((G("a12"), letter, G("s")))
+
+    def test_suite_decompositions_match_the_pinned_digest(self):
+        # the words of the suite's decomposition round-trip (seed 0) are unchanged
+        import hashlib
+
+        from t3mcg.verifier import SHEAR_ALPHABET, random_word
+        from t3mcg.words import render
+
+        rng, digest = random.Random(1), hashlib.sha256()
+        for _ in range(1000):
+            m = word_image3(random_word(rng, SHEAR_ALPHABET, 30))
+            word = decompose_sl3(m)
+            assert word_image3(word) == m
+            digest.update(render(word).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "e478807e825b40acfc90a310f33b6c5e6001c61bad31033a418f2438a261e417"
+        )
