@@ -19,12 +19,13 @@ from itertools import product
 import numpy as np
 
 from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
-from .rep3 import gen_image3, int_matrix, word_image3
+from .rep3 import det3, gen_image3, int_matrix, is_kernel3, word_image3
 from .mesh.homology import (
     CANONICAL_J,
     HomologyData,
     PROJECTION,
     identity,
+    invert_unimodular,
     mat_mul,
     mat_neg,
     pair_tube,
@@ -116,9 +117,12 @@ def solve_shear6(r_block) -> ShearSolution:
     needed: |Q| <= b already gives |S| <= b times the largest column sum of
     |R|, and Q -> R^T Q is a bijection.  The canonical choice is the row-major
     least Q: the entries of Q, row by row, are the digits of one base-(2b + 1)
-    key.  Requires det R = 1, so that P = R^-T is the cofactor matrix of R.
+    key.  Requires det R = 1; P = R^-T is then an integer matrix.
     """
     b, w, r = SHEAR_BOUND, 2 * SHEAR_BOUND + 1, [list(map(int, row)) for row in r_block]
+    if det3(r) != 1:
+        raise ValueError(f"R has determinant {det3(r)}, not 1")
+    p = invert_unimodular(transpose(r))
     v = BOX @ np.array(r, np.int64)  # row q R is column R^T q
     i0, i1 = np.nonzero(v[:, None, 1] == v[None, :, 0])
     shift = int(np.abs(v).max())
@@ -132,15 +136,7 @@ def solve_shear6(r_block) -> ShearSolution:
     i0, i1, code = i0[pair], i1[pair], (BOX + b) @ (w**6, w**3, 1)  # a column's digits in Q
     least = int(((code[i0] * w + code[i1]) * w + code[i2]).argmin())
     q = np.stack([BOX[i0[least]], BOX[i1[least]], BOX[i2[least]]], axis=1).tolist()
-    p = [
-        [r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-         - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
-        for i in range(3)
-    ]
-    det = sum(x * y for x, y in zip(r[0], p[0]))
-    if det != 1:
-        raise ValueError(f"R has determinant {det}, not 1")
-    m = mat6([p[i] + q[i] for i in range(3)] + [[0, 0, 0] + row for row in r])
+    m = mat6([[*p[i], *q[i]] for i in range(3)] + [[0, 0, 0] + row for row in r])
     assert is_symplectic(m)
     return ShearSolution(matrix=m, candidate_count=len(i2), bound=b)
 
@@ -449,9 +445,7 @@ def kernel_screen(w: Word, table: GeneratorTable6) -> str:
     Homology cannot certify that a word is trivial on the surface, so the
     inconclusive verdict is explicit.
     """
-    from .rep3 import IDENTITY3
-
-    if word_image3(w) != IDENTITY3:
+    if not is_kernel3(w):
         return KERNEL_NOT
     if word_image6(w, table) != IDENTITY6:
         return KERNEL_NONTRIVIAL

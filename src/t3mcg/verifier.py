@@ -12,13 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .words import AXIS_PAIRS, Generator, Macro, Word, expand_macro, render
-from .rep3 import IDENTITY3, decompose_sl3, word_image3
+from .words import AXIS_PAIRS, BASE_TOKENS, SHEAR_TOKENS, Generator, Macro, Word
+from .words import expand_macro, render
+from .rep3 import IDENTITY3, decompose_sl3, is_kernel3, word_image3
 from .mesh.homology import (
     HomologyData,
     PROJECTION,
     intersection_number,
     mat_mul,
+    mat_neg,
+    transpose,
 )
 from .mesh.curves import cut_along
 from .rep6 import GeneratorTable6, IDENTITY6, resolve_handedness, word_image6
@@ -35,23 +38,14 @@ class RelationReport:
     def passed(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)
 
-    def add(self, name: str, claim: str, ok: bool, witness):
-        self.checks.append(
-            {
-                "name": name,
-                "claim": claim,
-                "status": "pass" if ok else "fail",
-                "witness": witness,
-            }
-        )
-
     def run(self, name: str, claim: str, thunk):
         """Evaluate a check; exceptions become failing entries, not errors."""
         try:
             ok, witness = thunk()
         except Exception as exc:  # noqa: BLE001 - report, never raise
             ok, witness = False, {"exception": f"{type(exc).__name__}: {exc}"}
-        self.add(name, claim, ok, witness)
+        status = "pass" if ok else "fail"
+        self.checks.append({"name": name, "claim": claim, "status": status, "witness": witness})
 
     def to_json(self) -> dict:
         return {
@@ -75,14 +69,8 @@ def random_word(rng: random.Random, alphabet, max_len: int) -> Word:
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 
 
-FULL_ALPHABET = tuple(
-    Generator(k, s)
-    for k in ("a12", "a13", "a21", "a23", "a31", "a32", "s", "t")
-    for s in (1, -1)
-)
-SHEAR_ALPHABET = tuple(
-    Generator(f"a{i}{j}", s) for (i, j) in AXIS_PAIRS for s in (1, -1)
-)
+FULL_ALPHABET = tuple(Generator(k, s) for k in BASE_TOKENS for s in (1, -1))
+SHEAR_ALPHABET = tuple(Generator(k, s) for k in SHEAR_TOKENS for s in (1, -1))
 
 
 def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> RelationReport:
@@ -94,14 +82,9 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
         bad = []
         for i, j in AXIS_PAIRS:
             m = word_image3((Generator(f"a{i}{j}", 1),))
-            expect = tuple(
-                tuple(
-                    1 if r == c else (1 if (r, c) == (j - 1, i - 1) else 0)
-                    for c in range(3)
-                )
-                for r in range(3)
-            )
-            if m != expect:
+            expect = [list(r) for r in IDENTITY3]
+            expect[j - 1][i - 1] = 1
+            if _rows(m) != expect:
                 bad.append({"generator": f"a{i}{j}", "got": _rows(m)})
         return not bad, bad or {"count": 6}
 
@@ -112,11 +95,7 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
     )
 
     def check_kernel_generators():
-        ok = (
-            word_image3((Generator("s", 1),)) == IDENTITY3
-            and word_image3((Generator("t", 1),)) == IDENTITY3
-        )
-        return ok, {}
+        return is_kernel3((Generator("s", 1),)) and is_kernel3((Generator("t", 1),)), {}
 
     report.run(
         "kernel_generators",
@@ -128,7 +107,7 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
         bad = []
         for i, j in AXIS_PAIRS:
             w = expand_macro(Macro(f"t{i}{j}", 1))
-            if word_image3(w) != IDENTITY3:
+            if not is_kernel3(w):
                 bad.append({"macro": f"t{i}{j}", "got": _rows(word_image3(w))})
         return not bad, bad or {"count": 6}
 
@@ -143,11 +122,11 @@ def run_suite(table: GeneratorTable6, h: HomologyData, seed: int = 0) -> Relatio
         for i, j in AXIS_PAIRS:
             m = word_image3(expand_macro(Macro(f"r{i}{j}", 1)))
             k = ({1, 2, 3} - {i, j}).pop()
-            cols = [tuple(m[r][c] for r in range(3)) for c in range(3)]
-            e = lambda a: tuple(1 if r == a - 1 else 0 for r in range(3))
-            ne = lambda a: tuple(-1 if r == a - 1 else 0 for r in range(3))
+            cols = transpose(m)
             if not (
-                cols[i - 1] == e(j) and cols[j - 1] == ne(i) and cols[k - 1] == e(k)
+                cols[i - 1] == IDENTITY3[j - 1]
+                and cols[j - 1] == mat_neg(IDENTITY3)[i - 1]
+                and cols[k - 1] == IDENTITY3[k - 1]
             ):
                 bad.append({"macro": f"r{i}{j}", "got": _rows(m)})
         return not bad, bad or {"count": 6}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -453,3 +454,153 @@ class TestResolutionCap:
         from t3mcg.cli import power_of_two_resolution
 
         assert power_of_two_resolution("512") == 512
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+def _extra_matrix(data):
+    data["matrices"]["x12"] = [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+def _string_resolution(data):
+    data["resolution"] = str(data["resolution"])
+
+
+def _a12_as_a13(data):
+    data["matrices"]["a12"] = data["matrices"]["a13"]
+
+
+def _s_not_an_involution(data):
+    # [[P, 0], [0, I]] intertwines with the projection for any P; s * s = I
+    # needs P * P = I, which a shear P breaks.  (Every antisymplectic s that
+    # intertwines has P = -I and is an involution, so this s breaks the law too.)
+    s = [[int(i == j) for j in range(6)] for i in range(6)]
+    s[0][1] = 1
+    data["matrices"]["s"] = s
+
+
+class TestTableRefusals:
+    CASES = [
+        (_extra_matrix, "unknown matrix 'x12'"),
+        (_string_resolution, "resolution must be an integer, got '32'"),
+        (_a12_as_a13, "matrix a12 does not intertwine with the projection"),
+        (_s_not_an_involution, "matrix s is not an involution"),
+    ]
+    IDS = ["extra-matrix", "string-resolution", "a12-as-a13", "s-not-an-involution"]
+
+    @pytest.mark.parametrize("forge, message", CASES, ids=IDS)
+    def test_from_json_refuses(self, forge, message, table32):
+        from t3mcg.rep6 import GeneratorTable6
+
+        data = table32.to_json()
+        forge(data)
+        with pytest.raises(ValueError) as info:
+            GeneratorTable6.from_json(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("forge, message", CASES, ids=IDS)
+    def test_cli_refuses(self, forge, message, table32, tmp_path, capsys):
+        data = table32.to_json()
+        forge(data)
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read table {path}: {message}\n"
+
+
+class TestInputRefusals:
+    def test_two_by_two_matrix(self, capsys):
+        from t3mcg.rep3 import mat3
+
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            mat3([[1, 0], [0, 1]])
+        code, out, err = run_cli(["decompose", "[[1,0],[0,1]]"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: expected a 3x3 matrix\n"
+
+    def test_resolution_that_is_not_a_number(self, capsys):
+        import argparse
+
+        from t3mcg.cli import power_of_two_resolution
+
+        with pytest.raises(argparse.ArgumentTypeError, match="must be an integer, got 'abc'"):
+            power_of_two_resolution("abc")
+        code, out, err = run_cli(["--resolution", "abc", "mesh", "validate"], capsys)
+        assert (code, out) == (2, "")
+        assert _error_lines(err) == [
+            "t3mcg: error: argument --resolution: resolution must be an integer, got 'abc'"
+        ]
+
+    def test_table_path_that_is_a_directory(self, table32, tmp_path, capsys):
+        from t3mcg.cli import UsageError, write_table
+
+        with pytest.raises(UsageError, match=f"cannot write table {tmp_path}: "):
+            write_table(table32, str(tmp_path))
+        code, out, err = run_cli(
+            ["--resolution", "8", "--table", str(tmp_path), "table", "derive"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write table {tmp_path}: ")
+        assert err.count("\n") == 1
+
+
+class TestTextOutput:
+    # the human-readable output: its shape is pinned, not its bytes
+    NAMES = [f"{side}{axis}" for side in "AB" for axis in (1, 2, 3)]
+
+    def test_mesh_validate(self, capsys):
+        code, out, _ = run_cli(["--resolution", "8", "mesh", "validate"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        keys = [line.split(": ", 1)[0] for line in lines]
+        assert keys == sorted(keys) and "genus: 3" in lines
+        assert {"closed: True", "orientable: True", "connected: True"} <= set(lines)
+
+    def test_mesh_curves(self, capsys):
+        code, out, _ = run_cli(["--resolution", "8", "mesh", "curves"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:6] == [f"{n}: 1 loop(s), displacement [0, 0, 0]" for n in self.NAMES]
+        pairs = [f"{a},{b}" for i, a in enumerate(self.NAMES) for b in self.NAMES[i + 1:]]
+        assert [line.split(": ", 1)[0] for line in lines[6:]] == sorted(pairs)
+        assert all(
+            re.fullmatch(r"[AB]\d,[AB]\d: algebraic -?\d+, geometric \d+", line)
+            for line in lines[6:]
+        )
+
+    def test_verify(self, tmp_path, capsys):
+        table = str(tmp_path / "t8.json")
+        code, out, _ = run_cli(["--resolution", "8", "--table", table, "verify"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 11
+        names = [re.fullmatch(r"\[PASS\] (\w+): \S.*", line).group(1) for line in lines[:10]]
+        assert len(set(names)) == 10
+        assert lines[10] == "result: all checks passed"
+
+    def test_table_derive(self, tmp_path, capsys):
+        path = str(tmp_path / "t8.json")
+        code, out, _ = run_cli(["--resolution", "8", "--table", path, "table", "derive"], capsys)
+        assert (code, out) == (0, f"wrote {path} (handedness: alternating)\n")
+        argv = ["--resolution", "8", "--table", path, "--json", "table", "derive"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out) == {"path": path, "handedness": "alternating"}
+
+    def test_table_show(self, table32, tmp_path, capsys):
+        from t3mcg.words import BASE_TOKENS
+
+        path = tmp_path / "t32.json"
+        table32.save(str(path))
+        code, out, _ = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert code == 0
+        header, *blocks = out.rstrip("\n").split("\n\n")
+        assert header == "resolution 32, handedness alternating"
+        assert [b.split("\n", 1)[0] for b in blocks] == [f"{t}:" for t in sorted(BASE_TOKENS)]
+        for block in blocks:
+            _, *rows, note = block.split("\n")
+            assert len(rows) == 6 and all(len(row.split()) == 6 for row in rows)
+            assert note.startswith("  (") and note.endswith(")")

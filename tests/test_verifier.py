@@ -94,3 +94,35 @@ def test_suite_walk_count_on_fresh_homology(mesh16, monkeypatch):
     # 24 for the (1,3) pair tube's four classes and 15 disk pairs; the nine
     # defining-pair verdicts reuse the 15 counts
     assert len(walks) == 39
+
+
+class TestNoRaiseContract:
+    # an exception inside one check becomes that check's failing entry; the
+    # suite, and `verify`, still report every other check
+    @staticmethod
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    def test_exception_becomes_a_failing_entry(self, homology32, table32, monkeypatch):
+        monkeypatch.setattr("t3mcg.verifier.cut_along", self.boom)
+        report = run_suite(table32, homology32, seed=0)
+        assert [c["name"] for c in report.checks] == EXPECTED_CHECKS
+        by_name = {c["name"]: c for c in report.checks}
+        assert by_name["mesh_facts"]["status"] == "fail"
+        assert by_name["mesh_facts"]["witness"] == {"exception": "RuntimeError: boom"}
+        others = [c["status"] for c in report.checks if c["name"] != "mesh_facts"]
+        assert others == ["pass"] * 9
+        assert not report.passed
+
+    def test_verify_exits_1_with_the_failing_entry(self, tmp_path, capsys, monkeypatch):
+        from t3mcg.cli import main
+
+        monkeypatch.setattr("t3mcg.verifier.cut_along", self.boom)
+        table = str(tmp_path / "t8.json")
+        code = main(["--resolution", "8", "--json", "--table", table, "verify"])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        report = json.loads(out)
+        assert report["all_passed"] is False
+        failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failed == ["mesh_facts"]
