@@ -194,7 +194,10 @@ def cmd_mesh_export(args) -> int:
         export_off(mesh, args.out)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from exc
-    report = load_off_counts(args.out)
+    try:
+        report = load_off_counts(args.out)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read back {args.out}: {exc}") from exc
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

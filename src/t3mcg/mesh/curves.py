@@ -1,33 +1,24 @@
 """Curves on the PL surface: plane sections, tube sections, crossing counts.
 
-Curves are cut out of the mesh as zero sets of exact scalar fields evaluated
-at mesh vertices and interpolated linearly over triangles.  For coordinate
-planes the interpolant is the field itself, branch-corrected per triangle on
-the plane's axis coordinate in the unwrapped frame of its cell; for distance
-tubes it is a PL stand-in whose correctness is certified by the
-radius-stability re-run.  All arithmetic is rational, so membership and
-crossing counts are exact, and so are the candidate prefilters: a plane
+Curves are zero sets of exact scalar fields at mesh vertices, interpolated
+linearly over triangles: a coordinate plane, branch-corrected per triangle in
+its cell's unwrapped frame, or a distance tube, a pointwise PL stand-in
+certified by the radius-stability re-run.  All arithmetic is rational, so
+membership, crossing counts and the candidate prefilters are exact: a plane
 slices the triangles whose cell box holds the level mod 1
-(``cell_boxes_holding``), a tube those whose corner signs are mixed.  A tube
-is pointwise: its values are one vector of exact integer ratios over the
-vertices from one integer numpy pass (``TubeField.vertex_ratios``), and its
-signs are those of the numerators.  Each field has one kernel,
-``corner_ratios``, that returns the exact integer numerators and
-denominators of the corner values of a list of triangles, gathered from that
-vector for a tube; ``tri_values`` is its one-triangle ``Fraction`` view.
-Slicing makes one kernel call over the candidates and chooses the mixed
-triangles and their edges with numpy on the numerators' signs; only a stored
-crossing parameter is a ``Fraction``, built unreduced from its coprime pair.
-Chaining reads the points' integer columns ``(va, vb, p, q)``, steps across
-edges through the mesh's edge table (``TriMesh.edges``) and checks in numpy
-that each crossing point is the same edge point in both triangles on its
-edge; a loop's displacement, the count of its steps from cell n - 1 to cell
-0 or back, is one numpy pass.  A walk makes one kernel call over its
-steps in the target's walk set (``walk_triangles``): off it every corner
-value has one strict sign, so a step there cannot cross.  The sign at each
-end of a step is that of one integer (``_interpolant``).  A crossing on a
-target vertex is attributed through a per-target index of the segment
-points that sit on vertices.  Cutting reads the tube's sign vector.
+(``cell_boxes_holding``), a tube those whose corner signs are mixed.  Each
+field has one kernel, ``corner_ratios``, giving the integer numerators and
+denominators of the corner values of a list of triangles (a tube gathers
+them from one vector over the vertices, ``TubeField.vertex_ratios``);
+``tri_values`` is its one-triangle ``Fraction`` view.  Slicing keeps each
+crossing point as integer columns ``(va, vb, p, q)``, ``t = p/q`` reduced
+(``Steps``); ``Loop.steps`` and ``SlicedCurves.tri_segments`` read them as
+``Fraction`` points only when a row is read.  Chaining steps across edges
+through the mesh's edge table (``TriMesh.edges``) and checks in numpy that
+both triangles on an edge share its crossing point.  A walk reads only its
+steps in the target's walk set (``walk_triangles``), where the sign at each
+end is that of one integer (``_interpolant``); a crossing on a target vertex
+is attributed through an index of the segment points on vertices.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -41,13 +32,14 @@ Sign conventions, fixed once:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
 import numpy as np
 
-from .surface import DegeneracyError, TriMesh, components
+from .surface import DegeneracyError, ExactRows, TriMesh, components
 
 
 class TransversalityError(RuntimeError):
@@ -273,11 +265,47 @@ class TubeField(_CornerValues):
         return set(np.flatnonzero((negative < 3) & (positive < 3)).tolist())
 
 
-# A point on a triangle edge: (vertex_a, vertex_b, t) with position
-# (1-t)*a + t*b.  Steps pair an entry and an exit point with their triangle.
+class Steps(ExactRows):
+    """Steps across triangles as integer columns: the triangles ``tri`` and an
+    ``(len(tri), 2, 4)`` array ``ends`` of their entry and exit points
+    ``(va, vb, p, q)``, each at ``(1-t)*va + t*vb`` for ``t = p/q`` reduced,
+    ``q > 0``.  An ``ExactRows`` of ``(tri, (va, vb, t_in), (vc, vd, t_out))``."""
+
+    def __init__(self, tri, ends):
+        super().__init__(len(tri), partial(_step_row, tri, ends))
+        self.tri, self.ends = tri, ends
+
+    def take(self, rows) -> Steps:
+        return Steps(self.tri[rows], self.ends[rows])
+
+
+def _step_row(tri, ends, i: int) -> tuple:
+    (a, b, p, q), (c, d, r, s) = ends[i].tolist()
+    return tri.item(i), (a, b, Fraction(p, q)), (c, d, Fraction(r, s))
+
+
+class _SegmentMap(Mapping):
+    """Triangle -> ``(entry, exit)`` points, read from ``Steps`` in triangle order."""
+
+    def __init__(self, steps: Steps):
+        self.steps = steps
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __iter__(self):
+        return iter(self.steps.tri.tolist())
+
+    def __getitem__(self, tri):
+        i = int(np.searchsorted(self.steps.tri, tri))
+        if i == len(self.steps) or self.steps.tri[i] != tri:
+            raise KeyError(tri)
+        return self.steps[i][1:]
+
+
 @dataclass
 class Loop:
-    steps: list  # (tri, (va, vb, t_in), (vc, vd, t_out))
+    steps: Steps  # in walk order
     displacement: tuple  # integer 3-vector
     orientation_sign: int = 1
 
@@ -288,7 +316,11 @@ class SlicedCurves:
     field: object
     loops: list
     tri_loop: dict  # triangle -> loop index
-    tri_segments: dict  # triangle -> (entry_pt, exit_pt)
+    segments: Steps  # every sliced triangle, in index order
+
+    @property
+    def tri_segments(self) -> Mapping:
+        return _SegmentMap(self.segments)
 
     @cached_property
     def walk_set(self) -> set:
@@ -298,11 +330,12 @@ class SlicedCurves:
     @cached_property
     def _vertex_loops(self) -> dict:
         """Vertex -> ids of the loops with a segment point on it (t = 0 or 1)."""
-        index: dict[int, set] = {}
-        for tri, segment in self.tri_segments.items():
-            for va, vb, t in segment:
-                if t.numerator == 0 or t.numerator == t.denominator:
-                    index.setdefault(vb if t.numerator else va, set()).add(self.tri_loop[tri])
+        seg, index = self.segments, {}
+        p, q = seg.ends[:, :, 2], seg.ends[:, :, 3]
+        rows, end = np.nonzero((p == 0) | (p == q))
+        verts = seg.ends[rows, end, (p[rows, end] != 0).astype(int)]
+        for tri, v in zip(seg.tri[rows].tolist(), verts.tolist()):
+            index.setdefault(v, set()).add(self.tri_loop[tri])
         return index
 
 
@@ -355,58 +388,36 @@ def crossing_parameters(na, da, nb, db) -> tuple:
     return np.where(q < 0, -p, p), abs(q)
 
 
-def _coprime_fraction(p: int, q: int) -> Fraction:
-    """``Fraction(p, q)`` for coprime Python ints, ``q > 0``, built without the gcd
-    of ``Fraction.__new__``, as CPython 3.12's ``Fraction._from_coprime_ints``."""
-    fraction = object.__new__(Fraction)
-    fraction._numerator, fraction._denominator = p, q
-    return fraction
-
-
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant.
 
     One kernel call reads every candidate's corners.  The mixed triangles and
     their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
-    chosen on the numerators' signs; each ``t = f_a / (f_a - f_b)`` is reduced
-    in numpy (``crossing_parameters``) to a coprime ``(p, q)``, which ``_chain``
-    reads as integers and ``_coprime_fraction`` builds, unreduced."""
+    chosen on the numerators' signs, and each ``t = f_a / (f_a - f_b)`` is
+    reduced in numpy (``crossing_parameters``) to the columns of ``Steps``."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
     num, den = _corner_ratios(fld, mesh, tris)
     positive = num >= 0  # zero counts positive
     ahead = positive[:, [1, 2, 0]]
     rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
     sliced = tris[rows]
-    corners, at, points, columns = mesh.edges.tris[sliced], np.arange(len(rows)), [], [sliced]
+    corners, at, ends = mesh.edges.tris[sliced], np.arange(len(rows)), []
     for crossing in (positive & ~ahead, ahead & ~positive):
         a = crossing[rows].argmax(axis=1)
         b = (a + 1) % 3
         p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        columns.append((corners[at, a], corners[at, b], p, q))
-        ends = (end.tolist() for end in columns[-1][:2])
-        points.append(list(zip(*ends, map(_coprime_fraction, p.tolist(), q.tolist()))))
-    segments = dict(zip(sliced.tolist(), zip(*points)))
-    return _chain(SlicedCurves(mesh, fld, [], {}, segments), columns)
+        ends.append(np.stack((corners[at, a], corners[at, b], p, q), axis=1))
+    return _chain(SlicedCurves(mesh, fld, [], {}, Steps(sliced, np.stack(ends, axis=1))))
 
 
-def _segment_columns(segments: dict) -> list:
-    """The sorted keys of ``segments`` and the object columns ``(va, vb, p, q)``
-    of their entry and exit points, ``t = p/q``."""
-    keys = sorted(segments)
-    rows = [[(va, vb, *t.as_integer_ratio()) for va, vb, t in segments[k]] for k in keys]
-    ends = np.array(rows, object).reshape(-1, 2, 4).transpose(1, 2, 0)  # (end, column, key)
-    return [np.array(keys, np.int64), *map(tuple, ends)]
+def _chain(curves: SlicedCurves) -> SlicedCurves:
+    """Chain the sliced segments, whose triangles are in index order, into
+    loops, each from its least triangle.
 
-
-def _chain(curves: SlicedCurves, columns=None) -> SlicedCurves:
-    """Chain the sliced segments into loops, each from its least triangle.
-
-    ``columns`` are the sorted keys and the columns ``(va, vb, p, q)`` of every
-    entry and exit point, ``t = p/q`` reduced (else ``_segment_columns``).  The
-    checks are numpy passes over all segments; a failure names the least
+    The checks are numpy passes over all segments; a failure names the least
     failing triangle.  The loops follow the successor map in Python ints."""
-    mesh, segments, last = curves.mesh, curves.tri_segments, curves.mesh.resolution - 1
-    keys, (in_a, in_b, in_p, in_q), (va, vb, p, q) = columns or _segment_columns(segments)
+    mesh, seg, last = curves.mesh, curves.segments, curves.mesh.resolution - 1
+    keys, ((in_a, in_b, in_p, in_q), (va, vb, p, q)) = seg.tri, seg.ends.transpose(1, 2, 0)
     # the triangle across each exit edge (va, vb), found from the corner va
     at = (mesh.edges.tris[keys] == va[:, None]).argmax(axis=1)
     after = mesh.edges.neighbour[3 * keys + at]
@@ -432,11 +443,9 @@ def _chain(curves: SlicedCurves, columns=None) -> SlicedCurves:
             order.append(i)
             succ[i], i = -1, succ[i]
         if order:
-            chain = [tris[i] for i in order]
-            curves.tri_loop.update(dict.fromkeys(chain, len(curves.loops)))
-            steps = [(tri, *segments[tri]) for tri in chain]
+            curves.tri_loop.update(dict.fromkeys([tris[i] for i in order], len(curves.loops)))
             disp = tuple(shift[order].sum(axis=0).tolist())
-            curves.loops.append(Loop(steps=steps, displacement=disp))
+            curves.loops.append(Loop(steps=seg.take(order), displacement=disp))
     return curves
 
 
@@ -444,7 +453,7 @@ def walk_steps(loop: Loop):
     return loop.steps
 
 
-def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
+def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
     """Signed and unsigned crossings of a directed path with target loops.
 
     Returns {loop_index: [algebraic, geometric]}.  A zero field value along
@@ -458,13 +467,12 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
     sign and the step cannot cross.
     """
     out: dict[int, list] = {}
-    fld, mesh = target.field, target.mesh
-    steps = [step for step in path_steps if step[0] in target.walk_set]
-    tris = [tri for tri, _, _ in steps]
-    num, den = _corner_ratios(fld, mesh, tris)
-    corners = mesh.edges.tris[np.array(tris, np.int64)].tolist()
-    rows = zip(steps, corners, num.tolist(), den.tolist())
-    for (tri, pt_in, pt_out), verts, (n0, n1, n2), (d0, d1, d2) in rows:
+    fld, mesh, walk = target.field, target.mesh, target.walk_set
+    steps = path_steps.take([tri in walk for tri in path_steps.tri.tolist()])
+    num, den = _corner_ratios(fld, mesh, steps.tri)
+    corners = mesh.edges.tris[steps.tri].tolist()
+    rows = zip(steps.tri.tolist(), corners, num.tolist(), den.tolist(), steps.ends.tolist())
+    for tri, verts, (n0, n1, n2), (d0, d1, d2), (pt_in, pt_out) in rows:
         # the values times d0*d1*d2 > 0: integers whose interpolants keep their signs
         vals = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
         s_in = _edge_sign(vals, verts, pt_in)
@@ -486,41 +494,40 @@ def walk_pairing(path_steps, walker_sign: int, target: SlicedCurves):
 
 
 def _edge_sign(vals, verts, pt) -> int:
-    """Sign of the field's PL interpolant at an edge point, zero counting negative.
+    """Sign of the PL interpolant at an edge point ``(va, vb, p, q)``, zero counting negative.
 
-    Ends of one strict sign decide it without the interpolant: for ``t`` in
-    [0, 1] it is a convex combination of them.  Otherwise it is the sign of
-    the integer ``_interpolant``; no ``Fraction`` is built.
+    Ends of one strict sign decide it without the interpolant: for ``t = p/q``
+    in [0, 1] it is a convex combination of them.  Otherwise it is the sign of
+    ``_interpolant``.
     """
-    va, vb, t = pt
+    va, vb, p, q = pt
     fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-    if fa.numerator > 0 and fb.numerator > 0:
+    if fa > 0 and fb > 0:
         return 1
-    if fa.numerator < 0 and fb.numerator < 0:
+    if fa < 0 and fb < 0:
         return -1
-    return 1 if _interpolant(fa, fb, t) > 0 else -1
+    return 1 if _interpolant(fa, fb, p, q) > 0 else -1
 
 
-def _interpolant(fa, fb, t) -> int:
-    """``fa + t*(fb - fa)`` times ``q*da*db > 0`` for ``fa = na/da``, ``fb = nb/db``
-    and ``t = p/q``: the integer ``(q - p)*na*db + p*nb*da``."""
-    p, q = t.numerator, t.denominator
-    return (q - p) * fa.numerator * fb.denominator + p * fb.numerator * fa.denominator
+def _interpolant(fa, fb, p, q):
+    """``fa + t*(fb - fa)`` times ``q > 0`` for ``t = p/q``: the integer
+    ``(q - p)*fa + p*fb`` for integer ``fa`` and ``fb``."""
+    return (q - p) * fa + p * fb
 
 
 def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
     """The one target loop through a vertex where an edge point's value vanishes.
 
     ``vals`` are the target field's values at the corners ``verts`` of the
-    triangle holding the edge points.
+    triangle holding the edge points ``(va, vb, p, q)``.
     """
     zero_verts = set()
-    for va, vb, t in points:
+    for va, vb, p, q in points:
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-        if _interpolant(fa, fb, t) != 0:
+        if _interpolant(fa, fb, p, q) != 0:
             continue
         for v, f in ((va, fa), (vb, fb)):
-            if f.numerator == 0:
+            if f == 0:
                 zero_verts.add(v)
     loop_ids = set()
     for v in zero_verts:
@@ -557,7 +564,7 @@ def cut_along(mesh: TriMesh, curves: SlicedCurves) -> list:
     positive = curves.field.vertex_signs(mesh) >= 0  # zero counts positive
     plain = positive[table.low] == positive[table.high]
     sliced = np.zeros(len(mesh.triangles), bool)
-    sliced[list(curves.tri_segments)] = True
+    sliced[curves.segments.tri] = True
     # mixed endpoint signs force a segment in both adjacent triangles
     mixed = np.flatnonzero(~plain)
     unsliced = mixed[~sliced[table.pairs[mixed] // 3].all(axis=1)]

@@ -32,6 +32,7 @@ from .mesh.homology import (
     transpose,
     tube_twist,
 )
+from .mesh.curves import Steps
 from .mesh.surface import half_translation_vertex_map, triangle_map
 
 Mat6 = tuple
@@ -51,29 +52,17 @@ def is_antisymplectic(m: Mat6) -> bool:
     return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == mat_neg(CANONICAL_J)
 
 
-def translate_steps(loop, vmap, tmap):
-    """Push a sliced loop forward through the half-diagonal translation.
-
-    The translation permutes mesh vertices (``vmap``) and triangles (``tmap``)
-    exactly, so the image path is again a path of edge points with unchanged
-    parameters.
-    """
-    out = []
-    for tri, (va, vb, t), (vc, vd, u) in loop.steps:
-        out.append((tmap[tri], (vmap[va], vmap[vb], t), (vmap[vc], vmap[vd], u)))
-    return out
-
-
 def derive_swap6(h: HomologyData) -> Mat6:
     """Matrix of the handlebody swap: translate each generator curve, read
-    off the classes, and change to the canonical basis."""
+    off the classes, and change to the canonical basis.  The half-diagonal
+    translation permutes vertices and triangles, so an image keeps its ``t``."""
     vmap = half_translation_vertex_map(h.mesh)
-    tmap = triangle_map(h.mesh.edges, vmap)
+    tmap, vmap = np.asarray(triangle_map(h.mesh.edges, vmap)), np.asarray(vmap)
     cols = []
     for ref in list(h.disk_sections_a) + list(h.longitudes):
-        loop = ref.loop
-        steps = translate_steps(loop, vmap, tmap)
-        cols.append(h.class_of_steps(steps, loop.orientation_sign))
+        steps, ends = ref.loop.steps, ref.loop.steps.ends.copy()
+        ends[:, :, :2] = vmap[ends[:, :, :2].astype(np.int64)]
+        cols.append(h.class_of_steps(Steps(tmap[steps.tri], ends), ref.loop.orientation_sign))
     gen_images = transpose(tuple(cols))  # column g = class of swapped generator g
     return mat_mul(gen_images, h.basis_change)
 

@@ -250,6 +250,12 @@ class TestUnreadableFiles:
         assert code == 2
         assert f"cannot write {out_path}" in err
 
+    def test_export_that_cannot_be_read_back_exits_2(self, capsys):
+        # the write succeeds, but the null device reads back empty
+        code, out, err = run_cli(["--resolution", "8", "mesh", "export", os.devnull], capsys)
+        assert code == 2 and not out
+        assert err.splitlines() == [f"error: cannot read back {os.devnull}: not an OFF file"]
+
 
 class TestMeshBuild:
     def test_build_prints_the_validate_report(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 from functools import partial
@@ -12,10 +13,10 @@ from t3mcg.mesh.curves import (
     DegeneracyError,
     PlaneField,
     SlicedCurves,
+    Steps,
     TransversalityError,
     TubeField,
     _chain,
-    _coprime_fraction,
     _edge_sign,
     _interpolant,
     crossing_parameters,
@@ -133,9 +134,9 @@ class TestCuttingSubcomplex:
         from t3mcg.mesh.curves import DegeneracyError
 
         tube = tube_section(mesh16, 3, (HALF, Fraction(0)))
-        dropped = min(tube.tri_segments)
-        segments = {t: s for t, s in tube.tri_segments.items() if t != dropped}
-        broken = dataclasses.replace(tube, tri_segments=segments)
+        # drop the least sliced triangle from a copy of the columns
+        segments = tube.segments.take(np.arange(1, len(tube.segments)))
+        broken = dataclasses.replace(tube, segments=segments)
         with pytest.raises(DegeneracyError):
             cut_along(mesh16, broken)
 
@@ -266,14 +267,16 @@ class TestEdgeSign:
             va, vb = vb, va
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
         exact = fa + t * (fb - fa)
-        assert _edge_sign(vals, verts, (va, vb, t)) == (1 if exact > 0 else -1)
+        pt = (va, vb, t.numerator, t.denominator)
+        assert _edge_sign(vals, verts, pt) == (1 if exact > 0 else -1)
 
     @settings(max_examples=300, deadline=None)
     @given(_big_values, _big_values, _fine_params)
     def test_sign_at_the_probe_radius_scale(self, fa, fb, t):
         exact = fa + t * (fb - fa)
-        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, t)) == sign(exact or -1)
-        assert sign(_interpolant(fa, fb, t)) == sign(exact)
+        p, q = t.numerator, t.denominator
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or -1)
+        assert sign(_interpolant(fa, fb, p, q)) == sign(exact)
 
     @settings(max_examples=300, deadline=None)
     @given(_big_numerators, _big_numerators, st.integers(1, 2**46), st.integers(1, 2**46),
@@ -284,10 +287,11 @@ class TestEdgeSign:
         fa, fb = Fraction(na, da), Fraction(-nb, db)
         t = min(max(fa / (fa - fb) + Fraction(shift, 2**40), Fraction(0)), Fraction(1))
         exact = fa + t * (fb - fa)
-        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, t)) == sign(exact or -1)
-        assert sign(_interpolant(fa, fb, t)) == sign(exact)
+        p, q = t.numerator, t.denominator
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or -1)
+        assert sign(_interpolant(fa, fb, p, q)) == sign(exact)
         if shift == 0:
-            assert _interpolant(fa, fb, t) == 0
+            assert _interpolant(fa, fb, p, q) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +322,11 @@ SLICED_FIELDS = [
 
 class TestChaining:
     @pytest.mark.parametrize("fld", SLICED_FIELDS)
-    def test_chain_of_segments_in_reverse_key_order(self, mesh16, fld):
-        # read off the segments alone, in any order, the loops are the same
+    def test_chain_of_the_section_columns(self, mesh16, fld):
+        # read off a copy of the segment columns alone, the loops are the same
         sec = slice_field(mesh16, fld)
-        reverse = dict(sorted(sec.tri_segments.items(), reverse=True))
-        again = _chain(SlicedCurves(mesh16, fld, [], {}, reverse))
+        columns = sec.segments.take(np.arange(len(sec.segments)))
+        again = _chain(SlicedCurves(mesh16, fld, [], {}, columns))
         assert again.loops == sec.loops
         assert list(again.tri_loop.items()) == list(sec.tri_loop.items())
         assert [loop.steps[0][0] for loop in sec.loops] == [
@@ -331,8 +335,8 @@ class TestChaining:
 
     def test_chain_leaving_the_sliced_set_is_refused(self, mesh16):
         fld = PlaneField(0, HALF)
-        segments = dict(slice_field(mesh16, fld).tri_segments)
-        del segments[max(segments)]
+        segments = slice_field(mesh16, fld).segments
+        segments = segments.take(np.arange(len(segments) - 1))  # drop the greatest triangle
         with pytest.raises(DegeneracyError, match="left the sliced triangle set"):
             _chain(SlicedCurves(mesh16, fld, [], {}, segments))
 
@@ -372,22 +376,21 @@ class TestChaining:
     @pytest.mark.parametrize("mutant", ["vertices-unswapped", "other-denominator"])
     def test_mutated_shared_point_breaks_the_chain(self, mesh16, fld, mutant):
         sec = slice_field(mesh16, fld)
-        segments = dict(sec.tri_segments)
-        assert _chain(SlicedCurves(mesh16, fld, [], {}, dict(segments))).loops == sec.loops
-        # a step strictly inside its exit edge, and the next triangle's entry
-        _, _, (va, vb, t) = next(
-            step for loop in sec.loops for step in loop.steps if 0 < step[2][2] < 1
-        )
-        nxt = next(n for n, (entry, _) in segments.items() if entry == (vb, va, 1 - t))
-        s = 1 - t
+        tri, ends = sec.segments.tri, sec.segments.ends.copy()
+        assert _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends))).loops == sec.loops
+        # a triangle whose exit point lies strictly inside its edge, and the
+        # next triangle, whose entry point is the same edge point
+        inside = (0 < ends[:, 1, 2]) & (ends[:, 1, 2] < ends[:, 1, 3])
+        va, vb, p, q = ends[np.flatnonzero(inside)[0], 1].tolist()
+        nxt = np.flatnonzero((ends[:, 0] == (vb, va, q - p, q)).all(axis=1))
+        assert len(nxt) == 1
         if mutant == "vertices-unswapped":
-            moved = (va, vb, s)  # the right parameter read from the wrong end
+            ends[nxt, 0] = (va, vb, q - p, q)  # the right parameter read from the wrong end
         else:
-            moved = (vb, va, Fraction(s.numerator, s.numerator * s.denominator + 1))
-            assert moved[2].numerator == s.numerator and moved[2].denominator != s.denominator
-        segments[nxt] = (moved, segments[nxt][1])
+            # the same numerator over another denominator, coprime to it
+            ends[nxt, 0] = (vb, va, q - p, (q - p) * q + 1)
         with pytest.raises(DegeneracyError, match="disagree on their shared point"):
-            _chain(SlicedCurves(mesh16, fld, [], {}, segments))
+            _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends)))
 
     def test_tube_slicing_reads_no_frame(self, mesh16, monkeypatch):
         def no_frame(self, tri_index):
@@ -1060,43 +1063,49 @@ def test_crossing_parameters_one_past_the_int64_bound():
 
 
 # ---------------------------------------------------------------------------
-# Crossing Fractions built from coprime pairs: equal to Fraction(p, q).
+# Stored crossing points: reduced integer columns, no Fraction until read.
 # ---------------------------------------------------------------------------
 
 
-def assert_same_fraction(p, q):
-    built, reference = _coprime_fraction(p, q), Fraction(p, q)
-    assert type(built) is Fraction
-    assert built == reference and hash(built) == hash(reference)
-    assert repr(built) == repr(reference) and str(built) == str(reference)
-    assert type(built._numerator) is int and type(built._denominator) is int
-    assert built.as_integer_ratio() == (p, q)
+PAST_BOUND_TUBE = partial(TubeField, 2, (HALF, Fraction(0)), Fraction(5 * 2**40 + 1, 2**44))
 
 
-@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS)
-def test_coprime_fraction_on_every_sliced_edge(mesh16, make_field):
-    fld = make_field()
-    num, den = fld.corner_ratios(mesh16, fld.candidate_triangles(mesh16))
-    crossed = 0
-    for a in range(3):
-        b = (a + 1) % 3
-        rows = (num[:, a] >= 0) != (num[:, b] >= 0)
-        p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        for x, y in zip(p.tolist(), q.tolist()):
-            assert_same_fraction(x, y)
-            crossed += 1
-    assert crossed > 0
-    # every stored parameter holds Python ints, not numpy scalars
-    for segment in slice_field(mesh16, fld).tri_segments.values():
-        for _, _, t in segment:
-            assert type(t._numerator) is int and type(t._denominator) is int
+@pytest.mark.parametrize(
+    "make_field,past",
+    [pytest.param(*p.values, False, id=p.id) for p in PREFILTERED_FIELDS]
+    + [pytest.param(PAST_BOUND_TUBE, True, id="tube2-past-bound")],
+)
+def test_stored_crossing_parameters_are_reduced(mesh16, make_field, past):
+    sec = slice_field(mesh16, make_field())
+    seg = sec.segments
+    assert len(seg) > 0 and seg.ends.shape == (len(seg), 2, 4)
+    assert seg.ends.dtype == (object if past else np.int64)
+    rows = seg.ends.tolist()
+    for point in (pt for row in rows for pt in row):
+        assert all(type(x) is int for x in point)
+        _, _, p, q = point
+        assert 0 <= p <= q and math.gcd(p, q) == 1
+    # the views read the same points, with Fraction parameters
+    for (tri, *points), row in zip(seg, rows):
+        assert points == [(a, b, Fraction(p, q)) for a, b, p, q in row]
+        assert sec.tri_segments[tri] == tuple(points)
 
 
-def test_coprime_fraction_past_the_int64_bound():
-    limit = (2**62 - 1) // 3
-    p, q = crossing_parameters(*(np.asarray(x) for x in ([limit + 1], [5], [-1], [3])))
-    assert p.dtype == object
-    assert_same_fraction(p.tolist()[0], q.tolist()[0])
-    assert_same_fraction(-(2**70) - 1, 2**70)
-    assert_same_fraction(0, 1)
-    assert_same_fraction(1, 1)
+def test_slicing_and_walking_build_no_fraction(mesh16):
+    def live_fractions():
+        return sum(type(o) is Fraction for o in gc.get_objects())
+
+    fields = [PlaneField(axis, HALF) for axis in range(3)]
+    fields += [TubeField(axis, (HALF, Fraction(0)), TUBE_RADIUS) for axis in range(3)]
+    gc.collect()
+    before = live_fractions()
+    sections = [slice_field(mesh16, fld) for fld in fields]
+    walks = [
+        walk_pairing(walk_steps(loop), loop.orientation_sign, target)
+        for walker in sections
+        for loop in walker.loops
+        for target in sections
+    ]
+    assert sum(len(sec.loops) for sec in sections) == 3 + 12 and any(walks)
+    assert sum(len(sec.tri_segments) + sum(len(l.steps) for l in sec.loops) for sec in sections)
+    assert live_fractions() == before
