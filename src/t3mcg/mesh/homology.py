@@ -260,7 +260,9 @@ def tube_twist(h: HomologyData, tube: SlicedCurves, pattern: str):
 
 
 def build_homology(mesh: TriMesh) -> HomologyData:
-    """Distinguished curves, canonical basis and exact intersection data."""
+    """Distinguished curves, canonical basis and exact intersection data.  The basis
+    change is ``B = [[I, Y], [0, I]]``, so the one check ``B^T G B = J`` of the crossing
+    Gram matrix ``G`` holds exactly when ``G = [[0, I], [-I, Y - Y^T]]``."""
     sections_a = []
     sections_b = []
     for axis in (1, 2, 3):
@@ -312,19 +314,6 @@ def build_homology(mesh: TriMesh) -> HomologyData:
         tuple(0 if g1 is g2 else crossings(g1, g2)[0] for g2 in generators) for g1 in generators
     )
 
-    for i in range(6):
-        for j in range(6):
-            if gram[i][j] != -gram[j][i]:
-                raise DegeneracyError(f"crossing Gram matrix is not antisymmetric:\n{gram}")
-    for i in range(3):
-        for j in range(3):
-            if gram[i][j] != 0:
-                raise DegeneracyError("plane sections are expected to be disjoint")
-            if gram[i][3 + j] != (1 if i == j else 0):
-                raise DegeneracyError(
-                    f"plane/longitude pairing block is not the identity:\n{gram}"
-                )
-
     # b_i = T_i + sum_{j<i} (-w_ij) a_j, with w_ij = gram[3 + i][3 + j], symplectically
     # reduces the longitudes: column 3 + i of the basis change holds -w_ij in row j < i
     basis_change = tuple(
@@ -332,9 +321,11 @@ def build_homology(mesh: TriMesh) -> HomologyData:
         for r in range(6)
     )
 
+    # B = [[I, Y], [0, I]], so B^T G B = J holds exactly when G = [[0, I], [-I, Y - Y^T]]:
+    # G is antisymmetric, the plane sections are disjoint and pair with T_j as the identity
     check = mat_mul(transpose(basis_change), mat_mul(gram, basis_change))
     if check != CANONICAL_J:
-        raise DegeneracyError(f"symplectic reduction failed:\n{check}")
+        raise DegeneracyError(f"symplectic reduction failed: B^T G B =\n{check}\nfor G =\n{gram}")
 
     h = HomologyData(
         mesh=mesh,

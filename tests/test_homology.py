@@ -1,3 +1,5 @@
+import pytest
+
 from t3mcg.mesh.homology import (
     CANONICAL_J,
     CurveRef,
@@ -218,3 +220,32 @@ class TestPairHelpers:
             eps = tube_pattern(h, tube, kind)
             loops = [(CurveRef(tube, i), eps[i]) for i in range(4)]
             assert tube_twist(h, tube, kind) == twist_matrix(h, loops) == derive_twist6(h, kind)
+
+
+class TestGramRefusal:
+    # the certificate B^T G B = J is the only check of the crossing Gram matrix:
+    # one wrong off-diagonal entry, anywhere, must be refused by it
+    @pytest.fixture(scope="class")
+    def mesh8(self):
+        from t3mcg.mesh import build_surface
+
+        return build_surface(8)
+
+    @pytest.mark.parametrize("position", range(30))
+    def test_one_perturbed_gram_walk_is_refused(self, mesh8, position, monkeypatch):
+        import t3mcg.mesh.homology as homology
+        from t3mcg.mesh.curves import DegeneracyError
+
+        original = homology.crossings
+        calls = []
+
+        def perturbed(walker, target):
+            alg, geo = original(walker, target)
+            calls.append((walker, target))
+            # the first 3 walks orient the A-side sections; the next 30 fill G
+            return (alg + 1, geo) if len(calls) == 4 + position else (alg, geo)
+
+        monkeypatch.setattr(homology, "crossings", perturbed)
+        with pytest.raises(DegeneracyError, match="symplectic reduction failed"):
+            homology.build_homology(mesh8)
+        assert len(calls) == 33

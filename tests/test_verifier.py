@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from t3mcg.rep6 import GeneratorTable6, derive_twist6
-from t3mcg.verifier import run_suite
+from t3mcg.verifier import CHECKS, run_suite
 
 EXPECTED_CHECKS = [
     "shear_images",
@@ -126,3 +128,31 @@ class TestNoRaiseContract:
         assert report["all_passed"] is False
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert failed == ["mesh_facts"]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CHECKS])
+def test_any_raising_check_becomes_its_failing_entry(name, homology32, table32, monkeypatch):
+    import t3mcg.verifier as verifier
+
+    checks = tuple(
+        (n, claim, TestNoRaiseContract.boom if n == name else check)
+        for n, claim, check in verifier.CHECKS
+    )
+    monkeypatch.setattr(verifier, "CHECKS", checks)
+    report = run_suite(table32, homology32, seed=0)
+    assert [c["name"] for c in report.checks] == EXPECTED_CHECKS
+    failed = [(c["name"], c["witness"]) for c in report.checks if c["status"] == "fail"]
+    assert failed == [(name, {"exception": "RuntimeError: boom"})]
+
+
+def test_check_names_match_the_benchmark_trace():
+    # perfbench's pipeline run is marked incorrect when its SUITE_CHECKS differ from
+    # the report's names, so a new check must be added there too
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tuple(name for name, _, _ in CHECKS) == tracing.SUITE_CHECKS
