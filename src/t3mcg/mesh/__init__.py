@@ -3,7 +3,6 @@ from .surface import (
     SampleOnSurfaceError,
     TriMesh,
     build_surface,
-    edge_map,
     export_off,
     half_translation_vertex_map,
     load_off_counts,
@@ -15,7 +14,6 @@ __all__ = [
     "SampleOnSurfaceError",
     "TriMesh",
     "build_surface",
-    "edge_map",
     "export_off",
     "half_translation_vertex_map",
     "load_off_counts",

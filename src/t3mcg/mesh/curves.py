@@ -6,11 +6,11 @@ its cell's unwrapped frame, or a distance tube, a pointwise PL stand-in
 certified by the radius-stability re-run.  All arithmetic is rational, so
 membership, crossing counts and the candidate prefilters are exact: a plane
 slices the triangles whose cell box holds the level mod 1
-(``cell_boxes_holding``), a tube those whose corner signs are mixed.  Each
-field has one kernel, ``corner_ratios``, giving the integer numerators and
-denominators of the corner values of a list of triangles (a tube gathers
-them from one vector over the vertices, ``TubeField.vertex_ratios``);
-``tri_values`` is its one-triangle ``Fraction`` view.  Slicing keeps each
+(``cell_boxes_holding``), a tube those whose corner signs are mixed.  The one
+field protocol for values is ``corner_ratios``, the integer numerators and
+denominators of the corner values of a list of triangles (a tube gathers them
+from one vector over the vertices, ``TubeField.vertex_ratios``); slicing and
+walks call it, and ``tri_values`` is its one-triangle view.  Slicing keeps each
 crossing point as integer columns ``(va, vb, p, q)``, ``t = p/q`` reduced
 (``Steps``); ``Loop.steps`` and ``SlicedCurves.tri_segments`` read them as
 ``Fraction`` points only when a row is read.  Chaining steps across edges
@@ -352,18 +352,6 @@ def step_positions(mesh: TriMesh, step):
     return pos(pt_in), pos(pt_out)
 
 
-def _split(ratios: list) -> tuple:
-    """Flat corner ratios as ``(numerators, denominators)``, two ``(m, 3)`` object arrays."""
-    return tuple(np.array([r[k] for r in ratios], object).reshape(-1, 3) for k in (0, 1))
-
-
-def _corner_ratios(fld, mesh: TriMesh, tris) -> tuple:
-    """``fld.corner_ratios``; a field with ``tri_values`` alone is read through it."""
-    if hasattr(fld, "corner_ratios"):
-        return fld.corner_ratios(mesh, tris)
-    return _split([v.as_integer_ratio() for tri in tris for v in fld.tri_values(mesh, tri)])
-
-
 def crossing_parameters(na, da, nb, db) -> tuple:
     """``t = f_a / (f_a - f_b)`` for ``f_a = na/da``, ``f_b = nb/db`` of opposite
     signs (zero counting either), denominators positive, as reduced ``(p, q)``,
@@ -396,7 +384,7 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     chosen on the numerators' signs, and each ``t = f_a / (f_a - f_b)`` is
     reduced in numpy (``crossing_parameters``) to the columns of ``Steps``."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
-    num, den = _corner_ratios(fld, mesh, tris)
+    num, den = fld.corner_ratios(mesh, tris)
     positive = num >= 0  # zero counts positive
     ahead = positive[:, [1, 2, 0]]
     rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
@@ -469,7 +457,7 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
     out: dict[int, list] = {}
     fld, mesh, walk = target.field, target.mesh, target.walk_set
     steps = path_steps.take([tri in walk for tri in path_steps.tri.tolist()])
-    num, den = _corner_ratios(fld, mesh, steps.tri)
+    num, den = fld.corner_ratios(mesh, steps.tri)
     corners = mesh.edges.tris[steps.tri].tolist()
     rows = zip(steps.tri.tolist(), corners, num.tolist(), den.tolist(), steps.ends.tolist())
     for tri, verts, (n0, n1, n2), (d0, d1, d2), (pt_in, pt_out) in rows:

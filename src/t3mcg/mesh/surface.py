@@ -14,13 +14,13 @@ mixed tetrahedron at once.  A vertex is the crossing on one grid edge, keyed
 by the edge as one integer, and is stored as three integer numerators over one
 integer denominator; its exact ``Fraction`` coordinates are built only when
 read.  Welding vertices by grid edge is exact, so the output is a closed,
-coherently oriented manifold mesh.  Its edges are one table sorted on int64
-keys (``EdgeTable``), which validation, curve chaining and cutting all read.
+coherently oriented manifold mesh.  One edge table per mesh, sorted on int64
+keys (``TriMesh.edges``), serves validation, chaining, cutting and the swap.
 Ids are int32 and cells int16, widened to int64 wherever two are multiplied.
 The triangles and their cells stay the int arrays the triangulation returns;
 ``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
-(``IntRows``) whose rows read as tuples of Python ints, and the edge table of
-a built mesh is made from the triangle array itself, without a copy.
+(``IntRows``) whose rows are built as tuples of Python ints on each read, and
+the edge table of a built mesh is made from the triangle array without a copy.
 """
 
 from __future__ import annotations
@@ -130,26 +130,21 @@ def _sample_field(n: int) -> np.ndarray:
 
 
 class ExactRows(Sequence):
-    """A read-only list of exact rows, each built on its first read; ``len``
-    builds none and allocates no memo, and equality, ``repr``, ``+`` and ``*``
-    are those of the plain list, as is a slice."""
+    """A read-only list of exact rows, each built on every read: a memo would
+    hold one object per row, and every reader reads a row once.  ``len``
+    builds none, and equality, ``repr``, ``+`` and ``*`` are those of the
+    plain list, as is a slice."""
 
     def __init__(self, size: int, row):
         self._row, self._size = row, size
-
-    @cached_property
-    def _rows(self) -> list:  # the memo, allocated on the first row read
-        return [None] * self._size
 
     def __len__(self):
         return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        if self._rows[i] is None:
-            self._rows[i] = self._row(i)
-        return self._rows[i]
+            return [self._row(k) for k in range(self._size)[i]]
+        return self._row(range(self._size)[i])  # negative from the end; IndexError past it
 
     def __eq__(self, other):
         return list(self) == other
@@ -168,22 +163,13 @@ class ExactRows(Sequence):
 
 
 class IntRows(ExactRows):
-    """The rows of a 2-d int array as an ``ExactRows`` of tuples of Python ints.
-    A row is read from the array on each access, as a row of ints is cheap to
-    build and a memo would hold one object per row; iteration reads the whole
-    array at once, and ``np.asarray`` of the view is the array itself, not a
-    copy."""
+    """The rows of a 2-d int array as an ``ExactRows`` of tuples of Python ints;
+    iteration reads the whole array at once, and ``np.asarray`` of the view is
+    the array itself, not a copy."""
 
     def __init__(self, array: np.ndarray):
+        super().__init__(len(array), lambda i: tuple(array[i].tolist()))
         self.array = array
-
-    def __len__(self):
-        return len(self.array)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(tuple, self.array[i].tolist()))
-        return tuple(self.array[i].tolist())
 
     def __iter__(self):
         return map(tuple, self.array.tolist())
@@ -211,11 +197,11 @@ class TriMesh:
     (``(base, axes, Fraction t)``) are exact views of these columns.
     The oriented triangles are the rows of an int32 ``(T, 3)`` array of vertex
     indices, and the lattice cell of each triangle the matching row of the
-    int16 ``cell_array``; a built mesh holds
-    both, non-writeable, as ``IntRows`` views (``triangles``, ``tri_cells``),
-    and the edge table of such a mesh reads the triangle array without a copy.
-    A list of triangle tuples may stand in for ``triangles`` on a shallow copy;
-    it is converted where an ``EdgeTable`` is made from it.
+    int16 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
+    views (``triangles``, ``tri_cells``).  ``edges``, the one edge table of the
+    mesh, reads the triangle array without a copy; validation, chaining,
+    cutting and the swap all read it, so a copy that swaps in other triangles
+    (a list of tuples, say) drops it too.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -273,16 +259,13 @@ class TriMesh:
 
     @cached_property
     def edges(self) -> EdgeTable:
-        """The ``EdgeTable`` of ``triangles``, built once per mesh, for readers only."""
+        """The one ``EdgeTable`` of ``triangles``, built on its first read, for readers only."""
         return EdgeTable(self.triangles)
-
-    def shared_edge_map(self) -> dict:
-        """``edge_map(self.triangles)``, a view of ``edges`` built once per mesh."""
-        return self.edges.edge_map
 
 
 class EdgeTable:
-    """The undirected edges of a list of triangles, as one sorted int64 key table.
+    """The undirected edges of a list of triangles, as one sorted int64 key table:
+    a mesh builds one (``TriMesh.edges``), and ``edge_map`` is its one dict view.
 
     The triangles are anything ``np.asarray`` reads as int vertex triples: a
     ``(T, 3)`` int array or ``IntRows`` view of one, which it keeps without a
@@ -343,11 +326,6 @@ class EdgeTable:
         bounds = self.start.tolist() + [len(tris)]
         pairs = zip(self.low.tolist(), self.high.tolist())
         return {pair: tris[s:e] for pair, s, e in zip(pairs, bounds, bounds[1:])}
-
-
-def edge_map(triangles) -> dict:
-    """Undirected vertex pair (low, high) -> indices of the triangles on it."""
-    return EdgeTable(triangles).edge_map
 
 
 def _triangulate(g: np.ndarray):
@@ -453,8 +431,7 @@ def components(n: int, pairs) -> np.ndarray:
 
 def validate_surface(mesh: TriMesh) -> dict:
     """Closedness, orientability, connectedness and Euler characteristic."""
-    edges = EdgeTable(mesh.triangles)  # afresh: the triangle list may have changed
-    vars(mesh).setdefault("edges", edges)  # kept as ``mesh.edges`` if none is built yet
+    edges = mesh.edges
     report = edges.report(len(mesh.vertices))
     # every label is the least triangle of its component: all are 0 when connected
     connected = bool(components(len(mesh.triangles), edges.pairs // 3).max(initial=-1) == 0)
@@ -531,9 +508,14 @@ def load_off_counts(path: str) -> dict:
         if fh.readline().strip() != "OFF":
             raise ValueError("not an OFF file")
         nv, nf, _ = (int(x) for x in fh.readline().split())
+        if min(nv, nf) < 0:
+            raise ValueError("negative count in OFF header")
         for _ in range(nv):
             fh.readline()
         faces = [fh.readline().split() for _ in range(nf)]
-    if any(face[0] != "3" or len(face) < 4 for face in faces):
+    if any(len(face) < 4 or face[0] != "3" for face in faces):  # a blank line is no face
         raise ValueError("non-triangle face in OFF file")
-    return EdgeTable([[int(x) for x in face[1:4]] for face in faces]).report(nv)
+    ids = [int(x) for face in faces for x in face[1:4]]
+    if ids and not (0 <= min(ids) and max(ids) < nv):
+        raise ValueError(f"face index outside the {nv} vertices of the OFF file")
+    return EdgeTable(np.array(ids, np.int64)).report(nv)

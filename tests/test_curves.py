@@ -361,9 +361,10 @@ class TestChaining:
         class Moved:
             candidate_triangles = fld.candidate_triangles
 
-            def tri_values(self, mesh, tri):
-                vals = fld.tri_values(mesh, tri)
-                return tuple(2 * v if v > 0 else v for v in vals) if tri == moved else vals
+            def corner_ratios(self, mesh, tris):
+                num, den = fld.corner_ratios(mesh, tris)
+                doubled = (np.asarray(tris) == moved)[:, None] & (num > 0)
+                return np.where(doubled, 2 * num, num), den
 
         with pytest.raises(DegeneracyError):
             slice_field(mesh16, Moved())
@@ -448,7 +449,7 @@ class AllTriangles:
     """A field's values with no prefilter: every triangle is a candidate."""
 
     def __init__(self, fld):
-        self.tri_values = fld.tri_values
+        self.corner_ratios = fld.corner_ratios
 
     def candidate_triangles(self, mesh):
         return list(range(len(mesh.triangles)))

@@ -3,12 +3,12 @@ import pytest
 from t3mcg.mesh import (
     ResolutionError,
     build_surface,
-    edge_map,
     export_off,
     half_translation_vertex_map,
     load_off_counts,
     validate_surface,
 )
+from t3mcg.mesh.surface import EdgeTable
 
 
 class TestBuild:
@@ -141,6 +141,7 @@ class TestNegativeControls:
         import copy
 
         broken = copy.copy(mesh16)
+        vars(broken).pop("edges", None)  # the edge table is rebuilt from the new triangles
         broken.triangles = mesh16.triangles[:-1]
         broken.tri_cells = mesh16.tri_cells[:-1]
         report = validate_surface(broken)
@@ -150,6 +151,7 @@ class TestNegativeControls:
         import copy
 
         broken = copy.copy(mesh16)
+        vars(broken).pop("edges", None)
         a, b, c = mesh16.triangles[0]
         broken.triangles = [(a, c, b)] + mesh16.triangles[1:]
         report = validate_surface(broken)
@@ -159,9 +161,9 @@ class TestNegativeControls:
 
 class TestEdgeMap:
     def test_shared_map_is_built_once(self, mesh16):
-        shared = mesh16.shared_edge_map()
-        assert mesh16.shared_edge_map() is shared
-        assert shared == edge_map(mesh16.triangles)
+        shared = mesh16.edges.edge_map
+        assert mesh16.edges.edge_map is shared
+        assert shared == EdgeTable(mesh16.triangles).edge_map
 
 
 class TestOffExport:
@@ -189,6 +191,7 @@ class TestComponents:
 
         k = len(mesh16.vertices)
         double = copy.copy(mesh16)
+        vars(double).pop("edges", None)
         double.vertices = mesh16.vertices * 2
         double.triangles = mesh16.triangles + [
             (a + k, b + k, c + k) for a, b, c in mesh16.triangles
@@ -256,6 +259,7 @@ def _variant(mesh16, name):
     import copy
 
     m = copy.copy(mesh16)
+    vars(m).pop("edges", None)  # each variant's edge table is built from its own triangles
     tris = mesh16.triangles
     a, b, c = tris[0]
     k = len(mesh16.vertices)
@@ -303,7 +307,7 @@ class TestValidationReference:
     def test_edge_map_equals_dict_reference(self, mesh16):
         for name in ("intact", "edge-on-four"):
             tris = _variant(mesh16, name).triangles
-            assert edge_map(tris) == reference_edge_map(tris)  # lists in triangle order
+            assert EdgeTable(tris).edge_map == reference_edge_map(tris)  # lists in triangle order
 
     def test_off_counts_equal_reference(self, mesh16, tmp_path):
         path = str(tmp_path / "surface.off")
@@ -318,6 +322,45 @@ class TestValidationReference:
         path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n")
         with pytest.raises(ValueError, match="non-triangle"):
             load_off_counts(str(path))
+
+    @pytest.mark.parametrize("faces", ["3 0 1 2\n\n", "3 0 1 2\n"], ids=["blank", "truncated"])
+    def test_off_missing_face_line_is_refused(self, tmp_path, faces):
+        path = tmp_path / "missing.off"
+        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n" + faces)
+        with pytest.raises(ValueError, match="non-triangle"):
+            load_off_counts(str(path))
+
+    @pytest.mark.parametrize("face", ["3 0 1 7", "3 0 1 3", "3 -1 0 1"])
+    def test_off_face_index_outside_the_vertices_is_refused(self, tmp_path, face):
+        path = tmp_path / "outside.off"
+        path.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n{face}\n")
+        with pytest.raises(ValueError, match="outside the 3 vertices"):
+            load_off_counts(str(path))
+
+    @pytest.mark.parametrize("counts", ["-3 0 0", "0 -1 0"])
+    def test_off_negative_count_is_refused(self, tmp_path, counts):
+        path = tmp_path / "negative.off"
+        path.write_text(f"OFF\n{counts}\n")
+        with pytest.raises(ValueError, match="negative count"):
+            load_off_counts(str(path))
+
+    def test_one_edge_table_serves_validation_and_slicing(self, monkeypatch):
+        from fractions import Fraction
+
+        from t3mcg.mesh.curves import plane_section
+
+        built, init = [], EdgeTable.__init__
+
+        def counted(self, triangles):
+            built.append(self)
+            init(self, triangles)
+
+        monkeypatch.setattr(EdgeTable, "__init__", counted)
+        mesh = build_surface(8)
+        table = mesh.edges
+        assert validate_surface(mesh)["genus"] == 3
+        assert plane_section(mesh, 1, Fraction(1, 2)).loops
+        assert built == [table] and mesh.edges is table
 
     def test_edge_on_four_triangles_stops_a_chain(self):
         from fractions import Fraction
@@ -360,7 +403,6 @@ class TestIntegerVertexLayer:
     def test_length_builds_no_row(self):
         mesh = build_surface(8)
         assert len(mesh.vertices) == len(mesh.vertex_edges) == len(mesh.vertex_key)
-        assert mesh.vertices._rows.count(None) == len(mesh.vertex_key)
         assert mesh.vertices[-1] == mesh.vertices[len(mesh.vertices) - 1]
         assert mesh.vertices[:2] == [mesh.vertices[0], mesh.vertices[1]]
 
@@ -379,7 +421,7 @@ class TestIntegerVertexLayer:
             tracemalloc.stop()
         assert peak < 2**20
         assert built == []
-        assert rows[5] == rows[5] == (5,) and built == [5]  # row reads stay memoized
+        assert rows[5] == rows[5] == (5,) and built == [5, 5]  # each read builds its row
 
     @pytest.mark.slow
     def test_mesh_n64_matches_pinned_digest(self):
