@@ -87,26 +87,28 @@ def _tet_case(corners, mask: int):
     return edges, [(0, k, k + 1) if up else (0, k + 1, k) for k in fan]
 
 
-# The case table, indexed by case = 16 * path + mask, with its rows padded:
-# the numbers of crossed edges and of triangles, the edges and the triangles.
-# Masks 0 and 15 have no crossing and an empty entry.
+# The case table, indexed by case = 16 * path + mask, with its rows padded and
+# flattened: the numbers of crossed edges and of triangles; the lower corner
+# (code 4x + 2y + z) and direction code of crossed edge ``rank``, at
+# ``4 * case + rank``; and triangle ``rank``, at ``2 * case + rank``, as intp
+# use indices so that gathering by them makes no index copy.  Masks 0 and 15
+# have no crossing and an empty entry.
 _CASES = [_tet_case(c, m) if 0 < m < 15 else ([], []) for c in _TET_PATHS for m in range(16)]
 _CASE_SIZES = np.array([(len(edges), len(tris)) for edges, tris in _CASES], np.int8)
-_CASE_EDGES = np.array([edges + [(0, 0, 0, 0)] * (4 - len(edges)) for edges, _ in _CASES], np.int8)
-_CASE_TRIS = np.array([tris + [(0, 0, 0)] * (2 - len(tris)) for _, tris in _CASES], np.int8)
+_CASE_EDGES = np.array(
+    [edge for edges, _ in _CASES for edge in edges + [(0, 0, 0, 0)] * (4 - len(edges))], np.int32
+)
+_CASE_CORNERS = _CASE_EDGES[:, :3] @ np.array([4, 2, 1], np.int32)
+_CASE_AXES = _CASE_EDGES[:, 3]
+_CASE_TRIS = np.array(
+    [tri for _, tris in _CASES for tri in tris + [(0, 0, 0)] * (2 - len(tris))], np.intp
+)
 
 # _CUBE_CASES[cube, path]: the case of each path tetrahedron of a cell whose
 # corner (x, y, z) is negative when bit 4x + 2y + z of ``cube`` is set.
 _BITS = np.array([[4 * x + 2 * y + z for x, y, z in corners] for corners in _TET_PATHS])
 _NEG = np.arange(256)[:, None, None] >> _BITS & 1  # [cube, path, k]: corner k is negative
 _CUBE_CASES = (16 * np.arange(6) + (_NEG << np.arange(4)).sum(axis=2)).astype(np.int8)
-
-
-def _expand(counts):
-    """``(owner, rank)``, int32 and int8, of each item when owner ``i`` has ``counts[i]``."""
-    owner = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    first = np.cumsum(counts, dtype=np.int32) - counts
-    return owner, (np.arange(len(owner), dtype=np.int32) - first[owner]).astype(np.int8)
 
 
 def _sample_field(n: int) -> np.ndarray:
@@ -200,8 +202,9 @@ class TriMesh:
     int16 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
     views (``triangles``, ``tri_cells``).  ``edges``, the one edge table of the
     mesh, reads the triangle array without a copy; validation, chaining,
-    cutting and the swap all read it, so a copy that swaps in other triangles
-    (a list of tuples, say) drops it too.
+    cutting and the swap all read it.  It is keyed on the ``triangles`` object
+    it was built from, so a copy that assigns other triangles (a list of
+    tuples, say) reads a table of its own.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -257,10 +260,14 @@ class TriMesh:
             for *xyz, d in map(self.int_row, self.triangles[tri_index])
         )
 
-    @cached_property
+    @property
     def edges(self) -> EdgeTable:
-        """The one ``EdgeTable`` of ``triangles``, built on its first read, for readers only."""
-        return EdgeTable(self.triangles)
+        """The one ``EdgeTable`` of ``triangles``, for readers only: built on the first
+        read, and again on the first read after ``triangles`` is another object."""
+        built = getattr(self, "_edges", None)
+        if built is None or built[0] is not self.triangles:
+            built = self._edges = (self.triangles, EdgeTable(self.triangles))
+        return built[1]
 
 
 class EdgeTable:
@@ -289,18 +296,24 @@ class EdgeTable:
         tail, head = self.tris.ravel(), self.tris[:, [1, 2, 0]].ravel()
         size = int(self.tris.max(initial=0)) + 1
         self.ascending = tail < head
-        key = np.minimum(tail, head).astype(np.int64) * size + np.maximum(tail, head)
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
         del tail, head
+        key = low.astype(np.int64)
+        key *= size
+        key += high
         self.order = np.argsort(key, kind="stable").astype(np.int32)
         key = key[self.order]
         first = np.ones(len(key), bool)
         first[1:] = key[1:] != key[:-1]
+        del key
         self.start = np.flatnonzero(first).astype(np.int32)
-        self.low, self.high = (x.astype(self.tris.dtype) for x in np.divmod(key[self.start], size))
-        self.count = np.diff(self.start, append=np.int32(len(key)))
+        half = self.order[self.start]  # the first half-edge of each edge
+        self.low, self.high = low[half], high[half]
+        del low, high
+        self.count = np.diff(self.start, append=np.int32(len(self.order)))
         inner = self.start[self.count == 2]
         self.pairs = np.stack((self.order[inner], self.order[inner + 1]), axis=1)
-        self.neighbour = np.full(len(key), -1, np.int32)
+        self.neighbour = np.full(len(self.order), -1, np.int32)
         self.neighbour[self.pairs] = self.pairs[:, ::-1] // 3
 
     def report(self, n_vertices: int) -> dict:
@@ -335,8 +348,14 @@ def _triangulate(g: np.ndarray):
     vertices, and each vertex's grid-edge key.  The walk runs over the active
     cells in ``argwhere`` order, their tetrahedra in ``_TET_PATHS`` order and
     each case's triangles in table order; a vertex is numbered at the first
-    use of its grid edge.  Ids and grid-edge keys ``((x*n + y)*n + z)*8 + axes``
-    (below ``8n^3``) are int32, ranks int8; the vertex keys are returned as int64.
+    use of its grid edge.  The key ``((x*n + y)*n + z)*8 + axes`` (below
+    ``8n^3``) of a use is the wrapped key of the edge's lower corner, computed
+    once for each corner of each active cell and read with one 1-D gather,
+    plus the direction code; the case tables are read at ``4 * case + rank``
+    and ``2 * case + rank``, so no use pays an integer modulo or a 2-D gather.
+    An unstable sort groups the uses of each grid edge, and the least use in
+    each group is its first.  Ids and keys are int32; the vertex keys are
+    returned as int64.
     """
     n = len(g)
     # Bit 4x + 2y + z of cube[cell] is set when corner (x, y, z) of the cell is
@@ -346,28 +365,72 @@ def _triangulate(g: np.ndarray):
     cube = np.zeros_like(neg)
     for c in range(8):
         cube |= np.roll(neg, (-(c >> 2), -(c >> 1 & 1), -(c & 1)), axis=(0, 1, 2)) << np.uint8(c)
-    active = np.argwhere((cube != 0) & (cube != 255)).astype(np.int32)
+    mixed = (cube != 0) & (cube != 255)
+    active = np.argwhere(mixed).astype(np.int32)
 
-    # The mixed tetrahedra as (active cell, path) slots in walk order, and
-    # each use of a crossed grid edge, keyed by (wrapped lower corner, axes).
-    case = _CUBE_CASES[cube[tuple(active.T)]].ravel()
-    del neg, cube  # n^3 bytes each, freed before the per-edge arrays
+    # The mixed tetrahedra as (active cell, path) slots in walk order.
+    case = _CUBE_CASES[cube[mixed]].ravel()
+    del neg, cube, mixed  # n^3 bytes each, freed before the per-edge arrays
     slot = np.flatnonzero(_CASE_SIZES[case, 0]).astype(np.int32)
-    case, slot_cell = case[slot], slot // len(_TET_PATHS)
+    case, slot_cell = case[slot].astype(np.int32), slot // len(_TET_PATHS)
+    del slot
     n_edges = _CASE_SIZES[case, 0]
-    use_slot, use_rank = _expand(n_edges)
-    use = _CASE_EDGES[case[use_slot], use_rank]
-    x, y, z = ((active[slot_cell[use_slot]] + use[:, :3]) % n).T
-    keys = ((x * n + y) * n + z) * 8 + use[:, 3]
-    del use_slot, use_rank, use, x, y, z  # freed before the sort
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    number = np.empty(len(by_first), np.int32)
-    number[by_first] = np.arange(len(by_first), dtype=np.int32)
-    tri_slot, tri_rank = _expand(_CASE_SIZES[case, 1])
-    local = _CASE_TRIS[case[tri_slot], tri_rank]
-    tris = number[inverse][(np.cumsum(n_edges, dtype=np.int32) - n_edges)[tri_slot, None] + local]
-    return active, slot_cell[tri_slot], tris, unique[by_first].astype(np.int64)
+
+    # The key 8 * ((x*n + y)*n + z) of each active cell's corner (a, b, c), at
+    # 8 * cell + 4a + 2b + c: an upper corner at n wraps to 0.
+    ends = np.stack((active, active + 1))
+    ends[ends == n] = 0
+    ends *= np.array([8 * n * n, 8 * n, 8], np.int32)
+    x, y, z = ends.transpose(2, 1, 0)
+    corner_key = (x[:, :, None, None] + y[:, None, :, None] + z[:, None, None, :]).ravel()
+    del ends, x, y, z
+
+    # Each use of a crossed grid edge reads its key with one 1-D gather.  The
+    # uses of a slot are consecutive from ``offset``, so use u is rank
+    # u - offset of its slot, and its table entry is 4 * case + rank.
+    offset = np.cumsum(n_edges, dtype=np.int32)
+    offset -= n_edges
+    at = np.repeat((case << 2) - offset, n_edges)
+    at += np.arange(len(at), dtype=np.int32)
+    keys = np.repeat(slot_cell << 3, n_edges)
+    keys += _CASE_CORNERS.take(at)
+    keys = corner_key.take(keys)
+    keys += _CASE_AXES.take(at)
+    del at, corner_key
+
+    # Number the vertices by first use.  The least use in each run of equal
+    # sorted keys is its grid edge's first; ``is_first`` marks those, its
+    # running count numbers them, and ``ids`` holds the vertex of each use.
+    perm = np.argsort(keys)
+    sorted_keys = keys.take(perm)
+    new_run = np.empty(len(keys), bool)
+    new_run[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    del sorted_keys
+    starts = np.flatnonzero(new_run)
+    del new_run
+    first = np.minimum.reduceat(perm, starts) if len(starts) else starts  # one-sign g: no use
+    is_first = np.zeros(len(keys), bool)
+    is_first[first] = True
+    vertex_key = keys[is_first].astype(np.int64)
+    del keys
+    number = np.cumsum(is_first, dtype=np.int32).take(first)
+    number -= 1
+    del is_first, first
+    counts = np.diff(starts, append=len(perm))
+    del starts
+    ids = np.empty(len(perm), np.int32)
+    ids[perm] = np.repeat(number, counts)
+    del perm, number, counts
+
+    # Triangle rank r of a slot is table entry 2 * case + r, over its uses.
+    n_tris = _CASE_SIZES[case, 1]
+    at = np.repeat((case << 1) - (np.cumsum(n_tris, dtype=np.int32) - n_tris), n_tris)
+    at += np.arange(len(at), dtype=np.int32)
+    tris = _CASE_TRIS.take(at, axis=0)
+    del at
+    tris += np.repeat(offset, n_tris)[:, None]
+    return active, np.repeat(slot_cell, n_tris), ids.take(tris), vertex_key
 
 
 def build_surface(n: int) -> TriMesh:
@@ -383,10 +446,16 @@ def build_surface(n: int) -> TriMesh:
     base = np.stack(np.unravel_index(vertex_key >> 3, g.shape), axis=1)
     axes = vertex_key[:, None] >> np.array([2, 1, 0]) & 1
     tnum = np.abs(g[tuple(base.T)].astype(np.int64))
-    d = tnum + np.abs(g[tuple(((base + axes) % n).T)])
+    top = base + axes
+    top[top == n] = 0  # base + axes <= n, so one subtraction wraps it
+    d = tnum + np.abs(g[tuple(top.T)])
+    del top
     p, q = TriMesh.offset_num, TriMesh.offset_den
     den = q * n * d
-    num = ((q * base + p) * d[:, None] + q * tnum[:, None] * axes) % den[:, None]
+    # 0 < num < 2 * den before its reduction mod den: as tnum <= d and p < q,
+    # num <= (q*(n - 1) + p)*d + q*d < 2qnd, so one subtraction reduces it
+    num = (q * base + p) * d[:, None] + q * tnum[:, None] * axes
+    np.subtract(num, den[:, None], out=num, where=num >= den[:, None])
 
     cell_array = active.astype(np.int16)[tri_cell]
     tris.flags.writeable = cell_array.flags.writeable = False  # the views are read-only

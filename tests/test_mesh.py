@@ -159,6 +159,16 @@ class TestNegativeControls:
         assert not report["orientable"]
 
 
+    def test_assigned_triangles_replace_a_table_already_read(self, mesh16):
+        import copy
+
+        broken = copy.copy(mesh16)
+        assert broken.edges.report(len(broken.vertices))["closed"]
+        broken.triangles = mesh16.triangles[:-1]
+        assert not validate_surface(broken)["closed"]
+        assert validate_surface(mesh16)["closed"]
+
+
 class TestEdgeMap:
     def test_shared_map_is_built_once(self, mesh16):
         shared = mesh16.edges.edge_map
@@ -373,6 +383,123 @@ class TestValidationReference:
         mesh.triangles = mesh.triangles + [mesh.triangles[first]]
         with pytest.raises(DegeneracyError, match="not interior"):
             slice_field(mesh, fld)
+
+
+# ---------------------------------------------------------------------------
+# The bulk triangulation against a walk in Python, and large-mesh digests.
+# ---------------------------------------------------------------------------
+
+
+def reference_triangulation(g):
+    """The walk ``_triangulate`` runs, one cell, tetrahedron and grid edge at a time.
+
+    Cells in ``argwhere`` order, paths in ``_TET_PATHS`` order, each case's
+    edges and triangles from ``_CASES``; a vertex is numbered at the first
+    use of its grid edge, keyed by its wrapped lower corner and direction.
+    """
+    from itertools import product
+
+    from t3mcg.mesh.surface import _CASES, _TET_PATHS
+
+    n = len(g)
+    active, tri_cell, tris, number = [], [], [], {}
+    for x, y, z in product(range(n), repeat=3):
+        negative = {
+            c: bool(g[(x + c[0]) % n, (y + c[1]) % n, (z + c[2]) % n] < 0)
+            for c in product((0, 1), repeat=3)
+        }
+        if len(set(negative.values())) == 1:
+            continue
+        for path, corners in enumerate(_TET_PATHS):
+            mask = sum(1 << k for k, c in enumerate(corners) if negative[c])
+            edges, triangles = _CASES[16 * path + mask]
+            ids = []
+            for lx, ly, lz, axes in edges:
+                key = ((((x + lx) % n) * n + (y + ly) % n) * n + (z + lz) % n) * 8 + axes
+                ids.append(number.setdefault(key, len(number)))
+            for tri in triangles:
+                tris.append([ids[i] for i in tri])
+                tri_cell.append(len(active))
+        active.append([x, y, z])
+    return active, tri_cell, tris, list(number)
+
+
+class TestTriangulateReference:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_random_fields_match_the_python_walk(self, n):
+        import numpy as np
+
+        from t3mcg.mesh.surface import _triangulate
+
+        rng = np.random.default_rng(1000 + n)
+        g = (rng.integers(1, 50, (n, n, n)) * rng.choice([-1, 1], (n, n, n))).astype(np.int32)
+        active, tri_cell, tris, keys = reference_triangulation(g)
+        assert max(max(cell) for cell in active) == n - 1  # some corner wraps at n
+        got = _triangulate(g)
+        assert [a.dtype for a in got] == [np.int32, np.int32, np.int32, np.int64]
+        assert got[0].shape == (len(active), 3) and got[2].shape == (len(tris), 3)
+        assert got[0].tolist() == active
+        assert got[1].tolist() == tri_cell
+        assert got[2].tolist() == tris
+        assert got[3].tolist() == keys
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_sign_field_gives_empty_arrays(self, sign):
+        import numpy as np
+
+        from t3mcg.mesh.surface import _triangulate
+
+        got = _triangulate(np.full((4, 4, 4), sign, np.int32))
+        assert [(a.dtype, a.shape) for a in got] == [
+            (np.int32, (0, 3)),
+            (np.int32, (0,)),
+            (np.int32, (0, 3)),
+            (np.int64, (0,)),
+        ]
+        assert reference_triangulation(np.full((4, 4, 4), sign)) == ([], [], [], [])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n, digests",
+        [
+            (128, {
+                "vertex_key": "914264e8c2c731a60d1e6f2c1f96abfc56f347137fbe199d97c41a3e07488e61",
+                "vertex_num": "eb0738ca14cb4b9e899dd00735a0c1a539575a3aa48e7d745726404c1d751e1b",
+                "vertex_den": "3fe686c97408310d25627b21bba0a1b24f62089b30cd93386e76f125ab1479b5",
+                "vertex_tnum": "8555e0242e98a937a4516e47d659bff8e99a83ca269caade4a40c1e199ce7fcb",
+                "triangles": "19d54f98ac4e213e2a1329fce8e86ca7d024e7b4d273d15c39955e07f9ec7cc3",
+                "cell_array": "2c4fe199388d3be99717e0a9644438895986a7c5e4ea725d0c0b53c3b96a2766",
+            }),
+            (256, {
+                "vertex_key": "b4ddf5aac287fb8befa394c16930551ae9688c8483656ce7bd42f5975dc585a5",
+                "vertex_num": "32e4d48ba37faab9bd471136893e453542e215d38382416fec139a5ac3054d9d",
+                "vertex_den": "3c185628a079b9ccced2b90e241372a3fbc20a6f61e3796f7dc730b4e5798bba",
+                "vertex_tnum": "4c962fcedcb33b0f9265713560fe82cf2112aad329983b15f76015978a341ba6",
+                "triangles": "6156d5d795e88a2fbf7ed0efdcea358a72ca5ad64d34e80a26e8f026785d3d01",
+                "cell_array": "ffa623503d1eda4b54b277be191811b6fb6caf4760c54ad2e512bc4774b0470b",
+            }),
+        ],
+        ids=["n128", "n256"],
+    )
+    def test_mesh_arrays_match_pinned_digests(self, n, digests):
+        import hashlib
+
+        import numpy as np
+
+        m = build_surface(n)
+        arrays = {
+            "vertex_key": m.vertex_key,
+            "vertex_num": m.vertex_num,
+            "vertex_den": m.vertex_den,
+            "vertex_tnum": m.vertex_tnum,
+            "triangles": np.asarray(m.triangles),
+            "cell_array": m.cell_array,
+        }
+        assert {k: a.dtype.str for k, a in arrays.items()} == {
+            "vertex_key": "<i8", "vertex_num": "<i8", "vertex_den": "<i8",
+            "vertex_tnum": "<i8", "triangles": "<i4", "cell_array": "<i2",
+        }
+        assert {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()} == digests
 
 
 # ---------------------------------------------------------------------------
