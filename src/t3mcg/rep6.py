@@ -52,6 +52,11 @@ def is_antisymplectic(m: Mat6) -> bool:
     return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == mat_neg(CANONICAL_J)
 
 
+def intertwines(m: Mat6, r3) -> bool:
+    """``PROJECTION M == R3 PROJECTION``: rows 4-6 of ``M`` are ``(0, 0, 0)`` + rows of ``R3``."""
+    return all(tuple(m[3 + i]) == (0, 0, 0, *r3[i]) for i in range(3))
+
+
 def derive_swap6(h: HomologyData) -> Mat6:
     """Matrix of the handlebody swap: translate each generator curve, read
     off the classes, and change to the canonical basis.  The half-diagonal
@@ -159,9 +164,10 @@ def _radius_text(value) -> bool:
 class GeneratorTable6:
     """The eight generator matrices; construction builds all 16 letters once.
 
-    By the signed law ``M^T J M = +-J`` (``-J`` for ``s`` alone) a letter's
-    inverse is ``-J M^T J`` (``J M^T J`` for ``s``), kept only if ``inv M = I``,
-    which is the law itself.  An int64 array is made only when ``6 |M| < 2^62``.
+    By the signed law ``M^T J M = +-J`` (``-J`` for ``s`` alone) a letter's inverse
+    ``-J M^T J`` (``J M^T J`` for ``s``) is the signed block transpose ``inv[i][j] =
+    +-m[j + 3 mod 6][i + 3 mod 6]``, ``-`` across blocks and all flipped for ``s``, kept
+    only if ``inv M = I``, the law itself.  An int64 array is made only when ``6 |M| < 2^62``.
     """
 
     matrices: dict  # token -> Mat6 (sign +1)
@@ -177,8 +183,11 @@ class GeneratorTable6:
     def __post_init__(self):
         self._letters = {}
         for tok, m in self.matrices.items():
-            sign_j = CANONICAL_J if tok == "s" else mat_neg(CANONICAL_J)
-            inv = mat_mul(sign_j, mat_mul(transpose(m), CANONICAL_J))
+            sigma = -1 if tok == "s" else 1  # m[k - 3] is row k + 3 mod 6
+            inv = tuple(
+                tuple((sigma if (i < 3) == (j < 3) else -sigma) * m[j - 3][i - 3] for j in range(6))
+                for i in range(6)
+            )
             if mat_mul(inv, m) != IDENTITY6:
                 raise ValueError(f"matrix {tok} is not {'anti' * (tok == 's')}symplectic")
             for sign, x in ((1, m), (-1, inv)):
@@ -206,7 +215,9 @@ class GeneratorTable6:
     @classmethod
     def from_json(cls, data: dict) -> "GeneratorTable6":
         """A persisted table, checked against the laws every derived table
-        obeys; a violation raises ``ValueError`` naming the token."""
+        obeys; a violation raises ``ValueError`` naming the token or key."""
+        if missing := [key for key in ("matrices", "resolution", "handedness") if key not in data]:
+            raise ValueError(f"missing key {missing[0]!r}")
         matrices = {k: mat6(v) for k, v in data["matrices"].items()}
         for tok in BASE_TOKENS:
             if tok not in matrices:
@@ -217,8 +228,7 @@ class GeneratorTable6:
         if type(data["resolution"]) is not int:
             raise ValueError(f"resolution must be an integer, got {data['resolution']!r}")
         for tok in BASE_TOKENS:
-            m = matrices[tok]
-            if mat_mul(PROJECTION, m) != mat_mul(gen_image3(Generator(tok, 1)), PROJECTION):
+            if not intertwines(matrices[tok], gen_image3(Generator(tok, 1))):
                 raise ValueError(f"matrix {tok} does not intertwine with the projection")
         if mat_mul(matrices["s"], matrices["s"]) != IDENTITY6:
             raise ValueError("matrix s is not an involution")
@@ -414,13 +424,8 @@ def _word_image6_exact(w: Word, table: GeneratorTable6) -> Mat6:
 
 
 def compat_check(w: Word, table: GeneratorTable6) -> bool:
-    """Projection intertwining: winding part of the surface action equals the
-    ambient action."""
-    m6 = word_image6(w, table)
-    m3 = word_image3(w)
-    lhs = mat_mul(PROJECTION, m6)
-    rhs = mat_mul(m3, PROJECTION)
-    return lhs == rhs
+    """Projection intertwining: winding part of the surface action equals the ambient action."""
+    return intertwines(word_image6(w, table), word_image3(w))
 
 
 KERNEL_NOT = "NotInKernel"

@@ -22,7 +22,7 @@ from .words import expand_macro, render
 from .rep3 import IDENTITY3, decompose_sl3, is_kernel3, mat_mul, word_image3
 from .mesh.homology import HomologyData, PROJECTION, intersection_number
 from .mesh.curves import cut_along
-from .rep6 import GeneratorTable6, IDENTITY6, resolve_handedness, word_image6
+from .rep6 import GeneratorTable6, IDENTITY6, intertwines, resolve_handedness, word_image6
 
 
 @dataclass
@@ -143,14 +143,13 @@ def check_intertwining(table, h, seed):
         random_word(rng, FULL_ALPHABET, 20) for _ in range(100)
     ]
     for w in tests:
-        lhs = mat_mul(PROJECTION, word_image6(w, table))
-        rhs = mat_mul(word_image3(w), PROJECTION)
-        if lhs != rhs:
+        m6, m3 = word_image6(w, table), word_image3(w)
+        if not intertwines(m6, m3):
             bad.append(
                 {
                     "word": render(w),
-                    "projected_surface_action": _rows(lhs),
-                    "ambient_action_projected": _rows(rhs),
+                    "projected_surface_action": _rows(m6[3:]),
+                    "ambient_action_projected": _rows(mat_mul(m3, PROJECTION)),
                 }
             )
             if len(bad) >= 3:

@@ -487,14 +487,22 @@ def _s_not_an_involution(data):
     data["matrices"]["s"] = s
 
 
+def _without(key):
+    return lambda data: data.pop(key)
+
+
 class TestTableRefusals:
     CASES = [
         (_extra_matrix, "unknown matrix 'x12'"),
         (_string_resolution, "resolution must be an integer, got '32'"),
         (_a12_as_a13, "matrix a12 does not intertwine with the projection"),
         (_s_not_an_involution, "matrix s is not an involution"),
+        (_without("matrices"), "missing key 'matrices'"),
+        (_without("resolution"), "missing key 'resolution'"),
+        (_without("handedness"), "missing key 'handedness'"),
     ]
     IDS = ["extra-matrix", "string-resolution", "a12-as-a13", "s-not-an-involution"]
+    IDS += ["no-matrices", "no-resolution", "no-handedness"]
 
     @pytest.mark.parametrize("forge, message", CASES, ids=IDS)
     def test_from_json_refuses(self, forge, message, table32):

@@ -124,6 +124,44 @@ class TestTwists:
             assert sorted(eps) == [-1, -1, 1, 1]
 
 
+class TestAlternatingPattern:
+    """The alternating pattern twists each tube loop by its winding direction."""
+
+    @pytest.fixture(scope="class", params=[8, 16], ids=["n8", "n16"])
+    def homology(self, request):
+        if request.param == 16:
+            return request.getfixturevalue("homology16")
+        from t3mcg.mesh import build_surface
+        from t3mcg.mesh.homology import build_homology
+
+        return build_homology(build_surface(8))
+
+    def test_pattern_is_each_loops_displacement_along_the_axis(self, homology):
+        from t3mcg.mesh.homology import pair_tube
+        from t3mcg.words import AXIS_PAIRS
+
+        h = homology
+        tubes = list(h.tubes) + [pair_tube(h.mesh, i, j) for i, j in AXIS_PAIRS]
+        assert len(tubes) == 9
+        for tube in tubes:
+            axis = tube.field.axis
+            assert len(tube.loops) == 4
+            expect = [loop.displacement[axis] for loop in tube.loops]
+            assert tube_pattern(h, tube, "alternating") == expect
+            assert sorted(expect) == [-1, -1, 1, 1]
+
+    def test_loop_without_winding_is_refused(self, homology16):
+        from dataclasses import replace
+
+        from t3mcg.mesh.curves import DegeneracyError
+
+        tube = homology16.tubes[2]
+        loops = list(tube.loops)
+        loops[1] = replace(loops[1], displacement=(0, 0, 0))
+        with pytest.raises(DegeneracyError, match=r"displacement \(0, 0, 0\) is not \+-e_3$"):
+            tube_pattern(homology16, replace(tube, loops=loops), "alternating")
+
+
 class TestClassOfSteps:
     def test_closed_form_matches_gauss_jordan(self, homology16):
         from t3mcg.mesh.curves import walk_steps
