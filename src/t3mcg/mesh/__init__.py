@@ -4,7 +4,6 @@ from .surface import (
     TriMesh,
     build_surface,
     export_off,
-    half_translation_vertex_map,
     load_off_counts,
     validate_surface,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "TriMesh",
     "build_surface",
     "export_off",
-    "half_translation_vertex_map",
     "load_off_counts",
     "validate_surface",
 ]

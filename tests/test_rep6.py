@@ -61,6 +61,53 @@ class TestSwap:
         assert not is_symplectic(s)
 
 
+class TestSwapFromSections:
+    # derive_swap6 matches the six translated generator loops with their image
+    # sections; swap_reference pushes them through the whole-mesh permutations
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_equals_the_whole_mesh_reference(self, n, request):
+        from swap_reference import reference_swap6
+        from t3mcg.mesh import build_surface
+        from t3mcg.mesh.homology import build_homology
+        from t3mcg.rep6 import derive_swap6
+
+        if n in (16, 32):
+            h = request.getfixturevalue(f"homology{n}")
+        else:
+            h = build_homology(build_surface(n))
+        memo = set(h._memo)
+        assert derive_swap6(h) == reference_swap6(h)
+        assert set(h._memo) == memo  # no image section is held
+
+    @pytest.mark.parametrize("step", [0, 5], ids=["first-step", "later-step"])
+    @pytest.mark.parametrize("generator", ["plane", "tube"])
+    def test_perturbed_step_parameter_is_degenerate(self, generator, step, mesh16):
+        from t3mcg.mesh.curves import DegeneracyError, Steps
+        from t3mcg.mesh.homology import build_homology
+        from t3mcg.rep6 import derive_swap6
+
+        h = build_homology(mesh16)
+        loop = (h.disk_sections_a if generator == "plane" else h.longitudes)[0].loop
+        ends = loop.steps.ends.copy()
+        ends[step, 0, 2] += 1  # the step's entry parameter p of t = p/q
+        loop.steps = Steps(loop.steps.tri, ends)
+        with pytest.raises(DegeneracyError, match="no loop of its image section"):
+            derive_swap6(h)
+
+    def test_image_tube_at_another_radius_is_degenerate(self, homology16, monkeypatch):
+        from fractions import Fraction
+
+        from t3mcg import rep6
+        from t3mcg.mesh.curves import DegeneracyError, TubeField
+
+        def wider(axis, center, radius):
+            return TubeField(axis, center, radius * Fraction(17, 16))
+
+        monkeypatch.setattr(rep6, "TubeField", wider)
+        with pytest.raises(DegeneracyError, match="no loop of its image section"):
+            rep6.derive_swap6(homology16)
+
+
 class TestTwist:
     def test_alternating_twist_nontrivial_and_compatible(self, homology32, table32):
         t = table32.matrices["t"]
