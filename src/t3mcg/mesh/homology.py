@@ -9,7 +9,7 @@ what the tube longitudes do to each other; integer symplectic reduction then
 produces the canonical basis (a_1..a_3, b_1..b_3) with form [[0,I],[-I,0]],
 p(a_i) = 0 and p(b_i) = e_i.  Classes of arbitrary curves are recovered from
 crossing numbers against the generators, which keeps every computation an
-exact integer one.
+exact integer one; the matrix helpers are ``rep3``'s, and no matrix is inverted.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ..rep3 import det3, mat_mul
+from ..rep3 import det3, identity, mat_mul, mat_vec, transpose
 from .surface import TriMesh
 from .curves import (
     DegeneracyError,
@@ -31,46 +31,6 @@ from .curves import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def invert_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(v) for v in vals))
-    return tuple(inv)
-
 
 CANONICAL_J = (
     (0, 0, 0, 1, 0, 0),

@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -271,8 +270,8 @@ class TriMesh:
 
 
 class EdgeTable:
-    """The undirected edges of a list of triangles, as one sorted int64 key table:
-    a mesh builds one (``TriMesh.edges``), and ``edge_map`` is its one dict view.
+    """The undirected edges of a list of triangles, as one sorted int64 key table;
+    a mesh builds one (``TriMesh.edges``).
 
     The triangles are anything ``np.asarray`` reads as int vertex triples: a
     ``(T, 3)`` int array or ``IntRows`` view of one, which it keeps without a
@@ -331,14 +330,6 @@ class EdgeTable:
             "triangles": len(self.tris),
             "euler_characteristic": n_vertices - len(self.start) + len(self.tris),
         }
-
-    @cached_property
-    def edge_map(self) -> dict:
-        """Undirected vertex pair (low, high) -> indices of the triangles on it."""
-        tris = (self.order // 3).tolist()
-        bounds = self.start.tolist() + [len(tris)]
-        pairs = zip(self.low.tolist(), self.high.tolist())
-        return {pair: tris[s:e] for pair, s, e in zip(pairs, bounds, bounds[1:])}
 
 
 def _triangulate(g: np.ndarray):

@@ -5,7 +5,8 @@ convention throughout: a shear a_ij sends basis vector e_i to e_i + e_j (the
 matrix is the identity plus a single 1 in row j, column i), and matrices for a
 word multiply right to left so that the first letter acts first.  The swap and
 twist generators act trivially here.  Exactness is the point: plain Python
-integers, no floats.
+integers, no floats, no ``Fraction``.  The integer matrix helpers of ``rep6`` and
+``mesh.homology`` live here too, with the 3x3 cofactor matrix as their one inverse.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from .words import AXIS_PAIRS, Generator, Word
 
 Mat3 = tuple  # 3x3 tuple of tuples of ints, row-major
 
-IDENTITY3: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+IDENTITY3: Mat3 = identity(3)
 
 
 def int_matrix(rows, size: int) -> tuple:
@@ -49,12 +55,26 @@ def mat_mul(a, b):
     )
 
 
-def det3(m: Mat3) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def mat_vec(a, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
+def transpose(a):
+    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
+
+
+def cofactors3(m: Mat3) -> Mat3:
+    """The cofactor matrix ``det(m) m^-T`` of a 3x3 integer matrix, so the exact
+    ``m^-T`` when ``det(m) = 1``: entry (i, j) is the signed minor of ``m[i][j]``."""
+    rest = ((1, 2), (2, 0), (0, 1))  # the other two rows (columns) of i (j), cyclically
+    return tuple(
+        tuple(m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1] for j1, j2 in rest) for i1, i2 in rest
     )
+
+
+def det3(m: Mat3) -> int:
+    """Expansion along row 0: ``m[0]`` dotted with row 0 of ``cofactors3(m)``."""
+    return sum(x * c for x, c in zip(m[0], cofactors3(m)[0]))
 
 
 # Each shear's row_j += sign * row_i, 0-based (i, j): left multiplication by its image.

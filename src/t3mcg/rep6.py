@@ -19,20 +19,18 @@ from itertools import product
 import numpy as np
 
 from .words import AXIS_PAIRS, BASE_TOKENS, Generator, Macro, Word, expand_macro
-from .rep3 import det3, gen_image3, int_matrix, is_kernel3, word_image3
-from .mesh.homology import (
-    CANONICAL_J,
-    HALF,
-    HomologyData,
-    PROJECTION,
+from .rep3 import (
+    cofactors3,
+    det3,
+    gen_image3,
     identity,
-    invert_unimodular,
+    int_matrix,
+    is_kernel3,
     mat_mul,
-    mat_neg,
-    pair_tube,
     transpose,
-    tube_twist,
+    word_image3,
 )
+from .mesh.homology import CANONICAL_J, HALF, HomologyData, PROJECTION, pair_tube, tube_twist
 from .mesh.curves import DegeneracyError, TubeField, slice_field
 
 Mat6 = tuple
@@ -44,12 +42,22 @@ def mat6(rows) -> Mat6:
     return int_matrix(rows, 6)
 
 
+def signed_inverse(m: Mat6, sigma: int) -> Mat6:
+    """``-sigma J M^T J``, the inverse of ``M`` exactly when ``M^T J M = sigma J`` (the signed
+    law: ``sigma = 1`` symplectic, ``-1`` antisymplectic), as the block transpose
+    ``inv[i][j] = +-m[j + 3 mod 6][i + 3 mod 6]``, ``sigma`` within blocks, ``-sigma`` across."""
+    return tuple(  # m[k - 3] is row k + 3 mod 6
+        tuple((sigma if (i < 3) == (j < 3) else -sigma) * m[j - 3][i - 3] for j in range(6))
+        for i in range(6)
+    )
+
+
 def is_symplectic(m: Mat6) -> bool:
-    return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == CANONICAL_J
+    return mat_mul(signed_inverse(m, 1), m) == IDENTITY6
 
 
 def is_antisymplectic(m: Mat6) -> bool:
-    return mat_mul(transpose(m), mat_mul(CANONICAL_J, m)) == mat_neg(CANONICAL_J)
+    return mat_mul(signed_inverse(m, -1), m) == IDENTITY6
 
 
 def intertwines(m: Mat6, r3) -> bool:
@@ -144,12 +152,12 @@ def solve_shear6(r_block) -> ShearSolution:
     needed: |Q| <= b already gives |S| <= b times the largest column sum of
     |R|, and Q -> R^T Q is a bijection.  The canonical choice is the row-major
     least Q: the entries of Q, row by row, are the digits of one base-(2b + 1)
-    key.  Requires det R = 1; P = R^-T is then an integer matrix.
+    key.  Requires det R = 1, which makes P = R^-T the cofactor matrix ``cofactors3(R)``.
     """
     b, w, r = SHEAR_BOUND, 2 * SHEAR_BOUND + 1, [list(map(int, row)) for row in r_block]
     if det3(r) != 1:
         raise ValueError(f"R has determinant {det3(r)}, not 1")
-    p = invert_unimodular(transpose(r))
+    p = cofactors3(r)
     v = BOX @ np.array(r, np.int64)  # row q R is column R^T q
     i0, i1 = np.nonzero(v[:, None, 1] == v[None, :, 0])
     shift = int(np.abs(v).max())
@@ -197,10 +205,9 @@ def _radius_text(value) -> bool:
 class GeneratorTable6:
     """The eight generator matrices; construction builds all 16 letters once.
 
-    By the signed law ``M^T J M = +-J`` (``-J`` for ``s`` alone) a letter's inverse
-    ``-J M^T J`` (``J M^T J`` for ``s``) is the signed block transpose ``inv[i][j] =
-    +-m[j + 3 mod 6][i + 3 mod 6]``, ``-`` across blocks and all flipped for ``s``, kept
-    only if ``inv M = I``, the law itself.  An int64 array is made only when ``6 |M| < 2^62``.
+    A letter's inverse is its ``signed_inverse``, with ``sigma = -1`` for ``s`` alone and
+    ``1`` for the rest, kept only if ``inv M = I``, the signed law itself.  An int64 array
+    is made only when ``6 |M| < 2^62``.
     """
 
     matrices: dict  # token -> Mat6 (sign +1)
@@ -216,11 +223,7 @@ class GeneratorTable6:
     def __post_init__(self):
         self._letters = {}
         for tok, m in self.matrices.items():
-            sigma = -1 if tok == "s" else 1  # m[k - 3] is row k + 3 mod 6
-            inv = tuple(
-                tuple((sigma if (i < 3) == (j < 3) else -sigma) * m[j - 3][i - 3] for j in range(6))
-                for i in range(6)
-            )
+            inv = signed_inverse(m, -1 if tok == "s" else 1)
             if mat_mul(inv, m) != IDENTITY6:
                 raise ValueError(f"matrix {tok} is not {'anti' * (tok == 's')}symplectic")
             for sign, x in ((1, m), (-1, inv)):

@@ -169,13 +169,6 @@ class TestNegativeControls:
         assert validate_surface(mesh16)["closed"]
 
 
-class TestEdgeMap:
-    def test_shared_map_is_built_once(self, mesh16):
-        shared = mesh16.edges.edge_map
-        assert mesh16.edges.edge_map is shared
-        assert shared == EdgeTable(mesh16.triangles).edge_map
-
-
 class TestOffExport:
     def test_roundtrip(self, mesh16, tmp_path):
         path = str(tmp_path / "surface.off")
@@ -313,11 +306,6 @@ class TestValidationReference:
             assert not validate_surface(_variant(mesh16, name))["closed"]
         four = reference_edge_map(_variant(mesh16, "edge-on-four").triangles)
         assert 4 in map(len, four.values())
-
-    def test_edge_map_equals_dict_reference(self, mesh16):
-        for name in ("intact", "edge-on-four"):
-            tris = _variant(mesh16, name).triangles
-            assert EdgeTable(tris).edge_map == reference_edge_map(tris)  # lists in triangle order
 
     def test_off_counts_equal_reference(self, mesh16, tmp_path):
         path = str(tmp_path / "surface.off")

@@ -95,7 +95,7 @@ class TestWordImage:
         conj = compose(compose(invert(u), w), u)
         mu = word_image3(u)
         lhs = word_image3(conj)
-        from t3mcg.mesh.homology import invert_unimodular
+        from matrix_reference import invert_unimodular
         rhs = mat_mul(mu, mat_mul(word_image3(w), invert_unimodular(mu)))
         assert lhs == rhs
 
