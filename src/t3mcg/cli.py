@@ -26,7 +26,7 @@ from .mesh import (
     validate_surface,
 )
 from .mesh.curves import TUBE_RADIUS, DegeneracyError, TransversalityError
-from .mesh.curves import plane_section, step_positions
+from .mesh.curves import plane_section
 from .mesh.homology import CurveRef, build_homology, crossings
 from .mesh.surface import MAX_RESOLUTION
 from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
@@ -160,17 +160,21 @@ def cmd_mesh_validate(args) -> int:
 
 def cmd_mesh_curves(args) -> int:
     mesh = build_surface(args.resolution)
+    half = Fraction(1, 2)
     names = [f"{side}{axis}" for side in "AB" for axis in (1, 2, 3)]
-    levels = (Fraction(1, 2), Fraction(0))
+    levels = (half, Fraction(0))
     refs = [plane_section(mesh, axis, level) for level in levels for axis in (1, 2, 3)]
     out = {"resolution": args.resolution, "curves": {}, "pairwise": {}}
     for name, sec in zip(names, refs):
         loops = []
         for loop in sec.loops:
             points = []
-            for step in loop.steps:
-                p_in, _ = step_positions(mesh, step)
-                points.append([float(c % 1) for c in p_in])
+            for va, vb, p, q in loop.steps.ends[:, 0].tolist():
+                # each step enters at t = p/q on the edge from vertex va to vb; both
+                # ends lie in one cell box, at most 1/n apart along each axis, so the
+                # edge runs from x by the short difference (y - x + 1/2) mod 1 - 1/2
+                t, ends = Fraction(p, q), zip(mesh.vertices[va], mesh.vertices[vb])
+                points.append([float((x + t * ((y - x + half) % 1 - half)) % 1) for x, y in ends])
             loops.append({"displacement": list(loop.displacement), "points": points})
         out["curves"][name] = loops
     for i in range(6):

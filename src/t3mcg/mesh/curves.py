@@ -10,12 +10,12 @@ slices the triangles whose cell box holds the level mod 1
 field protocol for values is ``corner_ratios``, the integer numerators and
 denominators of the corner values of a list of triangles (a tube gathers them
 from one vector over the vertices, ``TubeField.vertex_ratios``); slicing and
-walks call it, and ``tri_values`` is its one-triangle view.  Slicing keeps each
-crossing point as integer columns ``(va, vb, p, q)``, ``t = p/q`` reduced
-(``Steps``); ``Loop.steps`` and ``SlicedCurves.tri_segments`` read them as
-``Fraction`` points only when a row is read.  Chaining steps across edges
-through the mesh's edge table (``TriMesh.edges``) and checks in numpy that
-both triangles on an edge share its crossing point.  A walk reads only its
+walks call it.  Slicing keeps each crossing point as integer columns
+``(va, vb, p, q)``, ``t = p/q`` reduced (``Steps``); ``Loop.steps`` and
+``SlicedCurves.tri_segments`` read them as ``Fraction`` points only when a
+row is read.  Chaining steps across edges through the mesh's edge table
+(``TriMesh.edges``) and checks in numpy that both triangles on an edge share
+its crossing point.  A walk reads only its
 steps in the target's walk set (``walk_triangles``), where the sign at each
 end is that of one integer (``_interpolant``); a crossing on a target vertex
 is attributed through an index of the segment points on vertices.
@@ -46,11 +46,6 @@ class TransversalityError(RuntimeError):
     pass
 
 
-def dper(w: Fraction) -> Fraction:
-    m = w - math.floor(w)
-    return min(m, 1 - m)
-
-
 def cell_boxes_holding(n: int, c: Fraction) -> np.ndarray:
     """Whether each of the ``n`` closed cell boxes along an axis holds ``c`` mod 1.
 
@@ -64,29 +59,7 @@ def cell_boxes_holding(n: int, c: Fraction) -> np.ndarray:
     return np.array([(centre - (2 * k + 1) * cd) % unit <= 2 * cd for k in range(n)])
 
 
-def ambient_side(point) -> int:
-    """Sign of (squared distance to origin spine) - (to shifted spine).
-
-    Negative means the point is nearer the origin spine.  Exact; the point
-    must not be equidistant.
-    """
-    half, pairs = Fraction(1, 2), [((axis + 1) % 3, (axis + 2) % 3) for axis in range(3)]
-    diff = min(dper(point[a]) ** 2 + dper(point[b]) ** 2 for a, b in pairs) - min(
-        dper(point[a] - half) ** 2 + dper(point[b] - half) ** 2 for a, b in pairs
-    )
-    if diff == 0:
-        raise DegeneracyError(f"point {point} is equidistant from both spines")
-    return 1 if diff > 0 else -1
-
-
-class _CornerValues:
-    def tri_values(self, mesh: TriMesh, tri: int) -> tuple:
-        """One triangle's corner values as ``Fraction``s, read through ``corner_ratios``."""
-        num, den = self.corner_ratios(mesh, [tri])
-        return tuple(map(Fraction, num[0].tolist(), den[0].tolist()))
-
-
-class PlaneField(_CornerValues):
+class PlaneField:
     """Affine field x_axis - level, branch-corrected per triangle.
 
     The representative of the level nearest the triangle decides the branch,
@@ -103,9 +76,10 @@ class PlaneField(_CornerValues):
         denominators, two ``(len(tris), 3)`` arrays, with ``rep = f + k``, ``f``
         the level reduced mod 1 and ``k`` the floor of ``mean - f + 1/2``.
 
-        Only the ``axis`` coordinate of each corner is read, unwrapped as in
-        ``TriMesh.triangle_local``.  Each corner lies in its cell's closed box
-        ``[lo, lo + 1/n]`` (``cell_boxes_holding``), so ``k`` is that of ``lo``
+        Only the ``axis`` coordinate of each corner is read, in the unwrapped
+        frame of its triangle's cell: in cell ``n - 1`` a wrapped coordinate
+        below 1/2 gains one period.  Each corner then lies in its cell's closed
+        box ``[lo, lo + 1/n]`` (``cell_boxes_holding``), so ``k`` is that of ``lo``
         unless the box holds ``f + 1/2`` mod 1; there the exact mean decides,
         in Python ints.  With ``f = fn/ld`` every intermediate is below
         ``8*ld*max(den, n)``: int64 below 2**63, else Python ints.
@@ -147,17 +121,17 @@ class PlaneField(_CornerValues):
         return cell_boxes_holding(mesh.resolution, self.level)[mesh.cell_array[:, self.axis]]
 
 
-class TubeField(_CornerValues):
+class TubeField:
     """Squared transverse distance to an axis line, minus radius squared.
 
     Pointwise exact (no branch needed: the cut locus of the distance function
     is far from the zero set for the radii in use) and periodic, because
-    ``dper`` reduces mod 1, so a vertex's value does not depend on the frame
-    it is read in.  ``vertex_ratios`` gives the exact value at every vertex
-    in one integer pass, ``vertex_signs`` their signs; ``corner_ratios``
-    gathers from them, and cutting reads signs alone.  ``point_value`` is the
-    one exact formula at a point, and the fallback past the int64 bound.  The
-    memo holds the ratios and signs of the last mesh read.
+    each offset is the lesser of its two distances mod 1, so a vertex's value
+    does not depend on the frame it is read in.  ``vertex_ratios`` gives the
+    exact value at every vertex in one integer pass, ``vertex_signs`` their
+    signs; ``corner_ratios`` gathers from them, and cutting reads signs alone.
+    ``point_value`` is the one exact formula at a point, and the fallback past
+    the int64 bound.  The memo holds the ratios and signs of the last mesh read.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -168,9 +142,10 @@ class TubeField(_CornerValues):
         self._memo = (None,)  # (mesh, numerators, denominators, signs)
 
     def point_value(self, p):
-        """``dper(x - u)**2 + dper(y - v)**2 - r**2`` as one ``Fraction`` at
-        ``p``: three exact coordinates, or a vertex row ``(x, y, z, den)`` of
-        integer numerators over one denominator (``TriMesh.int_row``).
+        """``|x - u|**2 + |y - v|**2 - r**2`` as one ``Fraction`` at ``p``, each
+        ``|w|`` the distance from ``w`` to the nearest integer: ``p`` is three
+        exact coordinates, or a vertex row ``(x, y, z, den)`` of integer
+        numerators over one denominator (``TriMesh.vertex_num`` over ``vertex_den``).
 
         With ``x = xn/(xd*den)`` (``den = 1`` for exact coordinates) and
         ``u = un/ud`` the periodic distance is ``mx/dx`` for ``dx = xd*den*ud``
@@ -337,19 +312,6 @@ class SlicedCurves:
         for tri, v in zip(seg.tri[rows].tolist(), verts.tolist()):
             index.setdefault(v, set()).add(self.tri_loop[tri])
         return index
-
-
-def step_positions(mesh: TriMesh, step):
-    tri, pt_in, pt_out = step
-    verts = mesh.triangles[tri]
-    local = mesh.triangle_local(tri)
-
-    def pos(pt):
-        va, vb, t = pt
-        pa, pb = local[verts.index(va)], local[verts.index(vb)]
-        return tuple(a + t * (b - a) for a, b in zip(pa, pb))
-
-    return pos(pt_in), pos(pt_out)
 
 
 def crossing_parameters(na, da, nb, db) -> tuple:

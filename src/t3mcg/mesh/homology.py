@@ -156,12 +156,6 @@ def twist_matrix(h: HomologyData, loops):
     return tuple(tuple(row) for row in m)
 
 
-def defining_pair_check(h: HomologyData, i: int, j: int) -> bool:
-    """True iff the i-th A-side and j-th B-side disk boundaries are disjoint."""
-    _, geo = intersection_number(h, h.disk_sections_a[i - 1], h.disk_sections_b[j - 1])
-    return geo == 0
-
-
 def winding_signs(tube: SlicedCurves) -> list:
     """Each loop's travel ``+-1`` along the tube axis ``e_k``, refusing any other displacement."""
     k = tube.field.axis

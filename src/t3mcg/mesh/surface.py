@@ -12,10 +12,11 @@ diagonal, and the zero set is triangulated from one marching-tetrahedra case
 table indexed by (path, negative-corner mask), run with numpy over every
 mixed tetrahedron at once.  A vertex is the crossing on one grid edge, keyed
 by the edge as one integer, and is stored as three integer numerators over one
-integer denominator; its exact ``Fraction`` coordinates are built only when
-read.  Welding vertices by grid edge is exact, so the output is a closed,
-coherently oriented manifold mesh.  One edge table per mesh, sorted on int64
-keys (``TriMesh.edges``), serves validation, chaining and cutting.
+integer denominator; its exact ``Fraction`` coordinates (``TriMesh.vertices``)
+are built only when read.  Welding vertices by grid edge is exact, so the
+output is a closed, coherently oriented manifold mesh.  One edge table per
+mesh, sorted on int64 keys (``TriMesh.edges``), serves validation, chaining
+and cutting.
 Ids are int32 and cells int16, widened to int64 wherever two are multiplied.
 The triangles and their cells stay the int arrays the triangulation returns;
 ``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
@@ -194,8 +195,8 @@ class TriMesh:
     the one denominator ``2n * d``.  As ``|g| <= 2n^2``, ``d <= 4n^2`` and each
     numerator ``((2w + 1)*d + 2*|glo|*a) mod 2nd`` is below ``8n^3 + 4n^2``
     even before its reduction: int64 holds it, and up to n = 512 a product of two.
-    ``vertices`` (3 ``Fraction`` coordinates in [0, 1)) and ``vertex_edges``
-    (``(base, axes, Fraction t)``) are exact views of these columns.
+    ``vertices`` (3 ``Fraction`` coordinates in [0, 1)) is the exact view of
+    these columns.
     The oriented triangles are the rows of an int32 ``(T, 3)`` array of vertex
     indices, and the lattice cell of each triangle the matching row of the
     int16 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
@@ -221,43 +222,12 @@ class TriMesh:
     cell_array: np.ndarray  # tri_cells as one (T, 3) array
 
     def __post_init__(self):
-        n, q = self.resolution, self.offset_den
-        num, den, key, tnum = self.vertex_num, self.vertex_den, self.vertex_key, self.vertex_tnum
+        num, den = self.vertex_num, self.vertex_den
 
         def vertex(v):
             return tuple(Fraction(x, int(den[v])) for x in num[v].tolist())
 
-        def vertex_edge(v):
-            k = int(key[v])
-            base = (k >> 3) // (n * n), (k >> 3) // n % n, (k >> 3) % n
-            t = Fraction(q * n * int(tnum[v]), int(den[v]))
-            return base, (k >> 2 & 1, k >> 1 & 1, k & 1), t
-
-        self.vertices = ExactRows(len(key), vertex)
-        self.vertex_edges = ExactRows(len(key), vertex_edge)
-
-    def int_row(self, v: int) -> list:
-        """``[x, y, z, den]`` of vertex ``v`` in Python ints."""
-        return [*self.vertex_num[v].tolist(), self.vertex_den.item(v)]
-
-    def triangle_local(self, tri_index: int) -> tuple:
-        """Exact vertex coordinates of a triangle in the unwrapped frame of its cell.
-
-        The frame of cell k spans [(k + 1/2)/n, (k + 3/2)/n] along each axis,
-        which leaves [0, 1) only for k = n - 1; there a wrapped coordinate
-        below 1/2 gains one period.  Computed on each call: only step
-        positions and tube orientation unwrap, plane fields unwrap their one
-        axis themselves and tube fields read wrapped vertices.
-        """
-        last = self.resolution - 1
-        cell = self.tri_cells[tri_index]
-        return tuple(
-            tuple(
-                Fraction(x + d if cell[c] == last and 2 * x < d else x, d)
-                for c, x in enumerate(xyz)
-            )
-            for *xyz, d in map(self.int_row, self.triangles[tri_index])
-        )
+        self.vertices = ExactRows(len(self.vertex_key), vertex)
 
     @property
     def edges(self) -> EdgeTable:

@@ -8,7 +8,7 @@ every vertex and triangle, the invariance its match relies on.
 import numpy as np
 
 from t3mcg.mesh.curves import Steps
-from t3mcg.mesh.homology import mat_mul, transpose
+from t3mcg.rep3 import mat_mul, transpose
 from t3mcg.mesh.surface import DegeneracyError, EdgeTable, TriMesh
 
 

@@ -28,14 +28,12 @@ from t3mcg.words import (
     free_reduce,
     invert,
 )
-from t3mcg.rep3 import IDENTITY3, decompose_sl3, word_image3
+from t3mcg.rep3 import IDENTITY3, decompose_sl3, mat_mul, transpose, word_image3
 from t3mcg.mesh import build_surface, validate_surface
 from t3mcg.mesh.curves import cut_along, plane_section, tube_section, walk_pairing, walk_steps
 from t3mcg.mesh.homology import (
     CANONICAL_J,
     CurveRef,
-    mat_mul,
-    transpose,
     tube_pattern,
     twist_matrix,
 )

@@ -350,14 +350,21 @@ class TestMissingTableDirectory:
 
 
 class TestMeshCurvesBytes:
-    def test_mesh_curves_json_matches_pinned_digest(self, capsys):
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "4b36501c9a0ca89a979e42d58a1a49730e33b2e759a49338fcffd89f579e5120"),
+            (16, "400ffadd7592991d9d1159e2cea98595b2ff135545e36a6520f37e5de9eac4b4"),
+            (32, "1f997cd679a23cf9c5f53f758116b24c38db77bcb628e38d5180b0daa1fefcdc"),
+        ],
+        ids=["n8", "n16", "n32"],
+    )
+    def test_mesh_curves_json_matches_pinned_digest(self, n, digest, capsys):
         import hashlib
 
-        code, out, _ = run_cli(["--resolution", "16", "--json", "mesh", "curves"], capsys)
+        code, out, _ = run_cli(["--resolution", str(n), "--json", "mesh", "curves"], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "400ffadd7592991d9d1159e2cea98595b2ff135545e36a6520f37e5de9eac4b4"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHugeTableEntries:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t3mcg.mesh import TriMesh, build_surface
+from t3mcg.mesh import build_surface
 from t3mcg.mesh.curves import (
     TUBE_RADIUS,
     DegeneracyError,
@@ -23,11 +23,12 @@ from t3mcg.mesh.curves import (
     cut_along,
     plane_section,
     slice_field,
-    step_positions,
     tube_section,
     walk_pairing,
     walk_steps,
 )
+
+from mesh_reference import dper, int_row, step_positions, triangle_local
 
 HALF = Fraction(1, 2)
 
@@ -154,9 +155,10 @@ class TestTubeVertexValues:
         # the tube field is periodic, so evaluating the wrapped vertex once is
         # exact in every triangle's unwrapped frame
         fld = TubeField(axis, center, TUBE_RADIUS)
-        for tri in fld.candidate_triangles(mesh16):
-            frame_values = tuple(fld.point_value(p) for p in mesh16.triangle_local(tri))
-            assert fld.tri_values(mesh16, tri) == frame_values
+        tris = fld.candidate_triangles(mesh16)
+        for tri, values in zip(tris, kernel_values(*fld.corner_ratios(mesh16, tris))):
+            frame_values = tuple(fld.point_value(p) for p in triangle_local(mesh16, tri))
+            assert values == frame_values
 
     def test_slicing_evaluates_each_vertex_once(self, mesh16, monkeypatch):
         evaluated = []
@@ -184,18 +186,13 @@ class TestTubeVertexValues:
 # ---------------------------------------------------------------------------
 
 
-def reference_dper(w):
-    m = w - math.floor(w)
-    return min(m, 1 - m)
-
-
 def sign(f):
     return (f > 0) - (f < 0)
 
 
 def reference_tube_value(axis, center, radius, p):
     a, b = (axis + 1) % 3, (axis + 2) % 3
-    return reference_dper(p[a] - center[0]) ** 2 + reference_dper(p[b] - center[1]) ** 2 - radius ** 2
+    return dper(p[a] - center[0]) ** 2 + dper(p[b] - center[1]) ** 2 - radius ** 2
 
 
 def reference_plane_values(axis, level, pts):
@@ -214,7 +211,7 @@ class TestIntegerKernels:
         # coordinates >= 1 of the last cell along each axis
         pts = set(mesh16.vertices)
         for tri in range(len(mesh16.triangles)):
-            pts.update(mesh16.triangle_local(tri))
+            pts.update(triangle_local(mesh16, tri))
         assert any(x >= 1 for p in pts for x in p)
         return sorted(pts)
 
@@ -228,13 +225,13 @@ class TestIntegerKernels:
             assert fld.point_value(p) == reference_tube_value(axis, center, radius, p)
 
     @pytest.mark.parametrize("axis", range(3))
-    def test_plane_tri_values(self, mesh16, axis):
+    def test_plane_tri_values(self, mesh16, frames, axis):
         levels = [Fraction(0), HALF, Fraction(1, 4), Fraction(1, 3), -HALF, Fraction(3, 2)]
-        fields = [PlaneField(axis, level) for level in levels]
-        for tri in range(len(mesh16.triangles)):
-            pts = mesh16.triangle_local(tri)
-            for level, fld in zip(levels, fields):
-                assert fld.tri_values(mesh16, tri) == reference_plane_values(axis, level, pts)
+        triangles = np.arange(len(mesh16.triangles))
+        for level in levels:
+            values = kernel_values(*PlaneField(axis, level).corner_ratios(mesh16, triangles))
+            for pts, got in zip(frames("mesh16"), values, strict=True):
+                assert got == reference_plane_values(axis, level, pts)
 
 
 _values = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=60))
@@ -393,11 +390,8 @@ class TestChaining:
         with pytest.raises(DegeneracyError, match="disagree on their shared point"):
             _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends)))
 
-    def test_tube_slicing_reads_no_frame(self, mesh16, monkeypatch):
-        def no_frame(self, tri_index):
-            raise AssertionError("tube slicing read a triangle frame")
-
-        monkeypatch.setattr(TriMesh, "triangle_local", no_frame)
+    def test_tube_slicing_reads_no_frame(self, mesh16):
+        # the displacements come from the cell wraps of the chain alone
         tube = slice_field(mesh16, TubeField(2, (HALF, Fraction(0)), TUBE_RADIUS))
         assert sorted(l.displacement for l in tube.loops) == [
             (0, 0, -1), (0, 0, -1), (0, 0, 1), (0, 0, 1)
@@ -462,8 +456,9 @@ class TestPrefilterCompleteness:
         mesh = request.getfixturevalue(mesh_name)
         fld = make_field()
         candidates = set(fld.candidate_triangles(mesh))
-        for tri in range(len(mesh.triangles)):
-            signs = {v.numerator >= 0 for v in fld.tri_values(mesh, tri)}
+        num, _ = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))
+        for tri, row in enumerate(num.tolist()):
+            signs = {v >= 0 for v in row}
             if len(signs) == 2:
                 assert tri in candidates, tri
 
@@ -483,7 +478,7 @@ def reference_box_extremes(n, k, c):
     def holds(x):  # the box holds x mod 1
         return lo <= x + math.ceil(lo - x) <= hi
 
-    ends = (reference_dper(lo - c), reference_dper(hi - c))
+    ends = (dper(lo - c), dper(hi - c))
     near = Fraction(0) if holds(c) else min(ends)
     far = HALF if holds(c + HALF) else max(ends)
     return near, far
@@ -550,8 +545,8 @@ def test_walk_set_holds_every_triangle_without_one_strict_sign(request, mesh_nam
     fld = make_field()
     sec = slice_field(mesh, fld)
     walk = sec.walk_set
-    for tri in range(len(mesh.triangles)):
-        vals = fld.tri_values(mesh, tri)
+    num, _ = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))
+    for tri, vals in enumerate(num.tolist()):
         if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
             assert tri in walk, tri
     assert set(fld.candidate_triangles(mesh)) <= walk
@@ -563,7 +558,8 @@ def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
     fld = BOX_END_TUBE.values[0]()
     walk = slice_field(mesh16, fld).walk_set
     touching = walk - set(fld.candidate_triangles(mesh16))
-    assert sum(any(v == 0 for v in fld.tri_values(mesh16, tri)) for tri in touching) == 7
+    num, _ = fld.corner_ratios(mesh16, sorted(touching))
+    assert sum(any(v == 0 for v in row) for row in num.tolist()) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +568,7 @@ def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
 
 
 def point_value_signs(mesh, fld):
-    return [sign(fld.point_value(mesh.int_row(v))) for v in range(len(mesh.vertices))]
+    return [sign(fld.point_value(int_row(mesh, v))) for v in range(len(mesh.vertices))]
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
@@ -592,7 +588,7 @@ def test_vertex_ratios_equal_point_value(request, mesh_name, make_field):
     num, den = fld.vertex_ratios(mesh)
     assert num.dtype == den.dtype == np.int64 and num.shape == (len(mesh.vertices),)
     assert (den > 0).all()
-    values = [fld.point_value(mesh.int_row(v)) for v in range(len(mesh.vertices))]
+    values = [fld.point_value(int_row(mesh, v)) for v in range(len(mesh.vertices))]
     assert list(map(Fraction, num.tolist(), den.tolist())) == values
     assert fld.vertex_signs(mesh).tolist() == [sign(f) for f in values]
 
@@ -772,8 +768,9 @@ def reference_walk(steps, walker_sign, target, vertex_events):
     # reads the target's values at every step; records each vertex crossing's
     # vanishing vertices in ``vertex_events``
     out = {}
-    for tri, pt_in, pt_out in steps:
-        vals = target.field.tri_values(target.mesh, tri)
+    tris = [tri for tri, _, _ in steps]
+    values = kernel_values(*target.field.corner_ratios(target.mesh, tris))
+    for (tri, pt_in, pt_out), vals in zip(steps, values, strict=True):
         verts = target.mesh.triangles[tri]
         s_in, s_out = reference_sign(vals, verts, pt_in), reference_sign(vals, verts, pt_out)
         if s_in == s_out:
@@ -900,7 +897,7 @@ def frames(request):
     def of(mesh_name):
         if mesh_name not in cache:
             mesh = request.getfixturevalue(mesh_name)
-            cache[mesh_name] = [mesh.triangle_local(tri) for tri in range(len(mesh.triangles))]
+            cache[mesh_name] = [triangle_local(mesh, tri) for tri in range(len(mesh.triangles))]
         return cache[mesh_name]
 
     return of
@@ -929,7 +926,7 @@ def test_corner_ratios_on_every_triangle(request, frames, mesh_name, make_field)
     values = kernel_values(num, den)
     assert values == reference_corner_values(mesh, fld, frames(mesh_name))
     for tri in range(0, len(mesh.triangles), 97):
-        assert fld.tri_values(mesh, tri) == values[tri]
+        assert kernel_values(*fld.corner_ratios(mesh, [tri])) == [values[tri]]
     # the kernel is exact on any triangle list: reversed, repeated, empty
     some = triangles[::-37].tolist() * 2
     assert kernel_values(*fld.corner_ratios(mesh, some)) == [values[tri] for tri in some]
@@ -955,7 +952,7 @@ def test_plane_kernel_where_the_exact_mean_decides(mesh64, axis, level):
     values = kernel_values(*fld.corner_ratios(mesh64, tris))
     reps = set()
     for tri, got in zip(tris, values):
-        frame = mesh64.triangle_local(tri)
+        frame = triangle_local(mesh64, tri)
         assert got == reference_plane_values(axis, level, frame), tri
         reps.add(frame[0][axis] - got[0])
     assert len(reps) == 2  # both branches are taken

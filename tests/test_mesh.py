@@ -8,6 +8,7 @@ from t3mcg.mesh import (
     validate_surface,
 )
 from t3mcg.mesh.surface import EdgeTable
+from mesh_reference import ambient_side, triangle_local, vertex_edges
 from swap_reference import half_translation_vertex_map
 
 
@@ -52,7 +53,7 @@ class TestBuild:
             assert all(0 <= c < 1 for c in v)
 
     def test_crossing_parameters_interior(self, mesh16):
-        for _, _, t in mesh16.vertex_edges:
+        for _, _, t in vertex_edges(mesh16):
             assert 0 < t < 1
 
 
@@ -70,7 +71,7 @@ class TestMeshDigest:
         import hashlib
 
         m = request.getfixturevalue(mesh_name)
-        text = repr((m.vertices, m.vertex_edges, m.triangles, m.tri_cells))
+        text = repr((m.vertices, vertex_edges(m), m.triangles, m.tri_cells))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -99,10 +100,8 @@ class TestOrientationConvention:
         # origin spine, in front nearer the shifted spine
         from fractions import Fraction
 
-        from t3mcg.mesh.curves import ambient_side
-
         for tri_index in range(0, len(mesh16.triangles), 251):
-            pts = mesh16.triangle_local(tri_index)
+            pts = triangle_local(mesh16, tri_index)
             centroid = tuple(sum(p[c] for p in pts) / 3 for c in range(3))
             e1 = tuple(pts[1][c] - pts[0][c] for c in range(3))
             e2 = tuple(pts[2][c] - pts[0][c] for c in range(3))
@@ -129,7 +128,7 @@ class TestTriangleFrame:
         n = mesh.resolution
         for tri_index, tri in enumerate(mesh.triangles):
             cell = mesh.tri_cells[tri_index]
-            for v, local in zip(tri, mesh.triangle_local(tri_index)):
+            for v, local in zip(tri, triangle_local(mesh, tri_index)):
                 for c in range(3):
                     assert local[c] % 1 == mesh.vertices[v][c]
                     lo = Fraction(2 * cell[c] + 1, 2 * n)
@@ -141,7 +140,6 @@ class TestNegativeControls:
         import copy
 
         broken = copy.copy(mesh16)
-        vars(broken).pop("edges", None)  # the edge table is rebuilt from the new triangles
         broken.triangles = mesh16.triangles[:-1]
         broken.tri_cells = mesh16.tri_cells[:-1]
         report = validate_surface(broken)
@@ -151,7 +149,6 @@ class TestNegativeControls:
         import copy
 
         broken = copy.copy(mesh16)
-        vars(broken).pop("edges", None)
         a, b, c = mesh16.triangles[0]
         broken.triangles = [(a, c, b)] + mesh16.triangles[1:]
         report = validate_surface(broken)
@@ -194,7 +191,6 @@ class TestComponents:
 
         k = len(mesh16.vertices)
         double = copy.copy(mesh16)
-        vars(double).pop("edges", None)
         double.vertices = mesh16.vertices * 2
         double.triangles = mesh16.triangles + [
             (a + k, b + k, c + k) for a, b, c in mesh16.triangles
@@ -262,7 +258,6 @@ def _variant(mesh16, name):
     import copy
 
     m = copy.copy(mesh16)
-    vars(m).pop("edges", None)  # each variant's edge table is built from its own triangles
     tris = mesh16.triangles
     a, b, c = tris[0]
     k = len(mesh16.vertices)
@@ -506,7 +501,7 @@ class TestIntegerVertexLayer:
         n = mesh.resolution
         g = _sample_field(n)
         num, den = mesh.vertex_num.tolist(), mesh.vertex_den.tolist()
-        for v, (base, axes, t) in enumerate(mesh.vertex_edges):
+        for v, (base, axes, t) in enumerate(vertex_edges(mesh)):
             assert all(Fraction(num[v][c], den[v]) == mesh.vertices[v][c] for c in range(3))
             glo = int(g[base])
             ghi = int(g[tuple((b + a) % n for b, a in zip(base, axes))])
@@ -517,7 +512,7 @@ class TestIntegerVertexLayer:
 
     def test_length_builds_no_row(self):
         mesh = build_surface(8)
-        assert len(mesh.vertices) == len(mesh.vertex_edges) == len(mesh.vertex_key)
+        assert len(mesh.vertices) == len(vertex_edges(mesh)) == len(mesh.vertex_key)
         assert mesh.vertices[-1] == mesh.vertices[len(mesh.vertices) - 1]
         assert mesh.vertices[:2] == [mesh.vertices[0], mesh.vertices[1]]
 
@@ -543,7 +538,7 @@ class TestIntegerVertexLayer:
         import hashlib
 
         m = build_surface(64)
-        text = repr((m.vertices, m.vertex_edges, m.triangles, m.tri_cells))
+        text = repr((m.vertices, vertex_edges(m), m.triangles, m.tri_cells))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "2ae8fa2222412f744b68d8fea853eadd3a4fe243bca1ceba6d48815055960fde"
         )
@@ -730,7 +725,6 @@ class TestIntRows:
         from t3mcg.mesh.curves import PlaneField, slice_field
 
         plain = copy.copy(mesh16)
-        vars(plain).pop("edges", None)  # the edge table is rebuilt from the list
         plain.triangles = list(mesh16.triangles)
         assert validate_surface(plain) == validate_surface(mesh16)
         assert plain.edges is not mesh16.edges

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from t3mcg import rep3
 from t3mcg.words import AXIS_PAIRS, Generator, Macro, expand_macro, free_reduce, invert, parse_word
-from t3mcg.rep3 import gen_image3
-from t3mcg.mesh.homology import PROJECTION, mat_mul
+from t3mcg.rep3 import gen_image3, mat_mul
+from t3mcg.mesh.homology import PROJECTION
 from t3mcg.rep6 import (
     GeneratorTable6,
     HandednessError,

