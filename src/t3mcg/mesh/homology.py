@@ -64,8 +64,9 @@ class CurveRef:
 class HomologyData:
     """Distinguished curves, their Gram matrix ``G`` and the basis change ``B``
     with ``B^T G B = J``, which ``build_homology`` checks; neither is inverted.
-    ``curve_class`` walks a loop once, memoized on the identity of its
-    ``SlicedCurves`` (held, so the id is not reused) and its index.
+    ``curve_class`` walks a loop at most once, memoized on the identity of its
+    ``SlicedCurves`` (held, so the id is not reused) and its index; the six
+    generators' classes are seeded from the rows of ``G``, with no walk.
     ``build_homology`` fixes every ``orientation_sign`` first, so no class goes stale."""
 
     mesh: TriMesh
@@ -92,11 +93,14 @@ class HomologyData:
             out.append(-alg)  # <generator, path> = -<path, generator>
         return tuple(out)
 
-    def class_of_steps(self, steps, walker_sign: int):
+    def class_of_crossings(self, v):
         """Class ``(G B)^-1 v`` of a path with crossing vector ``v``: ``B^T G B = J``
         makes it ``-J B^T v``, so with ``w = B^T v`` it is ``(-w4, -w5, -w6, w1, w2, w3)``."""
-        w = mat_vec(transpose(self.basis_change), self.pair_with_generators(steps, walker_sign))
+        w = mat_vec(transpose(self.basis_change), v)
         return (-w[3], -w[4], -w[5], w[0], w[1], w[2])
+
+    def class_of_steps(self, steps, walker_sign: int):
+        return self.class_of_crossings(self.pair_with_generators(steps, walker_sign))
 
     def curve_class(self, ref: CurveRef):
         """Canonical coordinates of a curve's homology class, walked once."""
@@ -266,6 +270,10 @@ def build_homology(mesh: TriMesh) -> HomologyData:
         basis_change=basis_change,
         tube_radius=TUBE_RADIUS,
     )
+    # Row i of G is generator i's walk against each generator, so its crossing
+    # vector is -G[i]: a generator walked against its own section crosses nothing.
+    for ref, row in zip(generators, gram):
+        h._memo[id(ref.curves), ref.index] = ref.curves, h.class_of_crossings([-x for x in row])
 
     # Projection sanity: p(a_i) = 0 and p(b_i) = e_i in canonical coordinates.
     for i in range(3):

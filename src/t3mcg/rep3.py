@@ -12,7 +12,7 @@ integers, no floats, no ``Fraction``.  The integer matrix helpers of ``rep6`` an
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat
+from operator import mul
 
 from .words import AXIS_PAIRS, Generator, Word
 
@@ -26,14 +26,18 @@ def identity(n):
 IDENTITY3: Mat3 = identity(3)
 
 
+# ``Sequence``, its two common kinds first: ``isinstance`` stops at the first match
+_SEQUENCES = (tuple, list, Sequence)
+
+
 def int_matrix(rows, size: int) -> tuple:
     """A size x size tuple of rows of plain ints, from a sequence of sequences.
 
     Any other entry raises ValueError: floats and numeric strings are refused
     rather than truncated, and booleans are refused although they are ints.
     """
-    rows = rows if isinstance(rows, Sequence) else ()
-    m = tuple(tuple(row) if isinstance(row, Sequence) else () for row in rows)
+    rows = rows if isinstance(rows, _SEQUENCES) else ()
+    m = tuple([tuple(row) if isinstance(row, _SEQUENCES) else () for row in rows])
     if len(m) != size or any(len(r) != size for r in m):
         raise ValueError(f"expected a {size}x{size} matrix")
     for row in m:
@@ -49,14 +53,12 @@ def mat3(rows) -> Mat3:
 
 def mat_mul(a, b):
     """Exact product of integer matrices of compatible shapes."""
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum(a[i][x] * b[x][j] for x in range(k)) for j in range(m)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a):
@@ -73,8 +75,9 @@ def cofactors3(m: Mat3) -> Mat3:
 
 
 def det3(m: Mat3) -> int:
-    """Expansion along row 0: ``m[0]`` dotted with row 0 of ``cofactors3(m)``."""
-    return sum(x * c for x, c in zip(m[0], cofactors3(m)[0]))
+    """Expansion along row 0: ``m[0]`` dotted with row 0 of ``cofactors3(m)``, written out."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
 
 
 # Each shear's row_j += sign * row_i, 0-based (i, j): left multiplication by its image.
@@ -107,10 +110,11 @@ def is_kernel3(w: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Constructive generation: write any determinant-one integer matrix as a word
 # in the shears.  We reduce m to the identity by integer row operations
-# "row_j += c * row_i" (left multiplication by the image of a_ij^c) and then
-# read the word off the operation log.  Euclidean reduction keeps every
-# intermediate entry at most a few multiples of the input entries; no attempt
-# at short words is made.
+# "row_j += c * row_i" (left multiplication by the image of a_ij^c), each
+# written inline, and then read the word off the operation log, one list
+# repetition per operation.  Euclidean reduction keeps every intermediate
+# entry at most a few multiples of the input entries; no attempt at short
+# words is made.
 # ---------------------------------------------------------------------------
 
 
@@ -129,74 +133,69 @@ class WordTooLongError(ValueError):
     pass
 
 
-# The 12 shear letters, one object each, keyed (i, j, sign).
-_SHEAR_LETTERS = {
-    (i, j, sign): Generator(f"a{i}{j}", sign) for i, j in AXIS_PAIRS for sign in (1, -1)
-}
-
-
-def _letters_for_ops(ops) -> Word:
-    # Left-multiplying the op list E_1 .. E_m onto m gives E_m ... E_1 m = I,
-    # so m = E_1^-1 ... E_m^-1.  With right-to-left evaluation the word reads
-    # the inverted ops in reverse.
-    letters = []
-    for (i, j, c) in reversed(ops):
-        letters.extend(repeat(_SHEAR_LETTERS[i, j, -1 if c > 0 else 1], abs(c)))
-    return tuple(letters)
+# The inverse of each row operation as a letter: row j += c * row i (0-based) is
+# undone by a_{i+1, j+1} with the sign opposite to c, at ``[i][j][c > 0]``.
+_INVERSE_LETTERS = tuple(
+    tuple(
+        (Generator(f"a{i + 1}{j + 1}", 1), Generator(f"a{i + 1}{j + 1}", -1)) if i != j else None
+        for j in range(3)
+    )
+    for i in range(3)
+)
 
 
 def decompose_sl3(m: Mat3) -> Word:
     """A word in the shears whose image is m.  Requires det(m) = 1, and raises
     ``WordTooLongError`` before building a word of over ``MAX_LETTERS`` letters."""
     m = mat3(m)
-    if det3(m) != 1:
-        raise DeterminantError(f"determinant is {det3(m)}, expected 1")
+    d = det3(m)
+    if d != 1:
+        raise DeterminantError(f"determinant is {d}, expected 1")
     work = [list(row) for row in m]
-    ops: list[tuple[int, int, int]] = []
-
-    def row_op(i: int, j: int, c: int):
-        if c != 0:
-            a, b = work[i - 1], work[j - 1]
-            b[0], b[1], b[2] = b[0] + c * a[0], b[1] + c * a[1], b[2] + c * a[2]
-            ops.append((i, j, c))
-
-    def clear_column(col: int, rows: list[int]):
+    ops: list[tuple[int, int, int]] = []  # (i, j, c): row j += c * row i, 0-based
+    for col, rows in ((0, (0, 1, 2)), (1, (1, 2))):
         # Euclidean reduction of work[r][col] for r in rows, ending with the
         # pivot +1 in rows[0] and zeros below.  gcd of the column entries is 1
-        # because it divides the determinant of the untouched minor.
+        # because it divides the determinant of the untouched minor.  Ties in
+        # |entry| go to the lower row.
         while True:
-            nz = [r for r in rows if work[r - 1][col] != 0]
+            nz = sorted([(abs(x), r) for r in rows if (x := work[r][col])])
             if len(nz) == 1:
                 break
-            nz.sort(key=lambda r: abs(work[r - 1][col]))
-            piv = nz[0]
-            a = work[piv - 1]
-            for r in nz[1:]:  # row_op(piv, r, -q) inline: |b[col]| >= |a[col]|, so q != 0
-                b = work[r - 1]
-                q = b[col] // a[col]
+            piv = nz[0][1]
+            a = work[piv]
+            p = a[col]
+            for _, r in nz[1:]:  # |b[col]| >= |p|, so q != 0
+                b = work[r]
+                q = b[col] // p
                 b[0], b[1], b[2] = b[0] - q * a[0], b[1] - q * a[1], b[2] - q * a[2]
                 ops.append((piv, r, -q))
-        r = nz[0]
-        top = rows[0]
-        if r != top:
-            row_op(r, top, 1)   # copy value up
-            row_op(top, r, -1)  # erase it below
-        if work[top - 1][col] < 0:
-            other = rows[1]
-            row_op(top, other, 1)
-            row_op(other, top, -2)
-            row_op(top, other, 1)
-        assert work[top - 1][col] == 1
-
-    clear_column(0, [1, 2, 3])
-    clear_column(1, [2, 3])
+        r, top = nz[0][1], rows[0]
+        # copy the unit up and erase it below; a -1 pivot is negated with a third row
+        fix = [(r, top, 1), (top, r, -1)] if r != top else []
+        if work[r][col] < 0:
+            fix += [(top, rows[1], 1), (rows[1], top, -2), (top, rows[1], 1)]
+        for i, j, c in fix:
+            a, b = work[i], work[j]
+            b[0], b[1], b[2] = b[0] + c * a[0], b[1] + c * a[1], b[2] + c * a[2]
+        ops += fix
+        assert work[top][col] == 1
     # Bottom-right entry is now det / 1 = 1; clear the remaining off-diagonals.
     assert work[2][2] == 1
-    row_op(3, 2, -work[1][2])
-    row_op(2, 1, -work[0][1])
-    row_op(3, 1, -work[0][2])
+    for i, j in ((2, 1), (1, 0), (2, 0)):
+        c = -work[j][i]
+        if c:
+            a, b = work[i], work[j]
+            b[0], b[1], b[2] = b[0] + c * a[0], b[1] + c * a[1], b[2] + c * a[2]
+            ops.append((i, j, c))
     assert work == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    letters = sum(abs(c) for _, _, c in ops)
+    letters = sum([abs(c) for _, _, c in ops])
     if letters > MAX_LETTERS:
         raise WordTooLongError(f"the shear word would have {letters} letters, over {MAX_LETTERS}")
-    return _letters_for_ops(ops)
+    # Left-multiplying the op list E_1 .. E_m onto m gives E_m ... E_1 m = I,
+    # so m = E_1^-1 ... E_m^-1.  With right-to-left evaluation the word reads
+    # the inverted ops in reverse.
+    word = []
+    for i, j, c in reversed(ops):
+        word += [_INVERSE_LETTERS[i][j][c > 0]] * abs(c)
+    return tuple(word)

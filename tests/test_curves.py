@@ -403,11 +403,6 @@ class TestChaining:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def mesh8():
-    return build_surface(8)
-
-
 PLANE_LEVELS = [Fraction(0), HALF, Fraction(1, 3), Fraction(1, 4), -HALF, Fraction(3, 2)]
 # Field factories: a tube field memoizes its vertex values and signs for one mesh.
 PREFILTERED_PLANES = [
@@ -887,20 +882,6 @@ def test_tube_field_read_on_a_second_mesh_reads_that_mesh(mesh8, mesh16):
 # ---------------------------------------------------------------------------
 # The bulk corner kernels against the Fraction formulas, on every triangle.
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def frames(request):
-    # every triangle's unwrapped frame, built once per mesh
-    cache = {}
-
-    def of(mesh_name):
-        if mesh_name not in cache:
-            mesh = request.getfixturevalue(mesh_name)
-            cache[mesh_name] = [triangle_local(mesh, tri) for tri in range(len(mesh.triangles))]
-        return cache[mesh_name]
-
-    return of
 
 
 def reference_corner_values(mesh, fld, frames):

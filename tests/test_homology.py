@@ -217,6 +217,43 @@ class TestCurveClassMemo:
         assert len(walks) == walked
 
 
+class TestSeededClasses:
+    # build_homology reads the six generator classes off the Gram rows, with no walk
+
+    @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+    def test_seeded_classes_equal_fresh_walks(self, mesh_name, request):
+        from t3mcg.mesh.curves import walk_steps
+        from t3mcg.mesh.homology import build_homology
+
+        h = build_homology(request.getfixturevalue(mesh_name))
+        generators = list(h.disk_sections_a) + list(h.longitudes)
+        for i, ref in enumerate(generators):
+            loop = ref.loop
+            fresh = h.class_of_steps(walk_steps(loop), loop.orientation_sign)
+            assert h.curve_class(ref) == fresh
+            assert h.pair_with_generators(loop.steps, loop.orientation_sign) == tuple(
+                -x for x in h.gram[i]
+            )
+
+    @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
+    def test_build_walk_count(self, mesh_name, request, monkeypatch):
+        # 3 orient the A-side sections, 30 fill the Gram matrix and 18 give
+        # the three B-side section classes
+        import t3mcg.mesh.homology as homology
+
+        mesh = request.getfixturevalue(mesh_name)
+        walks = []
+        original = homology.walk_pairing
+
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(homology, "walk_pairing", counted)
+        homology.build_homology(mesh)
+        assert len(walks) == 51
+
+
 class TestPairHelpers:
     def test_pair_tube_axis_and_center(self, mesh16):
         from fractions import Fraction

@@ -119,18 +119,18 @@ class TestOrientationConvention:
 
 class TestTriangleFrame:
     @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
-    def test_local_coordinates_unwrap_into_the_cell(self, mesh_name, request):
+    def test_local_coordinates_unwrap_into_the_cell(self, mesh_name, request, frames):
         # each local coordinate is its wrapped vertex coordinate plus a whole
         # period, inside the sample cube [(2k+1)/2n, (2k+3)/2n] of cell k
         from fractions import Fraction
 
         mesh = request.getfixturevalue(mesh_name)
         n = mesh.resolution
-        for tri_index, tri in enumerate(mesh.triangles):
-            cell = mesh.tri_cells[tri_index]
-            for v, local in zip(tri, triangle_local(mesh, tri_index)):
+        for tri, cell, corners in zip(mesh.triangles, mesh.tri_cells, frames(mesh_name)):
+            for v, local in zip(tri, corners):
+                row = mesh.vertices[v]
                 for c in range(3):
-                    assert local[c] % 1 == mesh.vertices[v][c]
+                    assert local[c] % 1 == row[c]
                     lo = Fraction(2 * cell[c] + 1, 2 * n)
                     assert lo <= local[c] <= lo + Fraction(1, n)
 
