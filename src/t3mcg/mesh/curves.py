@@ -9,16 +9,20 @@ slices the triangles whose cell box holds the level mod 1
 (``cell_boxes_holding``), a tube those whose corner signs are mixed.  The one
 field protocol for values is ``corner_ratios``, the integer numerators and
 denominators of the corner values of a list of triangles (a tube gathers them
-from one vector over the vertices, ``TubeField.vertex_ratios``); slicing and
-walks call it.  Slicing keeps each crossing point as integer columns
-``(va, vb, p, q)``, ``t = p/q`` reduced (``Steps``); ``Loop.steps`` and
-``SlicedCurves.tri_segments`` read them as ``Fraction`` points only when a
-row is read.  Chaining steps across edges through the mesh's edge table
-(``TriMesh.edges``) and checks in numpy that both triangles on an edge share
-its crossing point.  A walk reads only its
-steps in the target's walk set (``walk_triangles``), where the sign at each
-end is that of one integer (``_interpolant``); a crossing on a target vertex
-is attributed through an index of the segment points on vertices.
+from one vector over the vertices, ``TubeField.vertex_ratios``, whose
+radius-free pass the three slices of a ``tube_section`` share).  Slicing
+calls it once over its candidates, and a target section once over its walk
+set (``SlicedCurves.walk_values``), for all the walks against it.  Slicing
+keeps each crossing point as integer columns ``(va, vb, p, q)``, ``t = p/q``
+reduced (``Steps``); ``Loop.steps`` and ``SlicedCurves.tri_segments`` read
+them as ``Fraction`` points only when a row is read.  Chaining steps across
+edges through the mesh's edge table (``TriMesh.edges``) and checks in numpy
+that both triangles on an edge share its crossing point; only the walk along
+the successor map runs in Python ints.  A walk finds its steps in the
+target's walk set (``walk_triangles``) by ``np.searchsorted`` and gathers
+their rows of ``walk_values``; the sign at each end is that of one integer
+(``_interpolant``), and a crossing on a target vertex is attributed through
+an index of the segment points on vertices.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -131,7 +135,9 @@ class TubeField:
     exact value at every vertex in one integer pass, ``vertex_signs`` their
     signs; ``corner_ratios`` gathers from them, and cutting reads signs alone.
     ``point_value`` is the one exact formula at a point, and the fallback past
-    the int64 bound.  The memo holds the ratios and signs of the last mesh read.
+    the int64 bound.  The memo holds the ratios and signs of the last mesh read;
+    the radius-free ``squared_offsets`` pass is kept only while ``tube_section``
+    shares it.
     """
 
     def __init__(self, axis: int, center, radius: Fraction):
@@ -140,6 +146,7 @@ class TubeField:
         self.center = (Fraction(center[0]), Fraction(center[1]))
         self.radius = Fraction(radius)
         self._memo = (None,)  # (mesh, numerators, denominators, signs)
+        self._line = None  # ``[mesh, squared_offsets]``, shared by ``tube_section``'s fields
 
     def point_value(self, p):
         """``|x - u|**2 + |y - v|**2 - r**2`` as one ``Fraction`` at ``p``, each
@@ -177,34 +184,52 @@ class TubeField:
         """The value at every vertex of ``mesh`` as integer numerators and
         denominators, two arrays, computed once per mesh.
 
-        A vertex is ``(xn, yn)/den`` across the axis, and the centre, reduced
-        mod 1, is ``(cu, cv)/L`` with ``L = lcm(ud, vd)``.  Over ``D = den*L``
-        the periodic offsets are ``X/D`` and ``Y/D``, with ``X`` the lesser of
-        ``m = ((xn mod den)*L - cu*den) mod D`` and ``D - m``; likewise ``Y``.
-        The value is ``((X² + Y²)*rd² - rn²*D²) / (D*rd)²`` for ``|r| = rn/rd``,
-        unreduced.  Bound: ``(xn mod den)*L`` and ``cu*den`` lie in ``[0, D)``,
-        ``X, Y <= D/2``, so ``X² + Y² <= D²/2`` and every intermediate is at
-        most ``(D*max(rn, rd))²``.  When that is below 2**63 for the largest
-        ``D`` of the mesh, both arrays are int64 and exact; otherwise every
-        vertex goes once to ``point_value`` and they hold Python ints.
+        Over ``D = den*L``, with ``den`` the vertex's denominator and ``L`` the
+        lcm of the centre's denominators, the value is
+        ``((X² + Y²)*rd² - rn²*D²) / (D*rd)²`` for ``|r| = rn/rd``, unreduced,
+        ``X² + Y²`` from the radius-free ``squared_offsets``.  Bound: ``X, Y <= D/2``,
+        so ``X² + Y² <= D²/2`` and every intermediate is at most
+        ``(D*max(rn, rd))²``.  When that is below 2**63 for the largest ``D`` of
+        the mesh, both arrays are int64 and exact; otherwise every vertex goes
+        once to ``point_value`` and they hold Python ints.
         """
         if self._memo[0] is not mesh:
             rn, rd = abs(self.radius).as_integer_ratio()
-            (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in self.center)
-            lcm = math.lcm(ud, vd)
+            lcm = math.lcm(*(c.denominator for c in self.center))
             den = mesh.vertex_den
             if (int(den.max(initial=0)) * lcm * max(rn, rd)) ** 2 < 2**63:
-                big, square = den * lcm, 0
-                for col, cn, cd in zip(self.trans, (un, vn), (ud, vd)):
-                    m = (mesh.vertex_num[:, col] % den * lcm - cn * (lcm // cd) * den) % big
-                    square = square + np.minimum(m, big - m) ** 2
-                num, den = square * rd**2 - rn**2 * big**2, (big * rd) ** 2
+                line = [] if self._line is None else self._line
+                if not line or line[0] is not mesh:
+                    line[:] = mesh, self.squared_offsets(mesh)
+                big = den * lcm
+                num, den = line[1] * rd**2 - rn**2 * big**2, (big * rd) ** 2
             else:
                 rows = np.column_stack((mesh.vertex_num, den)).tolist()
                 ratios = [self.point_value(row).as_integer_ratio() for row in rows]
                 num, den = np.array(ratios, object).T
             self._memo = (mesh, num, den, np.sign(num).astype(np.int8))
         return self._memo[1:3]
+
+    def squared_offsets(self, mesh: TriMesh) -> np.ndarray:
+        """``X² + Y²`` at every vertex, int64: the radius-free pass of ``vertex_ratios``,
+        exact within its bound.
+
+        A vertex is ``(xn, yn)/den`` across the axis, and the centre, reduced
+        mod 1, is ``(cu, cv)/L``.  Over ``D = den*L`` the periodic offsets are
+        ``X/D`` and ``Y/D``, with ``X`` the lesser of
+        ``m = ((xn mod den)*L - cu*den) mod D`` and ``D - m``; likewise ``Y``.
+        ``(xn mod den)*L`` and ``cu*den`` lie in ``[0, D)``.  ``vertex_ratios``
+        keeps the result in the list ``_line``: its own, dropped on return,
+        or the one the three fields of a ``tube_section`` share, which that
+        call empties before it returns.
+        """
+        (un, ud), (vn, vd) = ((c - math.floor(c)).as_integer_ratio() for c in self.center)
+        lcm, den = math.lcm(ud, vd), mesh.vertex_den
+        big, square = den * lcm, 0
+        for col, cn, cd in zip(self.trans, (un, vn), (ud, vd)):
+            m = (mesh.vertex_num[:, col] % den * lcm - cn * (lcm // cd) * den) % big
+            square = square + np.minimum(m, big - m) ** 2
+        return square
 
     def vertex_signs(self, mesh: TriMesh) -> np.ndarray:
         """The sign of the value at every vertex of ``mesh``, as int8 with an
@@ -303,6 +328,15 @@ class SlicedCurves:
         return self.field.walk_triangles(self.mesh)
 
     @cached_property
+    def walk_values(self) -> tuple:
+        """The walk set in index order and the field's ``corner_ratios`` on it,
+        ``(tris, num, den)``: read once, for every walk against this section.
+        The set itself is not kept."""
+        walk = self.field.walk_triangles(self.mesh)
+        tris = np.sort(np.fromiter(walk, np.int64, len(walk)))
+        return (tris, *self.field.corner_ratios(self.mesh, tris))
+
+    @cached_property
     def _vertex_loops(self) -> dict:
         """Vertex -> ids of the loops with a segment point on it (t = 0 or 1)."""
         seg, index = self.segments, {}
@@ -343,21 +377,21 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
 
     One kernel call reads every candidate's corners.  The mixed triangles and
     their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
-    chosen on the numerators' signs, and each ``t = f_a / (f_a - f_b)`` is
-    reduced in numpy (``crossing_parameters``) to the columns of ``Steps``."""
+    chosen on the numerators' signs, and every ``t = f_a / (f_a - f_b)`` is
+    reduced in one numpy pass (``crossing_parameters``) to the columns of ``Steps``."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
     num, den = fld.corner_ratios(mesh, tris)
     positive = num >= 0  # zero counts positive
     ahead = positive[:, [1, 2, 0]]
     rows = np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1))
     sliced = tris[rows]
-    corners, at, ends = mesh.edges.tris[sliced], np.arange(len(rows)), []
-    for crossing in (positive & ~ahead, ahead & ~positive):
-        a = crossing[rows].argmax(axis=1)
-        b = (a + 1) % 3
-        p, q = crossing_parameters(num[rows, a], den[rows, a], num[rows, b], den[rows, b])
-        ends.append(np.stack((corners[at, a], corners[at, b], p, q), axis=1))
-    return _chain(SlicedCurves(mesh, fld, [], {}, Steps(sliced, np.stack(ends, axis=1))))
+    # column 0 the entry edge, column 1 the exit edge, of each sliced triangle
+    a = np.stack([c[rows].argmax(axis=1) for c in (positive & ~ahead, ahead & ~positive)], 1)
+    b, at, row = (a + 1) % 3, np.arange(len(rows))[:, None], rows[:, None]
+    p, q = crossing_parameters(num[row, a], den[row, a], num[row, b], den[row, b])
+    corners = mesh.edges.tris[sliced]
+    ends = np.stack((corners[at, a], corners[at, b], p, q), axis=2)
+    return _chain(SlicedCurves(mesh, fld, [], {}, Steps(sliced, ends)))
 
 
 def _chain(curves: SlicedCurves) -> SlicedCurves:
@@ -365,7 +399,10 @@ def _chain(curves: SlicedCurves) -> SlicedCurves:
     loops, each from its least triangle.
 
     The checks are numpy passes over all segments; a failure names the least
-    failing triangle.  The loops follow the successor map in Python ints."""
+    failing triangle.  Only the walk along the successor map is in Python
+    ints: it lays the loops end to end in one walk-order array, which each
+    loop's steps slice, ``tri_loop`` reads in that order and one
+    ``np.add.reduceat`` sums into the displacements."""
     mesh, seg, last = curves.mesh, curves.segments, curves.mesh.resolution - 1
     keys, ((in_a, in_b, in_p, in_q), (va, vb, p, q)) = seg.tri, seg.ends.transpose(1, 2, 0)
     # the triangle across each exit edge (va, vb), found from the corner va
@@ -386,16 +423,20 @@ def _chain(curves: SlicedCurves) -> SlicedCurves:
     # the two frames differ by a period only between cells n - 1 and 0
     here, there = mesh.cell_array[keys], mesh.cell_array[after]
     shift = ((here == last) & (there == 0)).astype(np.int64) - ((here == 0) & (there == last))
-    tris, succ = keys.tolist(), nxt.tolist()
-    for start in range(len(tris)):
-        order, i = [], start
-        while succ[i] >= 0:  # a visited triangle's successor is -1
-            order.append(i)
-            succ[i], i = -1, succ[i]
-        if order:
-            curves.tri_loop.update(dict.fromkeys([tris[i] for i in order], len(curves.loops)))
-            disp = tuple(shift[order].sum(axis=0).tolist())
-            curves.loops.append(Loop(steps=seg.take(order), displacement=disp))
+    succ, order, starts = nxt.tolist(), [], []
+    for i in range(len(succ)):
+        if succ[i] >= 0:  # a visited triangle's successor is -1
+            starts.append(len(order))
+            while succ[i] >= 0:
+                order.append(i)
+                succ[i], i = -1, succ[i]
+    if order:
+        order, bounds = np.fromiter(order, np.int64, len(order)), starts + [len(order)]
+        loop_of = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        curves.tri_loop.update(zip(keys[order].tolist(), loop_of.tolist()))
+        disps = np.add.reduceat(shift[order], starts, axis=0).tolist()
+        for lo, hi, disp in zip(bounds, bounds[1:], disps):
+            curves.loops.append(Loop(steps=seg.take(order[lo:hi]), displacement=tuple(disp)))
     return curves
 
 
@@ -412,16 +453,20 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
     combined with the slicing orientation this realizes an antisymmetric
     pairing on curves.
 
-    Only steps in the target's walk set read field values: off it every
-    corner value has one strict sign, so both ends of the step get that
-    sign and the step cannot cross.
+    Only steps in the target's walk set read field values, gathered from
+    its ``walk_values``: off the set every corner value has one strict sign,
+    so both ends of the step get that sign and the step cannot cross.
     """
     out: dict[int, list] = {}
-    fld, mesh, walk = target.field, target.mesh, target.walk_set
-    steps = path_steps.take([tri in walk for tri in path_steps.tri.tolist()])
-    num, den = fld.corner_ratios(mesh, steps.tri)
-    corners = mesh.edges.tris[steps.tri].tolist()
-    rows = zip(steps.tri.tolist(), corners, num.tolist(), den.tolist(), steps.ends.tolist())
+    walk, num, den = target.walk_values
+    if not len(walk):
+        return out
+    at = walk.searchsorted(path_steps.tri)
+    inside = walk.take(at, mode="clip") == path_steps.tri
+    at, tris = at[inside], path_steps.tri[inside]
+    corners = target.mesh.edges.tris[tris].tolist()
+    ends = path_steps.ends[inside].tolist()
+    rows = zip(tris.tolist(), corners, num[at].tolist(), den[at].tolist(), ends)
     for tri, verts, (n0, n1, n2), (d0, d1, d2), (pt_in, pt_out) in rows:
         # the values times d0*d1*d2 > 0: integers whose interpolants keep their signs
         vals = (n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1)
@@ -575,15 +620,23 @@ def tube_section(mesh: TriMesh, axis: int, center, radius=TUBE_RADIUS) -> Sliced
 
     As a stability check, the slice is recomputed at radius*(1 +- 1/16) and
     the loop count must agree; disagreement means the radius is too close to
-    a tangency of the tube with the surface.
+    a tangency of the tube with the surface.  The three slices share one
+    radius-free ``squared_offsets`` pass, held for this call only.
     """
-    radius = Fraction(radius)
-    base = slice_field(mesh, TubeField(axis - 1, center, radius))
-    for factor in (Fraction(15, 16), Fraction(17, 16)):
-        probe = slice_field(mesh, TubeField(axis - 1, center, radius * factor))
-        if len(probe.loops) != len(base.loops):
-            raise TransversalityError(
-                f"loop count changed under radius perturbation {factor}: "
-                f"{len(base.loops)} vs {len(probe.loops)}"
-            )
+    radius, line = Fraction(radius), []
+    try:
+        for factor in (1, Fraction(15, 16), Fraction(17, 16)):
+            fld = TubeField(axis - 1, center, radius * factor)
+            fld._line = line
+            sec = slice_field(mesh, fld)
+            if factor == 1:
+                base = sec
+            elif len(sec.loops) != len(base.loops):
+                raise TransversalityError(
+                    f"loop count changed under radius perturbation {factor}: "
+                    f"{len(base.loops)} vs {len(sec.loops)}"
+                )
+    finally:
+        line.clear()
+    base.field._line = None
     return base

@@ -64,7 +64,8 @@ def _rows(m):
 
 
 def random_word(rng: random.Random, alphabet, max_len: int) -> Word:
-    return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+    choice = rng.choice
+    return tuple([choice(alphabet) for _ in range(rng.randint(0, max_len))])
 
 
 FULL_ALPHABET = tuple(Generator(k, s) for k in BASE_TOKENS for s in (1, -1))

@@ -1,6 +1,6 @@
 """``Fraction`` reference for surface points: the exact vertex rows, each
 triangle's unwrapped frame, step positions in it, and the side of the surface
-a point lies on.
+a point lies on; and the per-loop chaining of sliced segments.
 
 The program reads a surface point as integer columns (``TriMesh.vertex_num``
 over ``vertex_den``, and the ``(va, vb, p, q)`` rows of ``Steps``); these
@@ -11,6 +11,9 @@ a time, for the tests to compare against.
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from t3mcg.mesh.curves import Loop
 from t3mcg.mesh.surface import DegeneracyError
 
 
@@ -82,3 +85,40 @@ def ambient_side(point) -> int:
     if diff == 0:
         raise DegeneracyError(f"point {point} is equidistant from both spines")
     return 1 if diff > 0 else -1
+
+
+def chain_reference(curves):
+    """``curves._chain`` as it was before its loop bookkeeping was batched: the
+    same checks, then per loop its own walk-order list, ``tri_loop`` update,
+    displacement sum and ``Steps`` take."""
+    mesh, seg, last = curves.mesh, curves.segments, curves.mesh.resolution - 1
+    keys, ((in_a, in_b, in_p, in_q), (va, vb, p, q)) = seg.tri, seg.ends.transpose(1, 2, 0)
+    # the triangle across each exit edge (va, vb), found from the corner va
+    at = (mesh.edges.tris[keys] == va[:, None]).argmax(axis=1)
+    after = mesh.edges.neighbour[3 * keys + at]
+    for bad in np.flatnonzero(after < 0)[:1].tolist():
+        raise DegeneracyError(f"edge {tuple(sorted((int(va[bad]), int(vb[bad]))))} is not interior")
+    nxt = np.minimum(np.searchsorted(keys, after), len(keys) - 1)
+    if (keys[nxt] != after).any():
+        raise DegeneracyError("curve chain left the sliced triangle set")
+    # coherent neighbours traverse the shared edge in opposite directions;
+    # both parameters are reduced, so ``s == 1 - t`` is a test on integers
+    same = (in_a[nxt] == vb) & (in_b[nxt] == va) & (in_q[nxt] == q) & (in_p[nxt] == q - p)
+    for bad in np.flatnonzero(~same)[:1].tolist():
+        tri, other = int(keys[bad]), int(after[bad])
+        raise DegeneracyError(f"triangles {tri} and {other} disagree on their shared point")
+    # a step's exit point is the next step's entry point in the next frame;
+    # the two frames differ by a period only between cells n - 1 and 0
+    here, there = mesh.cell_array[keys], mesh.cell_array[after]
+    shift = ((here == last) & (there == 0)).astype(np.int64) - ((here == 0) & (there == last))
+    tris, succ = keys.tolist(), nxt.tolist()
+    for start in range(len(tris)):
+        order, i = [], start
+        while succ[i] >= 0:  # a visited triangle's successor is -1
+            order.append(i)
+            succ[i], i = -1, succ[i]
+        if order:
+            curves.tri_loop.update(dict.fromkeys([tris[i] for i in order], len(curves.loops)))
+            disp = tuple(shift[order].sum(axis=0).tolist())
+            curves.loops.append(Loop(steps=seg.take(order), displacement=disp))
+    return curves

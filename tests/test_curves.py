@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t3mcg.mesh import build_surface
+from t3mcg.mesh import build_surface, curves
 from t3mcg.mesh.curves import (
     TUBE_RADIUS,
     DegeneracyError,
@@ -27,8 +28,9 @@ from t3mcg.mesh.curves import (
     walk_pairing,
     walk_steps,
 )
+from t3mcg.mesh.homology import pair_tube
 
-from mesh_reference import dper, int_row, step_positions, triangle_local
+from mesh_reference import chain_reference, dper, int_row, step_positions, triangle_local
 
 HALF = Fraction(1, 2)
 
@@ -1088,3 +1090,169 @@ def test_slicing_and_walking_build_no_fraction(mesh16):
     assert sum(len(sec.loops) for sec in sections) == 3 + 12 and any(walks)
     assert sum(len(sec.tri_segments) + sum(len(l.steps) for l in sec.loops) for sec in sections)
     assert live_fractions() == before
+
+
+# ---------------------------------------------------------------------------
+# Each exact value once: walk values per target, one squared-distance pass
+# per tube line, and the batched loop bookkeeping against the per-loop walk.
+# ---------------------------------------------------------------------------
+
+
+PAST_BOUND_RADIUS = Fraction(5 * 2**40 + 1, 2**44)
+WALK_VALUE_FIELDS = [
+    pytest.param(partial(PlaneField, 0, HALF), id="plane0-1/2"),
+    pytest.param(partial(TubeField, 2, (HALF, Fraction(0)), TUBE_RADIUS), id="tube2"),
+    BOX_END_TUBE,
+    pytest.param(partial(TubeField, 2, (HALF, Fraction(0)), PAST_BOUND_RADIUS), id="tube2-past"),
+]
+
+
+class CountedField:
+    """A field whose ``corner_ratios`` calls are counted."""
+
+    def __init__(self, fld):
+        self.fld, self.calls = fld, 0
+
+    def corner_ratios(self, mesh, tris):
+        self.calls += 1
+        return self.fld.corner_ratios(mesh, tris)
+
+    def __getattr__(self, name):
+        return getattr(self.fld, name)
+
+
+class TestWalkValues:
+    @pytest.mark.parametrize("make_field", WALK_VALUE_FIELDS)
+    def test_rows_are_the_corner_ratios_of_the_sorted_walk_set(self, mesh16, make_field):
+        sec = slice_field(mesh16, make_field())
+        tris, num, den = sec.walk_values
+        walk = sorted(sec.walk_set)
+        assert tris.dtype == np.int64 and tris.tolist() == walk
+        want_num, want_den = sec.field.corner_ratios(mesh16, walk)
+        past = isinstance(sec.field, TubeField) and sec.field.radius == PAST_BOUND_RADIUS
+        assert num.dtype == den.dtype == want_num.dtype == (object if past else np.int64)
+        assert want_den.dtype == den.dtype
+        assert num.tolist() == want_num.tolist() and den.tolist() == want_den.tolist()
+
+    @pytest.mark.parametrize("make_field", WALK_VALUE_FIELDS)
+    def test_one_corner_ratios_call_per_target(self, mesh16, make_field):
+        counted = CountedField(make_field())
+        target = slice_field(mesh16, counted)
+        plain = slice_field(mesh16, make_field())
+        assert counted.calls == 1  # slicing's own call
+        walkers = [plane_section(mesh16, axis, HALF) for axis in (1, 2, 3)]
+        walkers += [slice_field(mesh16, TubeField(axis, (HALF, Fraction(0)), TUBE_RADIUS)) for axis in range(3)]
+        walks = 0
+        for walker in walkers:
+            for loop in walker.loops:
+                args = (walk_steps(loop), loop.orientation_sign)
+                assert walk_pairing(*args, target) == walk_pairing(*args, plain)
+                walks += 1
+        assert walks == 15 and counted.calls == 2
+
+    def test_walk_against_an_empty_walk_set(self, mesh16):
+        # a thin tube around the origin spine stays inside one handlebody
+        target = slice_field(mesh16, TubeField(0, (Fraction(0), Fraction(0)), Fraction(1, 16)))
+        assert not target.walk_set and not target.loops and len(target.walk_values[0]) == 0
+        for loop in plane_section(mesh16, 1, HALF).loops + tube_section(mesh16, 3, (HALF, Fraction(0))).loops:
+            assert walk_pairing(walk_steps(loop), loop.orientation_sign, target) == {}
+
+
+@pytest.fixture
+def squared_offsets_passes(monkeypatch):
+    """Weak references to the result of every ``TubeField.squared_offsets`` pass."""
+    passes = []
+    squared_offsets = TubeField.squared_offsets
+
+    def counted(self, mesh):
+        square = squared_offsets(self, mesh)
+        passes.append(weakref.ref(square))
+        return square
+
+    monkeypatch.setattr(TubeField, "squared_offsets", counted)
+    return passes
+
+
+@pytest.fixture
+def sliced_fields(monkeypatch):
+    """Every field ``tube_section`` slices, in order."""
+    fields = []
+    slice_field_ = curves.slice_field
+
+    def recorded(mesh, fld):
+        fields.append(fld)
+        return slice_field_(mesh, fld)
+
+    monkeypatch.setattr(curves, "slice_field", recorded)
+    return fields
+
+
+class TestSharedTubeLine:
+    @pytest.mark.parametrize("axis,center", HOMOLOGY_AND_PAIR_TUBES)
+    def test_one_radius_free_pass_per_tube_section(self, mesh16, squared_offsets_passes, axis, center):
+        for calls in (1, 2):
+            tube_section(mesh16, axis + 1, center)
+            assert len(squared_offsets_passes) == calls
+
+    def test_no_pass_past_the_bound(self, mesh16, squared_offsets_passes, sliced_fields):
+        sec = tube_section(mesh16, 3, (HALF, Fraction(0)), PAST_BOUND_RADIUS)
+        assert len(sec.loops) == 4 and len(sliced_fields) == 3
+        assert not squared_offsets_passes
+
+    @pytest.mark.parametrize("axis,center", HOMOLOGY_AND_PAIR_TUBES)
+    @pytest.mark.parametrize("radius", [TUBE_RADIUS, Fraction(2, 7), PAST_BOUND_RADIUS])
+    def test_each_field_reads_its_own_radius(self, mesh16, sliced_fields, axis, center, radius):
+        sec = tube_section(mesh16, axis + 1, center, radius)
+        factors = [1, Fraction(15, 16), Fraction(17, 16)]
+        assert [fld.radius for fld in sliced_fields] == [radius * f for f in factors]
+        assert sliced_fields[0] is sec.field
+        for fld in sliced_fields:
+            fresh = TubeField(axis, center, fld.radius)
+            for got, want in zip(fld.vertex_ratios(mesh16), fresh.vertex_ratios(mesh16)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(fld.vertex_signs(mesh16), fresh.vertex_signs(mesh16))
+
+    def test_nothing_shared_outlives_the_call(self, mesh16, squared_offsets_passes, sliced_fields):
+        sec = tube_section(mesh16, 3, (HALF, Fraction(0)))
+        assert len(squared_offsets_passes) == 1 and len(sliced_fields) == 3
+        gc.collect()
+        # the three fields are still held here, the pass they shared is gone
+        assert squared_offsets_passes[0]() is None
+        # and the section's field reads another mesh without keeping a pass
+        sec.field.vertex_ratios(build_surface(8))
+        gc.collect()
+        assert len(squared_offsets_passes) == 2 and squared_offsets_passes[1]() is None
+
+    def test_a_refused_probe_keeps_no_pass(self, mesh32, squared_offsets_passes):
+        with pytest.raises(TransversalityError):
+            tube_section(mesh32, 3, (HALF, Fraction(0)), Fraction(1, 4))
+        gc.collect()
+        assert squared_offsets_passes and all(ref() is None for ref in squared_offsets_passes)
+
+
+def chained_columns(sec):
+    return (
+        list(sec.tri_loop.items()),
+        [(l.steps.tri.tolist(), l.steps.ends.tolist(), l.displacement) for l in sec.loops],
+    )
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+def test_chain_equals_the_per_loop_walk(request, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    sections = [plane_section(mesh, axis, level) for axis in (1, 2, 3) for level in (HALF, Fraction(0))]
+    sections += [pair_tube(mesh, i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    if mesh_name == "mesh16":
+        sections.append(slice_field(mesh, TubeField(2, (HALF, Fraction(0)), PAST_BOUND_RADIUS)))
+    assert sections[-1].segments.ends.dtype == (object if mesh_name == "mesh16" else np.int64)
+    for sec in sections:
+        segments = [sec.segments]
+        if len(sec.loops) > 1:
+            # without its first loop a tube's displacements are no palindrome
+            segments.append(sec.segments.take(~np.isin(sec.segments.tri, sec.loops[0].steps.tri)))
+        for seg in segments:
+            got = _chain(SlicedCurves(mesh, sec.field, [], {}, seg))
+            want = chain_reference(SlicedCurves(mesh, sec.field, [], {}, seg))
+            assert chained_columns(got) == chained_columns(want) and got.loops == want.loops
+            assert all(type(x) is int for loop in got.loops for x in loop.displacement)
+            assert all(type(k) is int and type(v) is int for k, v in got.tri_loop.items())
