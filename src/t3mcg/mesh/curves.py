@@ -147,6 +147,7 @@ class TubeField:
         self.radius = Fraction(radius)
         self._memo = (None,)  # (mesh, numerators, denominators, signs)
         self._line = None  # ``[mesh, squared_offsets]``, shared by ``tube_section``'s fields
+        self._walk = (None,)  # (mesh, walk triangles), from the last corner count
 
     def point_value(self, p):
         """``|x - u|**2 + |y - v|**2 - r**2`` as one ``Fraction`` at ``p``, each
@@ -244,25 +245,30 @@ class TubeField:
         corners = mesh.edges.tris[np.asarray(tris, np.int64)]
         return num[corners], den[corners]
 
-    def _corner_counts(self, mesh: TriMesh):
-        """The numbers of negative and of positive corners of every triangle."""
+    def _triangle_sets(self, mesh: TriMesh) -> tuple:
+        """The candidate and the walk triangles of ``mesh`` in index order,
+        both read off one count of each triangle's negative and positive
+        corners; the walk triangles are kept for ``walk_triangles``."""
         code = np.array([1, 0, 4], np.uint8)[self.vertex_signs(mesh) + 1]
         tris = mesh.edges.tris
         total = code[tris[:, 0]] + code[tris[:, 1]] + code[tris[:, 2]]
-        return total & 3, total >> 2
+        negative, positive = total & 3, total >> 2
+        walk = np.flatnonzero((negative < 3) & (positive < 3))
+        self._walk = (mesh, walk)
+        return np.flatnonzero((negative > 0) & (negative < 3)), walk
 
     def candidate_triangles(self, mesh: TriMesh):
         """Triangles whose corner signs are mixed, zero counting positive, in
         index order: exactly the triangles ``slice_field`` slices."""
-        negative, _ = self._corner_counts(mesh)
-        return np.flatnonzero((negative > 0) & (negative < 3)).tolist()
+        return self._triangle_sets(mesh)[0].tolist()
 
     def walk_triangles(self, mesh: TriMesh) -> set:
         """Triangles whose corners are not all of one strict sign.  Unlike
         ``candidate_triangles`` this keeps those with zero and no negative
-        corners: slicing counts a zero corner positive, a walk negative."""
-        negative, positive = self._corner_counts(mesh)
-        return set(np.flatnonzero((negative < 3) & (positive < 3)).tolist())
+        corners: slicing counts a zero corner positive, a walk negative.  A
+        field that sliced ``mesh`` reads them from that slice's count."""
+        walk = self._walk[1] if self._walk[0] is mesh else self._triangle_sets(mesh)[1]
+        return set(walk.tolist())
 
 
 class Steps(ExactRows):

@@ -5,6 +5,14 @@ the handlebody swap s and the reference torus twist t.  Words multiply left to
 right: the first letter is the map applied first.  The only rewriting done
 here is free cancellation together with s*s -> 1 (the swap is an involution);
 every other identity is checked numerically downstream, never rewritten.
+
+Parsing is one lookup per whitespace-separated token in a table built at
+import: each of the eight base tokens and the twelve macros, with and without
+``^-1``, maps to its word.  ``MACRO_EXPANSIONS`` holds each macro's inverse
+too, inverted once at import, and ``expand_macro`` reads the same entries, so
+no parse or expansion builds a ``Generator`` or inverts a word.  Only a token
+the table lacks is matched against the token grammar, to say why it failed
+and where.
 """
 
 from __future__ import annotations
@@ -107,6 +115,9 @@ class Macro:
         if self.sign not in (1, -1):
             raise ValueError(f"macro sign must be +1 or -1, got {self.sign}")
 
+    def token(self) -> str:
+        return self.kind if self.sign == 1 else self.kind + "^-1"
+
 
 def _build_macro_table() -> dict:
     A = lambda i, j, s=1: Generator(f"a{i}{j}", s)
@@ -124,17 +135,22 @@ def _build_macro_table() -> dict:
     table["r12"] = invert(table["r21"])
     table["t23"] = compose(compose(table["r12"], table["t13"]), invert(table["r12"]))
     table["t32"] = invert(table["t23"])
+    table.update({f"{kind}^-1": invert(w) for kind, w in table.items()})
     return table
 
 
+# Keyed by token: each macro ``k`` and its inverse ``k^-1``, inverted once here.
 MACRO_EXPANSIONS = _build_macro_table()
 
 
 def expand_macro(m: Macro) -> Word:
     """Canonical expansion of a macro into base generators."""
-    w = MACRO_EXPANSIONS[m.kind]
-    return w if m.sign == 1 else invert(w)
+    return MACRO_EXPANSIONS[m.token()]
 
+
+# Every legal token, a base letter or a macro with or without ^-1, and its word.
+_TOKEN_WORDS = {g.token(): (g,) for g in (Generator(k, s) for k in BASE_TOKENS for s in (1, -1))}
+_TOKEN_WORDS.update(MACRO_EXPANSIONS)
 
 _TOKEN_RE = re.compile(r"^([a-z][a-z0-9]*)(\^(-?[0-9]+))?$")
 
@@ -142,27 +158,35 @@ _TOKEN_RE = re.compile(r"^([a-z][a-z0-9]*)(\^(-?[0-9]+))?$")
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated tokens into a word over the base alphabet.
 
-    Macro tokens are expanded immediately, so the result only contains the
-    eight base generators.  The sole legal exponent is ^-1.
+    Each token is one lookup in the token table, and a macro token is
+    replaced by its expansion, so the result only contains the eight base
+    generators.  The sole legal exponent is ^-1.
     """
     letters: list[Generator] = []
+    try:
+        for raw in text.split():
+            letters += _TOKEN_WORDS[raw]
+    except KeyError:
+        raise _token_error(text) from None
+    return tuple(letters)
+
+
+def _token_error(text: str) -> ParseError:
+    """The error for the first token of ``text`` missing from the token table,
+    with its index and character offset: a bad token, a malformed exponent or
+    an unknown name."""
     offset = 0
     for index, raw in enumerate(text.split()):
         char_offset = text.index(raw, offset)
         offset = char_offset + len(raw)
+        if raw in _TOKEN_WORDS:
+            continue
         m = _TOKEN_RE.match(raw)
         if not m:
-            raise ParseError(f"bad token {raw!r}", index, char_offset)
+            return ParseError(f"bad token {raw!r}", index, char_offset)
         name, _, exponent = m.groups()
         if exponent is not None and exponent != "-1":
-            raise ParseError(
+            return ParseError(
                 f"malformed exponent {exponent!r} (only ^-1 is allowed)", index, char_offset
             )
-        sign = -1 if exponent == "-1" else 1
-        if name in BASE_TOKENS:
-            letters.append(Generator(name, sign))
-        elif name in MACRO_TOKENS:
-            letters.extend(expand_macro(Macro(name, sign)))
-        else:
-            raise ParseError(f"unknown token {name!r}", index, char_offset)
-    return tuple(letters)
+        return ParseError(f"unknown token {name!r}", index, char_offset)

@@ -1158,6 +1158,21 @@ class TestWalkValues:
             assert walk_pairing(walk_steps(loop), loop.orientation_sign, target) == {}
 
 
+@pytest.mark.parametrize("make_field", [BOX_END_TUBE] + FAR_CORNER_TUBES[:1])
+def test_a_sliced_walk_target_reads_its_signs_once(mesh16, make_field, monkeypatch):
+    # slicing counts each triangle's corner signs; the walk set reuses that count
+    reads = []
+    vertex_signs = TubeField.vertex_signs
+    monkeypatch.setattr(
+        TubeField, "vertex_signs", lambda self, mesh: reads.append(self) or vertex_signs(self, mesh)
+    )
+    target = slice_field(mesh16, make_field())
+    tris, _, _ = target.walk_values
+    assert len(reads) == 1 and target.walk_set == set(tris.tolist())
+    assert target.walk_set == make_field().walk_triangles(mesh16)
+    assert len(reads) == 2  # a field that sliced nothing counts its own
+
+
 @pytest.fixture
 def squared_offsets_passes(monkeypatch):
     """Weak references to the result of every ``TubeField.squared_offsets`` pass."""
