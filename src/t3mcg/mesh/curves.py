@@ -19,10 +19,11 @@ them as ``Fraction`` points only when a row is read.  Chaining steps across
 edges through the mesh's edge table (``TriMesh.edges``) and checks in numpy
 that both triangles on an edge share its crossing point; only the walk along
 the successor map runs in Python ints.  A walk finds its steps in the
-target's walk set (``walk_triangles``) by ``np.searchsorted`` and gathers
-their rows of ``walk_values``; the sign at each end is that of one integer
-(``_interpolant``), and a crossing on a target vertex is attributed through
-an index of the segment points on vertices.
+target's walk set (``walk_triangles``, a sorted index array) by
+``np.searchsorted`` and gathers their rows of ``walk_values``; the sign at
+each end is that of one integer (``_interpolant``), and a crossing on a
+target vertex is attributed through an index of the segment points on
+vertices.
 
 Sign conventions, fixed once:
   * slicing treats a zero vertex value as positive;
@@ -112,14 +113,14 @@ class PlaneField:
         """
         return np.nonzero(self._box_meets(mesh))[0].tolist()
 
-    def walk_triangles(self, mesh: TriMesh) -> set:
-        """Triangles whose closed cell box meets the zero set.
+    def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
+        """Triangles whose closed cell box meets the zero set, as a sorted index array.
 
         Off them the box lies strictly between two representatives of the
         level, so every corner value has one strict sign.  The candidate test
         is closed already, so the two sets are equal.
         """
-        return set(np.nonzero(self._box_meets(mesh))[0].tolist())
+        return np.flatnonzero(self._box_meets(mesh))
 
     def _box_meets(self, mesh: TriMesh):
         return cell_boxes_holding(mesh.resolution, self.level)[mesh.cell_array[:, self.axis]]
@@ -262,13 +263,12 @@ class TubeField:
         index order: exactly the triangles ``slice_field`` slices."""
         return self._triangle_sets(mesh)[0].tolist()
 
-    def walk_triangles(self, mesh: TriMesh) -> set:
-        """Triangles whose corners are not all of one strict sign.  Unlike
-        ``candidate_triangles`` this keeps those with zero and no negative
-        corners: slicing counts a zero corner positive, a walk negative.  A
-        field that sliced ``mesh`` reads them from that slice's count."""
-        walk = self._walk[1] if self._walk[0] is mesh else self._triangle_sets(mesh)[1]
-        return set(walk.tolist())
+    def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
+        """Triangles whose corners are not all of one strict sign, as a sorted
+        index array.  Unlike ``candidate_triangles`` this keeps those with zero
+        and no negative corners: slicing counts a zero corner positive, a walk
+        negative.  A field that sliced ``mesh`` reads them from that slice's count."""
+        return self._walk[1] if self._walk[0] is mesh else self._triangle_sets(mesh)[1]
 
 
 class Steps(ExactRows):
@@ -329,17 +329,11 @@ class SlicedCurves:
         return _SegmentMap(self.segments)
 
     @cached_property
-    def walk_set(self) -> set:
-        """The field's ``walk_triangles``: off them no walk step crosses the field."""
-        return self.field.walk_triangles(self.mesh)
-
-    @cached_property
     def walk_values(self) -> tuple:
-        """The walk set in index order and the field's ``corner_ratios`` on it,
-        ``(tris, num, den)``: read once, for every walk against this section.
-        The set itself is not kept."""
-        walk = self.field.walk_triangles(self.mesh)
-        tris = np.sort(np.fromiter(walk, np.int64, len(walk)))
+        """The field's ``walk_triangles``, off which no walk step crosses the
+        field, and its ``corner_ratios`` on them, ``(tris, num, den)``: read
+        once, for every walk against this section."""
+        tris = self.field.walk_triangles(self.mesh)
         return (tris, *self.field.corner_ratios(self.mesh, tris))
 
     @cached_property

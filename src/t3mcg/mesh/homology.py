@@ -113,12 +113,6 @@ class HomologyData:
         return mat_vec(PROJECTION, cls)
 
 
-def form_product(x, y):
-    """Intersection form in canonical coordinates."""
-    jy = mat_vec(CANONICAL_J, y)
-    return sum(a * b for a, b in zip(x, jy))
-
-
 def pair_tube(mesh: TriMesh, i: int, j: int) -> SlicedCurves:
     """Section by the tube of the disk pair (i, j), through {x_i = 1/2} ∩ {x_j = 0}:
     along axis k = 6 - i - j, with its centre listed in ``TubeField``'s transverse

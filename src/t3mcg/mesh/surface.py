@@ -18,10 +18,11 @@ output is a closed, coherently oriented manifold mesh.  One edge table per
 mesh, sorted on int64 keys (``TriMesh.edges``), serves validation, chaining
 and cutting.
 Ids are int32 and cells int16, widened to int64 wherever two are multiplied.
-The triangles and their cells stay the int arrays the triangulation returns;
-``TriMesh.triangles`` and ``TriMesh.tri_cells`` are list-like views of them
-(``IntRows``) whose rows are built as tuples of Python ints on each read, and
-the edge table of a built mesh is made from the triangle array without a copy.
+The triangles and their cells stay the int arrays the triangulation returns:
+``TriMesh.triangles`` is the int32 array itself, which the edge table reads
+without a copy, and ``TriMesh.cell_array`` the int16 one.  No list view of
+either is kept; ``TriMesh.tri_cells`` builds the cell rows as tuples on each
+read, for the benchmark tracer alone.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -132,10 +134,9 @@ def _sample_field(n: int) -> np.ndarray:
 
 
 class ExactRows(Sequence):
-    """A read-only list of exact rows, each built on every read: a memo would
-    hold one object per row, and every reader reads a row once.  ``len``
-    builds none, and equality, ``repr``, ``+`` and ``*`` are those of the
-    plain list, as is a slice."""
+    """A read-only sequence of exact rows, each built on every read: a memo
+    would hold one object per row, and every reader reads a row once.  ``len``
+    builds none, and a slice is a list."""
 
     def __init__(self, size: int, row):
         self._row, self._size = row, size
@@ -148,39 +149,6 @@ class ExactRows(Sequence):
             return [self._row(k) for k in range(self._size)[i]]
         return self._row(range(self._size)[i])  # negative from the end; IndexError past it
 
-    def __eq__(self, other):
-        return list(self) == other
-
-    def __repr__(self):
-        return repr(list(self))
-
-    def __add__(self, other) -> list:
-        return list(self) + other
-
-    def __radd__(self, other) -> list:
-        return other + list(self)
-
-    def __mul__(self, times: int) -> list:
-        return list(self) * times
-
-
-class IntRows(ExactRows):
-    """The rows of a 2-d int array as an ``ExactRows`` of tuples of Python ints;
-    iteration reads the whole array at once, and ``np.asarray`` of the view is
-    the array itself, not a copy."""
-
-    def __init__(self, array: np.ndarray):
-        super().__init__(len(array), lambda i: tuple(array[i].tolist()))
-        self.array = array
-
-    def __iter__(self):
-        return map(tuple, self.array.tolist())
-
-    def __array__(self, dtype=None, copy=None):
-        # NumPy 1.x calls this without ``copy``, and its np.array rejects copy=None
-        array = np.asarray(self.array, dtype)
-        return array.copy() if copy else array
-
 
 @dataclass(eq=False)
 class TriMesh:
@@ -190,21 +158,21 @@ class TriMesh:
     ``base`` (wrapped mod n) along the 0/1 direction ``axes = (ax, ay, az)``,
     keyed ``vertex_key[v] = 8 * flat(base) + 4*ax + 2*ay + az``.  With ``glo``
     and ``ghi`` the sample values at its ends and ``d = |glo - ghi|``, its
-    crossing parameter is ``t = vertex_tnum[v] / d`` (``vertex_tnum = |glo|``)
-    and its wrapped coordinates are ``vertex_num[v] / vertex_den[v]``, over
-    the one denominator ``2n * d``.  As ``|g| <= 2n^2``, ``d <= 4n^2`` and each
-    numerator ``((2w + 1)*d + 2*|glo|*a) mod 2nd`` is below ``8n^3 + 4n^2``
-    even before its reduction: int64 holds it, and up to n = 512 a product of two.
+    crossing parameter is ``t = |glo| / d`` and its wrapped coordinates are
+    ``vertex_num[v] / vertex_den[v]``, over the one denominator ``2n * d``.  As
+    ``|g| <= 2n^2``, ``d <= 4n^2`` and each numerator
+    ``((2w + 1)*d + 2*|glo|*a) mod 2nd`` is below ``8n^3 + 4n^2`` even before
+    its reduction: int64 holds it, and up to n = 512 a product of two.
     ``vertices`` (3 ``Fraction`` coordinates in [0, 1)) is the exact view of
     these columns.
-    The oriented triangles are the rows of an int32 ``(T, 3)`` array of vertex
-    indices, and the lattice cell of each triangle the matching row of the
-    int16 ``cell_array``; a built mesh holds both, non-writeable, as ``IntRows``
-    views (``triangles``, ``tri_cells``).  ``edges``, the one edge table of the
-    mesh, reads the triangle array without a copy; validation, chaining and
-    cutting read it.  It is keyed on the ``triangles`` object it was built
-    from, so a copy that assigns other triangles (a list of tuples, say)
-    reads a table of its own.
+    ``triangles`` is the read-only int32 ``(T, 3)`` array of oriented vertex
+    indices and ``cell_array`` the read-only int16 array of each triangle's
+    lattice cell, row for row; neither has a list view.  ``tri_cells`` builds
+    the cell rows as a list of tuples on each read, for the benchmark tracer.
+    ``edges``, the one edge table of the mesh, is built on its first read
+    from the triangle array without a copy; validation, chaining and cutting
+    read it.  A mesh with other triangles is a new ``TriMesh``
+    (``dataclasses.replace``), with a table of its own.
     Lattice point p samples the position (p + 1/2)/n.  Triangle orientation
     points from the side nearer spine A toward the side nearer spine B.
     """
@@ -216,10 +184,8 @@ class TriMesh:
     vertex_key: np.ndarray
     vertex_num: np.ndarray
     vertex_den: np.ndarray
-    vertex_tnum: np.ndarray
-    triangles: Sequence  # (i, j, k) vertex indices, oriented: an IntRows view or a list
-    tri_cells: Sequence  # the lattice cell each triangle came from: IntRows of cell_array
-    cell_array: np.ndarray  # tri_cells as one (T, 3) array
+    triangles: np.ndarray  # (i, j, k) vertex indices, oriented
+    cell_array: np.ndarray  # the lattice cell each triangle came from
 
     def __post_init__(self):
         num, den = self.vertex_num, self.vertex_den
@@ -230,23 +196,21 @@ class TriMesh:
         self.vertices = ExactRows(len(self.vertex_key), vertex)
 
     @property
+    def tri_cells(self) -> list:
+        """The rows of ``cell_array`` as tuples of Python ints, built on each
+        read: only the benchmark tracer reads them."""
+        return list(map(tuple, self.cell_array.tolist()))
+
+    @cached_property
     def edges(self) -> EdgeTable:
-        """The one ``EdgeTable`` of ``triangles``, for readers only: built on the first
-        read, and again on the first read after ``triangles`` is another object."""
-        built = getattr(self, "_edges", None)
-        if built is None or built[0] is not self.triangles:
-            built = self._edges = (self.triangles, EdgeTable(self.triangles))
-        return built[1]
+        """The one ``EdgeTable`` of ``triangles``, built on the first read."""
+        return EdgeTable(self.triangles)
 
 
 class EdgeTable:
-    """The undirected edges of a list of triangles, as one sorted int64 key table;
-    a mesh builds one (``TriMesh.edges``).
-
-    The triangles are anything ``np.asarray`` reads as int vertex triples: a
-    ``(T, 3)`` int array or ``IntRows`` view of one, which it keeps without a
-    copy in its own dtype (int32 on a built mesh), or a list of triples
-    (tuples or lists), which it converts; not a generator.
+    """The undirected edges of an int array of vertex triples, as one sorted
+    int64 key table; a mesh builds one from its ``triangles`` array
+    (``TriMesh.edges``), and keeps it without a copy as ``tris``.
 
     Half-edge ``h = 3*tri + s`` runs from corner ``s`` of triangle ``tri`` to
     corner ``s + 1`` (mod 3), with key ``low * size + high`` for its vertices
@@ -255,13 +219,12 @@ class EdgeTable:
     in ascending key order, has half-edges ``order[start[e]:start[e] + count[e]]``.
     ``pairs`` holds the two half-edges of each edge on exactly two triangles,
     and ``neighbour[h]`` the triangle across half-edge ``h`` on such an edge,
-    else -1; ``tris`` is the triangle list as a ``(triangles, 3)`` array.
-    ``low`` and ``high`` have the dtype of ``tris``, and the half-edge and
+    else -1.  ``low`` and ``high`` have the dtype of ``tris``, and the half-edge and
     edge arrays are int32, which holds every id up to ``MAX_RESOLUTION``.
     """
 
     def __init__(self, triangles):
-        self.tris = _ids(triangles).reshape(-1, 3)
+        self.tris = triangles.reshape(-1, 3)
         tail, head = self.tris.ravel(), self.tris[:, [1, 2, 0]].ravel()
         size = int(self.tris.max(initial=0)) + 1
         self.ascending = tail < head
@@ -419,15 +382,13 @@ def build_surface(n: int) -> TriMesh:
     np.subtract(num, den[:, None], out=num, where=num >= den[:, None])
 
     cell_array = active.astype(np.int16)[tri_cell]
-    tris.flags.writeable = cell_array.flags.writeable = False  # the views are read-only
+    tris.flags.writeable = cell_array.flags.writeable = False
     return TriMesh(
         resolution=n,
         vertex_key=vertex_key,
         vertex_num=num,
         vertex_den=den,
-        vertex_tnum=tnum,
-        triangles=IntRows(tris),
-        tri_cells=IntRows(cell_array),
+        triangles=tris,
         cell_array=cell_array,
     )
 
@@ -476,8 +437,8 @@ def export_off(mesh: TriMesh, path: str):
         fh.write(f"{len(coords)} {len(mesh.triangles)} 0\n")
         for v in coords:
             fh.write(" ".join(map(repr, v)) + "\n")
-        for tri in mesh.triangles:
-            fh.write("3 " + " ".join(str(i) for i in tri) + "\n")
+        for a, b, c in mesh.triangles.tolist():
+            fh.write(f"3 {a} {b} {c}\n")
 
 
 def load_off_counts(path: str) -> dict:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from t3mcg.mesh.curves import Loop
-from t3mcg.mesh.surface import DegeneracyError
+from t3mcg.mesh.surface import DegeneracyError, _sample_field
 
 
 def dper(w: Fraction) -> Fraction:
@@ -27,11 +27,18 @@ def int_row(mesh, v: int) -> list:
     return [*mesh.vertex_num[v].tolist(), mesh.vertex_den.item(v)]
 
 
+def crossing_numerators(mesh) -> np.ndarray:
+    """``|glo|`` of every vertex, int64: the sample value at the lower corner of
+    its grid edge, whose crossing parameter is ``|glo|`` over ``vertex_den / 2n``."""
+    g = _sample_field(mesh.resolution).ravel()
+    return np.abs(g[mesh.vertex_key >> 3].astype(np.int64))
+
+
 def vertex_edges(mesh) -> list:
     """``(base, axes, Fraction t)`` of every vertex: the grid edge from the
     lattice corner ``base`` along the 0/1 direction ``axes``, crossed at ``t``."""
     n, q = mesh.resolution, mesh.offset_den
-    columns = mesh.vertex_key.tolist(), mesh.vertex_tnum.tolist(), mesh.vertex_den.tolist()
+    columns = mesh.vertex_key.tolist(), crossing_numerators(mesh).tolist(), mesh.vertex_den.tolist()
     rows = []
     for k, tnum, den in zip(*columns):
         base = (k >> 3) // (n * n), (k >> 3) // n % n, (k >> 3) % n
@@ -47,21 +54,27 @@ def triangle_local(mesh, tri_index: int) -> tuple:
     below 1/2 gains one period.
     """
     last = mesh.resolution - 1
-    cell = mesh.tri_cells[tri_index]
+    cell = mesh.cell_array[tri_index].tolist()
     return tuple(
         tuple(
             Fraction(x + d if cell[c] == last and 2 * x < d else x, d)
             for c, x in enumerate(xyz)
         )
-        for *xyz, d in (int_row(mesh, v) for v in mesh.triangles[tri_index])
+        for *xyz, d in (int_row(mesh, v) for v in mesh.triangles[tri_index].tolist())
     )
+
+
+def loop_rows(loops) -> list:
+    """Each loop as its exact step rows, displacement and orientation sign:
+    two sets of loops are the same when these lists are equal."""
+    return [(list(loop.steps), loop.displacement, loop.orientation_sign) for loop in loops]
 
 
 def step_positions(mesh, step):
     """The entry and exit points of a step ``(tri, (va, vb, t), (vc, vd, s))``
     in the unwrapped frame of its triangle."""
     tri, pt_in, pt_out = step
-    verts = mesh.triangles[tri]
+    verts = mesh.triangles[tri].tolist()
     local = triangle_local(mesh, tri)
 
     def pos(pt):

@@ -7,6 +7,7 @@ every vertex and triangle, the invariance its match relies on.
 
 import numpy as np
 
+from mesh_reference import crossing_numerators
 from t3mcg.mesh.curves import Steps
 from t3mcg.rep3 import mat_mul, transpose
 from t3mcg.mesh.surface import DegeneracyError, EdgeTable, TriMesh
@@ -34,7 +35,7 @@ def half_translation_vertex_map(mesh: TriMesh) -> list:
     key = mesh.vertex_key
     base = (np.stack(np.unravel_index(key >> 3, (n, n, n))) + n // 2) % n
     image = lookup(key, np.ravel_multi_index(base, (n, n, n)) * 8 + (key & 7), "translated vertex")
-    t_num, t_den = mesh.vertex_tnum, mesh.vertex_den
+    t_num, t_den = crossing_numerators(mesh), mesh.vertex_den
     if (t_num[image] * t_den != t_num * t_den[image]).any():
         raise DegeneracyError("the half translation moves a crossing parameter")
     return image.tolist()

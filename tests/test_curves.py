@@ -30,7 +30,7 @@ from t3mcg.mesh.curves import (
 )
 from t3mcg.mesh.homology import pair_tube
 
-from mesh_reference import chain_reference, dper, int_row, step_positions, triangle_local
+from mesh_reference import chain_reference, dper, int_row, loop_rows, step_positions, triangle_local
 
 HALF = Fraction(1, 2)
 
@@ -326,7 +326,7 @@ class TestChaining:
         sec = slice_field(mesh16, fld)
         columns = sec.segments.take(np.arange(len(sec.segments)))
         again = _chain(SlicedCurves(mesh16, fld, [], {}, columns))
-        assert again.loops == sec.loops
+        assert loop_rows(again.loops) == loop_rows(sec.loops)
         assert list(again.tri_loop.items()) == list(sec.tri_loop.items())
         assert [loop.steps[0][0] for loop in sec.loops] == [
             min(step[0] for step in loop.steps) for loop in sec.loops
@@ -377,7 +377,8 @@ class TestChaining:
     def test_mutated_shared_point_breaks_the_chain(self, mesh16, fld, mutant):
         sec = slice_field(mesh16, fld)
         tri, ends = sec.segments.tri, sec.segments.ends.copy()
-        assert _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends))).loops == sec.loops
+        chained = _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends)))
+        assert loop_rows(chained.loops) == loop_rows(sec.loops)
         # a triangle whose exit point lies strictly inside its edge, and the
         # next triangle, whose entry point is the same edge point
         inside = (0 < ends[:, 1, 2]) & (ends[:, 1, 2] < ends[:, 1, 3])
@@ -465,7 +466,7 @@ class TestPrefilterCompleteness:
         sec = slice_field(mesh, fld)
         ref = slice_field(mesh, AllTriangles(fld))
         assert list(sec.tri_segments.items()) == list(ref.tri_segments.items())
-        assert sec.loops == ref.loops  # steps and displacements
+        assert loop_rows(sec.loops) == loop_rows(ref.loops)  # steps and displacements
 
 
 def reference_box_extremes(n, k, c):
@@ -484,7 +485,8 @@ def reference_box_extremes(n, k, c):
 def reference_candidates(mesh, fld):
     n = mesh.resolution
     along = [reference_box_extremes(n, k, fld.level) for k in range(n)]
-    return [tri for tri, cell in enumerate(mesh.tri_cells) if along[cell[fld.axis]][0] == 0]
+    cells = mesh.cell_array[:, fld.axis].tolist()
+    return [tri for tri, cell in enumerate(cells) if along[cell][0] == 0]
 
 
 class TestPrefilterExactness:
@@ -508,12 +510,12 @@ class TestPrefilterExactness:
         # brute force: point_value on the exact coordinates of every corner
         fld = make_field()
         signs = [sign(fld.point_value(p)) for p in mesh16.vertices]
-        corners = [[signs[v] for v in tri] for tri in mesh16.triangles]
+        corners = [[signs[v] for v in tri] for tri in mesh16.triangles.tolist()]
         candidates = fld.candidate_triangles(mesh16)
         assert type(candidates) is list
         assert candidates == [tri for tri, s in enumerate(corners) if min(s) < 0 <= max(s)]
         one_sign = {tri for tri, s in enumerate(corners) if min(s) > 0 or max(s) < 0}
-        assert fld.walk_triangles(mesh16) == set(range(len(corners))) - one_sign
+        assert set(fld.walk_triangles(mesh16).tolist()) == set(range(len(corners))) - one_sign
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +542,8 @@ FAR_CORNER_TUBES = [
 def test_walk_set_holds_every_triangle_without_one_strict_sign(request, mesh_name, make_field):
     mesh = request.getfixturevalue(mesh_name)
     fld = make_field()
-    sec = slice_field(mesh, fld)
-    walk = sec.walk_set
+    slice_field(mesh, fld)
+    walk = set(fld.walk_triangles(mesh).tolist())
     num, _ = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))
     for tri, vals in enumerate(num.tolist()):
         if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
@@ -553,8 +555,8 @@ def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
     # columns whose box only touches the tube hold zero corners, which
     # slicing counts positive but a walk reads as negative
     fld = BOX_END_TUBE.values[0]()
-    walk = slice_field(mesh16, fld).walk_set
-    touching = walk - set(fld.candidate_triangles(mesh16))
+    slice_field(mesh16, fld)
+    touching = set(fld.walk_triangles(mesh16).tolist()) - set(fld.candidate_triangles(mesh16))
     num, _ = fld.corner_ratios(mesh16, sorted(touching))
     assert sum(any(v == 0 for v in row) for row in num.tolist()) == 7
 
@@ -610,7 +612,7 @@ def test_exact_zero_vertices_of_the_pipeline_tubes(request, mesh_name, axis, cen
     ]:
         fld = TubeField(axis, center, radius)
         on_zero = set(np.flatnonzero(fld.vertex_signs(mesh) == 0).tolist())
-        sliced = {v for tri in slice_field(mesh, fld).tri_segments for v in mesh.triangles[tri]}
+        sliced = {v for tri in slice_field(mesh, fld).tri_segments for v in mesh.triangles[tri].tolist()}
         assert (len(on_zero), len(on_zero - sliced)) == (zeros, off_slices)
 
 
@@ -665,7 +667,7 @@ def test_sign_vector_at_and_past_the_int64_bound(mesh16, monkeypatch, center, ra
     assert signs.tolist() == point_value_signs(mesh16, fld)
     ref = slice_field(mesh16, AllTriangles(fld))
     assert sec.loops and list(sec.tri_segments.items()) == list(ref.tri_segments.items())
-    assert sec.loops == ref.loops
+    assert loop_rows(sec.loops) == loop_rows(ref.loops)
 
 
 def tube_kernel_peak(mesh, fld):
@@ -696,7 +698,7 @@ def plane_kernel_peak(mesh, fld):
     const = ld + n * ld - 2 * n * fn
     peak = max(ld, 2 * ld, n * ld, 2 * n * fn, unit, abs(const), unit - 2 * ld)
     xs, dens = mesh.vertex_num[:, fld.axis].tolist(), mesh.vertex_den.tolist()
-    for tri, cell in zip(mesh.triangles, mesh.cell_array[:, fld.axis].tolist()):
+    for tri, cell in zip(mesh.triangles.tolist(), mesh.cell_array[:, fld.axis].tolist()):
         corners = []
         for v in tri:
             x, den = xs[v], dens[v]
@@ -768,7 +770,7 @@ def reference_walk(steps, walker_sign, target, vertex_events):
     tris = [tri for tri, _, _ in steps]
     values = kernel_values(*target.field.corner_ratios(target.mesh, tris))
     for (tri, pt_in, pt_out), vals in zip(steps, values, strict=True):
-        verts = target.mesh.triangles[tri]
+        verts = target.mesh.triangles[tri].tolist()
         s_in, s_out = reference_sign(vals, verts, pt_in), reference_sign(vals, verts, pt_out)
         if s_in == s_out:
             continue
@@ -878,7 +880,7 @@ def test_tube_field_read_on_a_second_mesh_reads_that_mesh(mesh8, mesh16):
     sec = slice_field(mesh16, reused)
     fresh = slice_field(mesh16, TubeField(2, center, TUBE_RADIUS))
     assert list(sec.tri_segments.items()) == list(fresh.tri_segments.items())
-    assert sec.loops == fresh.loops
+    assert loop_rows(sec.loops) == loop_rows(fresh.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +893,7 @@ def reference_corner_values(mesh, fld, frames):
     if isinstance(fld, PlaneField):
         return [reference_plane_values(fld.axis, fld.level, frame) for frame in frames]
     at = [reference_tube_value(fld.axis, fld.center, fld.radius, p) for p in mesh.vertices]
-    return [tuple(at[v] for v in tri) for tri in mesh.triangles]
+    return [tuple(at[v] for v in tri) for tri in mesh.triangles.tolist()]
 
 
 def kernel_values(num, den):
@@ -961,7 +963,7 @@ def test_plane_kernel_at_and_past_the_int64_bound(mesh16, frames, past):
     assert kernel_values(num, den) == reference_corner_values(mesh16, fld, frames("mesh16"))
     ref = slice_field(mesh16, AllTriangles(fld))
     assert sec.loops and list(sec.tri_segments.items()) == list(ref.tri_segments.items())
-    assert sec.loops == ref.loops
+    assert loop_rows(sec.loops) == loop_rows(ref.loops)
 
 
 def test_tube_slicing_at_the_edge_of_bound_radius(mesh16, frames):
@@ -973,7 +975,7 @@ def test_tube_slicing_at_the_edge_of_bound_radius(mesh16, frames):
     reference = reference_corner_values(mesh16, fld, frames("mesh16"))
     assert kernel_values(num, den) == [reference[tri] for tri in fld.candidate_triangles(mesh16)]
     assert sec.loops
-    assert sec.loops == slice_field(mesh16, AllTriangles(fld)).loops
+    assert loop_rows(sec.loops) == loop_rows(slice_field(mesh16, AllTriangles(fld)).loops)
 
 
 # ---------------------------------------------------------------------------
@@ -1126,8 +1128,10 @@ class TestWalkValues:
     def test_rows_are_the_corner_ratios_of_the_sorted_walk_set(self, mesh16, make_field):
         sec = slice_field(mesh16, make_field())
         tris, num, den = sec.walk_values
-        walk = sorted(sec.walk_set)
-        assert tris.dtype == np.int64 and tris.tolist() == walk
+        walk = make_field().walk_triangles(mesh16)  # a field that sliced nothing counts its own
+        assert type(walk) is np.ndarray and walk.dtype == tris.dtype == np.int64
+        walk = walk.tolist()
+        assert tris.tolist() == walk == sorted(set(walk))
         want_num, want_den = sec.field.corner_ratios(mesh16, walk)
         past = isinstance(sec.field, TubeField) and sec.field.radius == PAST_BOUND_RADIUS
         assert num.dtype == den.dtype == want_num.dtype == (object if past else np.int64)
@@ -1153,7 +1157,8 @@ class TestWalkValues:
     def test_walk_against_an_empty_walk_set(self, mesh16):
         # a thin tube around the origin spine stays inside one handlebody
         target = slice_field(mesh16, TubeField(0, (Fraction(0), Fraction(0)), Fraction(1, 16)))
-        assert not target.walk_set and not target.loops and len(target.walk_values[0]) == 0
+        assert not len(target.field.walk_triangles(mesh16))
+        assert not target.loops and len(target.walk_values[0]) == 0
         for loop in plane_section(mesh16, 1, HALF).loops + tube_section(mesh16, 3, (HALF, Fraction(0))).loops:
             assert walk_pairing(walk_steps(loop), loop.orientation_sign, target) == {}
 
@@ -1168,8 +1173,8 @@ def test_a_sliced_walk_target_reads_its_signs_once(mesh16, make_field, monkeypat
     )
     target = slice_field(mesh16, make_field())
     tris, _, _ = target.walk_values
-    assert len(reads) == 1 and target.walk_set == set(tris.tolist())
-    assert target.walk_set == make_field().walk_triangles(mesh16)
+    assert len(reads) == 1 and target.field.walk_triangles(mesh16) is tris
+    assert make_field().walk_triangles(mesh16).tolist() == tris.tolist()
     assert len(reads) == 2  # a field that sliced nothing counts its own
 
 
@@ -1268,6 +1273,7 @@ def test_chain_equals_the_per_loop_walk(request, mesh_name):
         for seg in segments:
             got = _chain(SlicedCurves(mesh, sec.field, [], {}, seg))
             want = chain_reference(SlicedCurves(mesh, sec.field, [], {}, seg))
-            assert chained_columns(got) == chained_columns(want) and got.loops == want.loops
+            assert chained_columns(got) == chained_columns(want)
+            assert loop_rows(got.loops) == loop_rows(want.loops)
             assert all(type(x) is int for loop in got.loops for x in loop.displacement)
             assert all(type(k) is int and type(v) is int for k, v in got.tri_loop.items())

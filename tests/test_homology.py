@@ -3,12 +3,16 @@ import pytest
 from t3mcg.mesh.homology import (
     CANONICAL_J,
     CurveRef,
-    form_product,
     intersection_number,
     tube_pattern,
     twist_matrix,
 )
-from t3mcg.rep3 import mat_mul, transpose
+from t3mcg.rep3 import mat_mul, mat_vec, transpose
+
+
+def form_product(x, y):
+    """Intersection form in canonical coordinates: ``x^T J y``."""
+    return sum(a * b for a, b in zip(x, mat_vec(CANONICAL_J, y)))
 
 
 class TestBasis:

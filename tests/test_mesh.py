@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from t3mcg.mesh import (
@@ -8,7 +11,7 @@ from t3mcg.mesh import (
     validate_surface,
 )
 from t3mcg.mesh.surface import EdgeTable
-from mesh_reference import ambient_side, triangle_local, vertex_edges
+from mesh_reference import ambient_side, crossing_numerators, triangle_local, vertex_edges
 from swap_reference import half_translation_vertex_map
 
 
@@ -71,7 +74,8 @@ class TestMeshDigest:
         import hashlib
 
         m = request.getfixturevalue(mesh_name)
-        text = repr((m.vertices, vertex_edges(m), m.triangles, m.tri_cells))
+        tris = [tuple(row) for row in m.triangles.tolist()]
+        text = repr((list(m.vertices), vertex_edges(m), tris, m.tri_cells))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -87,8 +91,9 @@ class TestHalfTranslation:
             i = tri.index(min(tri))
             return tri[i:] + tri[:i]
 
-        oriented = {canon(t) for t in mesh16.triangles}
-        for tri in mesh16.triangles:
+        tris = list(map(tuple, mesh16.triangles.tolist()))
+        oriented = {canon(t) for t in tris}
+        for tri in tris:
             image = canon(tuple(vmap[v] for v in tri))
             assert image not in oriented
             assert (image[0], image[2], image[1]) in oriented
@@ -126,7 +131,8 @@ class TestTriangleFrame:
 
         mesh = request.getfixturevalue(mesh_name)
         n = mesh.resolution
-        for tri, cell, corners in zip(mesh.triangles, mesh.tri_cells, frames(mesh_name)):
+        rows = zip(mesh.triangles.tolist(), mesh.cell_array.tolist(), frames(mesh_name))
+        for tri, cell, corners in rows:
             for v, local in zip(tri, corners):
                 row = mesh.vertices[v]
                 for c in range(3):
@@ -137,36 +143,26 @@ class TestTriangleFrame:
 
 class TestNegativeControls:
     def test_deleted_triangle_not_closed(self, mesh16):
-        import copy
-
-        broken = copy.copy(mesh16)
-        broken.triangles = mesh16.triangles[:-1]
-        broken.tri_cells = mesh16.tri_cells[:-1]
-        report = validate_surface(broken)
+        report = validate_surface(_variant(mesh16, "deleted"))
         assert not report["closed"]
 
     def test_flipped_triangle_not_orientable(self, mesh16):
-        import copy
-
-        broken = copy.copy(mesh16)
-        a, b, c = mesh16.triangles[0]
-        broken.triangles = [(a, c, b)] + mesh16.triangles[1:]
-        report = validate_surface(broken)
+        report = validate_surface(_variant(mesh16, "flipped"))
         assert report["closed"]
         assert not report["orientable"]
 
 
-    def test_assigned_triangles_replace_a_table_already_read(self, mesh16):
-        import copy
-
-        broken = copy.copy(mesh16)
-        assert broken.edges.report(len(broken.vertices))["closed"]
-        broken.triangles = mesh16.triangles[:-1]
-        assert not validate_surface(broken)["closed"]
-        assert validate_surface(mesh16)["closed"]
-
-
 class TestOffExport:
+    def test_n16_file_matches_pinned_digest(self, mesh16, tmp_path):
+        # vertex lines are repr of each float coordinate, face lines "3 a b c"
+        import hashlib
+
+        path = tmp_path / "surface.off"
+        export_off(mesh16, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "776399cf0fa08973b00af56dfdef04399b6fdad07e472f80d1d88005e2be52c7"
+        )
+
     def test_roundtrip(self, mesh16, tmp_path):
         path = str(tmp_path / "surface.off")
         export_off(mesh16, path)
@@ -187,15 +183,7 @@ class TestComponents:
         assert len({labels[0], labels[2], labels[3]}) == 3
 
     def test_two_disjoint_copies_are_not_connected(self, mesh16):
-        import copy
-
-        k = len(mesh16.vertices)
-        double = copy.copy(mesh16)
-        double.vertices = mesh16.vertices * 2
-        double.triangles = mesh16.triangles + [
-            (a + k, b + k, c + k) for a, b, c in mesh16.triangles
-        ]
-        report = validate_surface(double)
+        report = validate_surface(_variant(mesh16, "two-copies"))
         assert report["closed"] and report["orientable"]
         assert not report["connected"]
         assert report["euler_characteristic"] == -8
@@ -236,7 +224,7 @@ def reference_counts(n_vertices, triangles):
 
 
 def reference_validate(mesh):
-    edges, counts = reference_counts(len(mesh.vertices), mesh.triangles)
+    edges, counts = reference_counts(len(mesh.vertices), mesh.triangles.tolist())
     parent = list(range(len(mesh.triangles)))
 
     def find(x):
@@ -255,27 +243,32 @@ def reference_validate(mesh):
 
 
 def _variant(mesh16, name):
-    import copy
-
-    m = copy.copy(mesh16)
+    """A new mesh from ``mesh16``'s arrays with its triangles changed; only
+    "two-copies" changes the vertices, and no variant changes the cells."""
     tris = mesh16.triangles
-    a, b, c = tris[0]
-    k = len(mesh16.vertices)
+    a, b, _ = tris[0].tolist()
+    if name == "intact":
+        return mesh16
+    if name == "two-copies":
+        return dataclasses.replace(
+            mesh16,
+            vertex_key=np.tile(mesh16.vertex_key, 2),
+            vertex_num=np.tile(mesh16.vertex_num, (2, 1)),
+            vertex_den=np.tile(mesh16.vertex_den, 2),
+            triangles=np.concatenate((tris, tris + np.int32(len(mesh16.vertices)))),
+        )
     if name == "deleted":
-        m.triangles = tris[:-1]
+        tris = tris[:-1]
     elif name == "flipped":
-        m.triangles = [(a, c, b)] + tris[1:]
+        tris = np.concatenate((tris[:1, [0, 2, 1]], tris[1:]))
     elif name == "listed-twice":  # its edges lie on three triangles
-        m.triangles = tris + tris[:1]
+        tris = np.concatenate((tris, tris[:1]))
     elif name == "edge-on-four":  # two neighbours listed twice
-        other = next(t for t in reference_edge_map(tris)[(min(a, b), max(a, b))] if t != 0)
-        m.triangles = tris + [tris[0], tris[other]]
-    elif name == "two-copies":
-        m.vertices = mesh16.vertices * 2
-        m.triangles = tris + [(x + k, y + k, z + k) for x, y, z in tris]
+        other = next(t for t in reference_edge_map(tris.tolist())[(min(a, b), max(a, b))] if t)
+        tris = np.concatenate((tris, tris[[0, other]]))
     elif name == "empty":
-        m.triangles = []
-    return m
+        tris = tris[:0]
+    return dataclasses.replace(mesh16, triangles=tris)
 
 
 class TestValidationReference:
@@ -299,14 +292,14 @@ class TestValidationReference:
         assert not empty["connected"] and empty["genus"] is None
         for name in ("listed-twice", "edge-on-four"):
             assert not validate_surface(_variant(mesh16, name))["closed"]
-        four = reference_edge_map(_variant(mesh16, "edge-on-four").triangles)
+        four = reference_edge_map(_variant(mesh16, "edge-on-four").triangles.tolist())
         assert 4 in map(len, four.values())
 
     def test_off_counts_equal_reference(self, mesh16, tmp_path):
         path = str(tmp_path / "surface.off")
         export_off(mesh16, path)
         report = load_off_counts(path)
-        _, expected = reference_counts(len(mesh16.vertices), mesh16.triangles)
+        _, expected = reference_counts(len(mesh16.vertices), mesh16.triangles.tolist())
         assert report == expected
         assert all(type(v) in (bool, int) for v in report.values())
 
@@ -362,8 +355,12 @@ class TestValidationReference:
 
         mesh = build_surface(8)
         fld = PlaneField(0, Fraction(1, 2))
-        first = min(slice_field(build_surface(8), fld).tri_segments)
-        mesh.triangles = mesh.triangles + [mesh.triangles[first]]
+        first = min(slice_field(mesh, fld).tri_segments)
+        mesh = dataclasses.replace(
+            mesh,
+            triangles=np.concatenate((mesh.triangles, mesh.triangles[[first]])),
+            cell_array=np.concatenate((mesh.cell_array, mesh.cell_array[[first]])),
+        )
         with pytest.raises(DegeneracyError, match="not interior"):
             slice_field(mesh, fld)
 
@@ -410,8 +407,6 @@ def reference_triangulation(g):
 class TestTriangulateReference:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_random_fields_match_the_python_walk(self, n):
-        import numpy as np
-
         from t3mcg.mesh.surface import _triangulate
 
         rng = np.random.default_rng(1000 + n)
@@ -428,8 +423,6 @@ class TestTriangulateReference:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_sign_field_gives_empty_arrays(self, sign):
-        import numpy as np
-
         from t3mcg.mesh.surface import _triangulate
 
         got = _triangulate(np.full((4, 4, 4), sign, np.int32))
@@ -467,15 +460,13 @@ class TestTriangulateReference:
     def test_mesh_arrays_match_pinned_digests(self, n, digests):
         import hashlib
 
-        import numpy as np
-
         m = build_surface(n)
         arrays = {
             "vertex_key": m.vertex_key,
             "vertex_num": m.vertex_num,
             "vertex_den": m.vertex_den,
-            "vertex_tnum": m.vertex_tnum,
-            "triangles": np.asarray(m.triangles),
+            "vertex_tnum": crossing_numerators(m),
+            "triangles": m.triangles,
             "cell_array": m.cell_array,
         }
         assert {k: a.dtype.str for k, a in arrays.items()} == {
@@ -506,7 +497,7 @@ class TestIntegerVertexLayer:
             glo = int(g[base])
             ghi = int(g[tuple((b + a) % n for b, a in zip(base, axes))])
             assert t == Fraction(glo, glo - ghi)
-            assert Fraction(int(mesh.vertex_tnum[v]), den[v] // (2 * n)) == t
+            assert den[v] == 2 * n * abs(glo - ghi)
             # the stated int64 bound on every numerator
             assert max(num[v]) < den[v] <= 8 * n**3
 
@@ -538,7 +529,8 @@ class TestIntegerVertexLayer:
         import hashlib
 
         m = build_surface(64)
-        text = repr((m.vertices, vertex_edges(m), m.triangles, m.tri_cells))
+        tris = [tuple(row) for row in m.triangles.tolist()]
+        text = repr((list(m.vertices), vertex_edges(m), tris, m.tri_cells))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "2ae8fa2222412f744b68d8fea853eadd3a4fe243bca1ceba6d48815055960fde"
         )
@@ -565,8 +557,6 @@ class TestHalfTranslationSymmetry:
 
     @pytest.mark.parametrize("n", [8, 16, 24, 32, 64, 128])
     def test_sample_field_is_antisymmetric(self, n):
-        import numpy as np
-
         from t3mcg.mesh.surface import _sample_field
 
         g = _sample_field(n)
@@ -578,10 +568,10 @@ class TestHalfTranslationChecks:
         from t3mcg.mesh.curves import DegeneracyError
 
         mesh = build_surface(8)
-        mesh.vertex_tnum = mesh.vertex_tnum.copy()
-        mesh.vertex_tnum[0] += 1
+        den = mesh.vertex_den.copy()
+        den[0] += 1
         with pytest.raises(DegeneracyError, match="crossing parameter"):
-            half_translation_vertex_map(mesh)
+            half_translation_vertex_map(dataclasses.replace(mesh, vertex_den=den))
 
     def test_missing_translated_edge_raises(self):
         from t3mcg.mesh.curves import DegeneracyError
@@ -620,8 +610,6 @@ class TestTriangleMap:
 
     def test_vertex_ids_past_the_cube_root_of_int64(self, mesh16):
         # ids 1000 v + 7 reach 2.7e6 > 2^21, where a key of three ids overflows int64
-        import numpy as np
-
         from swap_reference import triangle_map
         from t3mcg.mesh.surface import EdgeTable
 
@@ -629,7 +617,7 @@ class TestTriangleMap:
         big = [0] * (1000 * len(vmap))
         for v, w in enumerate(vmap):
             big[1000 * v + 7] = 1000 * w + 7
-        tris = EdgeTable([tuple(1000 * v + 7 for v in tri) for tri in mesh16.triangles])
+        tris = EdgeTable(1000 * mesh16.triangles.astype(np.int64) + 7)
         assert triangle_map(tris, big) == triangle_map(mesh16.edges, vmap)
         with pytest.raises(ValueError):
             np.ravel_multi_index(np.sort(tris.tris, axis=1).T, (len(big),) * 3)
@@ -639,101 +627,127 @@ class TestTriangleMap:
         from swap_reference import triangle_map
 
         vmap = half_translation_vertex_map(mesh16)
-        a, b, _ = mesh16.triangles[0]
+        a, b, _ = mesh16.triangles[0].tolist()
         vmap[a], vmap[b] = vmap[b], vmap[a]  # no longer induced by a mesh symmetry
         with pytest.raises(DegeneracyError, match="no triangle with vertices"):
             triangle_map(mesh16.edges, vmap)
 
 
 # ---------------------------------------------------------------------------
-# Triangle and cell rows as views of the triangulation's int arrays.
+# The triangles and their cells are the triangulation's int arrays.
 # ---------------------------------------------------------------------------
 
 
-class TestIntRows:
-    def test_triangles_share_the_edge_table_array(self, mesh16):
-        import numpy as np
+def _int_rows(mesh, name, tmp_path):
+    """A mesh's rows as a list of tuples, the way its readers get them:
+    ``tri_cells`` builds them, and the triangles are the OFF export's face lines."""
+    if name == "tri_cells":
+        return mesh.tri_cells
+    path = tmp_path / "surface.off"
+    export_off(mesh, str(path))
+    faces = path.read_text().splitlines()[-len(mesh.triangles):]
+    return [tuple(int(x) for x in line.split()[1:]) for line in faces]
 
-        assert np.shares_memory(np.asarray(mesh16.triangles), mesh16.edges.tris)
-        assert np.shares_memory(np.asarray(mesh16.tri_cells), mesh16.cell_array)
+
+class TestIntRows:
+    """The integer rows of a mesh: ``triangles`` is the int32 array and
+    ``cell_array`` the int16 one; ``tri_cells`` is a plain list built on each read."""
+
+    def test_triangles_share_the_edge_table_array(self, mesh16):
+        assert type(mesh16.triangles) is np.ndarray and mesh16.triangles.shape == (5496, 3)
+        assert np.shares_memory(mesh16.triangles, mesh16.edges.tris)
+        assert (mesh16.edges.tris == mesh16.triangles).all()
 
     @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
-    def test_rows_are_tuples_of_python_ints(self, mesh16, name):
-        rows = getattr(mesh16, name)
-        for row in (rows[0], rows[-1], rows[len(rows) // 2], *rows[:3], *list(rows)[-3:]):
+    def test_rows_are_tuples_of_python_ints(self, mesh16, name, tmp_path):
+        rows = _int_rows(mesh16, name, tmp_path)
+        for row in (rows[0], rows[-1], rows[len(rows) // 2], *rows[:3], *rows[-3:]):
             assert type(row) is tuple and len(row) == 3
-            assert all(type(x) is int for x in row)
         assert all(type(x) is int for row in rows for x in row)
 
     @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
-    def test_rows_read_as_the_plain_list(self, mesh16, name):
-        import numpy as np
+    def test_rows_read_as_the_plain_list(self, mesh16, name, tmp_path):
+        rows = _int_rows(mesh16, name, tmp_path)
+        array = mesh16.triangles if name == "triangles" else mesh16.cell_array
+        plain = list(map(tuple, array.tolist()))
+        assert type(rows) is list and rows == plain and repr(rows) == repr(plain)
+        assert (np.array(rows, array.dtype) == array).all()
 
-        rows = getattr(mesh16, name)
-        plain = list(map(tuple, np.asarray(rows).tolist()))
-        assert len(rows) == len(plain) == len(list(rows))
-        assert rows == plain and plain == rows and rows == rows
-        assert rows != plain[:-1]
-        assert repr(rows) == repr(plain)
-        assert rows[:-1] == plain[:-1] and rows[5:1:-2] == plain[5:1:-2]
-        assert type(rows[1:4]) is list
-        extra = [(1, 2, 3)]
-        assert rows + extra == plain + extra and type(rows + extra) is list
-        assert extra + rows == extra + plain and type(extra + rows) is list
-        assert rows.index(plain[7]) == plain.index(plain[7])
+    def test_section_ends_are_python_ints_of_their_triangle(self, mesh16):
+        from fractions import Fraction
+
+        from t3mcg.mesh.curves import PlaneField, slice_field
+
+        for axis, level in ((0, Fraction(1, 2)), (2, Fraction(0))):
+            segments = slice_field(mesh16, PlaneField(axis, level)).tri_segments
+            assert segments
+            for tri, segment in segments.items():
+                corners = set(mesh16.triangles[tri].tolist())
+                for va, vb, _ in segment:
+                    assert type(tri) is type(va) is type(vb) is int
+                    assert {va, vb} <= corners
 
     def test_asarray_warns_of_nothing(self, mesh16):
         import warnings
-
-        import numpy as np
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             array = np.asarray(mesh16.triangles)
             cells = np.asarray(mesh16.tri_cells, dtype=np.int64)
             copied = np.array(mesh16.triangles, copy=True)
-        assert array is mesh16.triangles.array
+        assert array is mesh16.triangles
         assert (cells == mesh16.cell_array).all()
         assert not np.shares_memory(copied, array) and (copied == array).all()
 
-    @pytest.mark.parametrize("name", ["triangles", "tri_cells"])
-    def test_array_protocol_without_copy_argument(self, mesh16, name):
-        # NumPy 1.x calls __array__() or __array__(dtype), never with ``copy``
-        import numpy as np
+    def test_tri_cells_is_built_on_each_read_and_not_assigned(self, mesh16):
+        assert mesh16.tri_cells is not mesh16.tri_cells
+        with pytest.raises(AttributeError):
+            mesh16.tri_cells = []
 
-        rows = getattr(mesh16, name)
-        assert rows.__array__() is rows.array
-        as64 = rows.__array__(np.int64)
-        assert as64.dtype == np.int64 and (as64 == rows.array).all()
-        assert rows.__array__(rows.array.dtype) is rows.array
-        assert rows.__array__(None, False) is rows.array
-        copied = rows.__array__(None, True)
-        assert copied is not rows.array and (copied == rows.array).all()
+    def test_replaced_triangles_read_a_table_of_their_own(self, mesh16):
+        table = mesh16.edges
+        fewer = dataclasses.replace(mesh16, triangles=mesh16.triangles[:-1])
+        assert fewer.edges is not table and len(fewer.edges.tris) == len(mesh16.triangles) - 1
+        assert not validate_surface(fewer)["closed"]
+        assert mesh16.edges is table and validate_surface(mesh16)["closed"]
 
     def test_backing_arrays_are_read_only(self, mesh16):
-        import numpy as np
-
-        for array in (np.asarray(mesh16.triangles), mesh16.edges.tris, mesh16.cell_array):
+        for array in (mesh16.triangles, mesh16.edges.tris, mesh16.cell_array):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
-    def test_a_list_of_triangles_reads_as_the_view(self, mesh16):
-        import copy
-        from fractions import Fraction
 
-        from t3mcg.mesh.curves import PlaneField, slice_field
+def test_benchmark_tracer_counts_read_the_mesh_and_its_sections(mesh16):
+    # perfbench/tracing.py reads these names off a built mesh and a section
+    import importlib.util
+    from collections import Counter
+    from fractions import Fraction
+    from pathlib import Path
 
-        plain = copy.copy(mesh16)
-        plain.triangles = list(mesh16.triangles)
-        assert validate_surface(plain) == validate_surface(mesh16)
-        assert plain.edges is not mesh16.edges
-        for axis, level in ((0, Fraction(1, 2)), (2, Fraction(0))):
-            fld = PlaneField(axis, level)
-            segments = slice_field(plain, fld).tri_segments
-            assert segments == slice_field(mesh16, fld).tri_segments
-            ends = [v for segment in segments.values() for va, vb, _ in segment for v in (va, vb)]
-            assert all(type(v) is int for v in ends)
+    from t3mcg.mesh.curves import plane_section, tube_section
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    counts = Counter()
+    tracing._surface_counts(counts, (16,), mesh16)
+    assert counts == {
+        "mesh.surface.vertices": len(mesh16.vertex_key),
+        "mesh.surface.triangles": len(mesh16.triangles),
+        "mesh.surface.active_cells": len(np.unique(mesh16.cell_array, axis=0)),
+    }
+    half = Fraction(1, 2)
+    for sec in (plane_section(mesh16, 1, half), tube_section(mesh16, 3, (half, Fraction(0)))):
+        counts = Counter()
+        tracing._slice_counts(counts, (mesh16, sec.field), sec)
+        assert counts == {
+            "mesh.curves.sliced_triangles": len(sec.segments),
+            "mesh.curves.loops": len(sec.loops),
+            "mesh.curves.loop_steps": sum(len(loop.steps) for loop in sec.loops),
+        }
+        assert counts["mesh.curves.loops"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +757,9 @@ class TestIntRows:
 
 class TestIdDtypes:
     def test_built_mesh_dtypes(self, mesh16):
-        import numpy as np
-
         from t3mcg.mesh.surface import components
 
-        assert np.asarray(mesh16.triangles).dtype == np.int32
+        assert mesh16.triangles.dtype == np.int32
         assert mesh16.cell_array.dtype == np.int16
         assert mesh16.vertex_key.dtype == np.int64
         table = mesh16.edges
@@ -757,16 +769,14 @@ class TestIdDtypes:
 
     def test_int32_table_past_two_to_the_sixteen_equals_int64(self, mesh16):
         # ids v + 2^16 make low * size about 4.6e9, past int32, while every id fits it
-        import numpy as np
-
         from swap_reference import triangle_map
         from t3mcg.mesh.surface import EdgeTable
 
         shift = 2**16
-        tris32 = np.asarray(mesh16.triangles) + np.int32(shift)
+        tris32 = mesh16.triangles + np.int32(shift)
         assert tris32.dtype == np.int32
         narrow = EdgeTable(tris32)
-        wide = EdgeTable([tuple(v + shift for v in tri) for tri in mesh16.triangles])
+        wide = EdgeTable(mesh16.triangles.astype(np.int64) + shift)
         assert narrow.low.dtype == np.int32 and wide.tris.dtype == np.int64
         assert int(narrow.low.max()) * (int(tris32.max()) + 1) > 2**31
         for name in ("low", "high", "pairs", "neighbour", "order", "start", "count"):
