@@ -106,12 +106,12 @@ class PlaneField:
             rn[i] = fn + (2 * total * ld - (6 * fn - 3 * ld) * prod) // (6 * ld * prod) * ld
         return x * ld - rn[:, None] * den, den * ld
 
-    def candidate_triangles(self, mesh: TriMesh):
-        """Triangles whose cell box meets the plane mod 1, in index order.
+    def candidate_triangles(self, mesh: TriMesh) -> np.ndarray:
+        """Triangles whose cell box meets the plane mod 1, as a sorted index array.
 
         Mixed signs put ``rep`` between two corners, inside the box.
         """
-        return np.nonzero(self._box_meets(mesh))[0].tolist()
+        return np.flatnonzero(self._box_meets(mesh))
 
     def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
         """Triangles whose closed cell box meets the zero set, as a sorted index array.
@@ -258,10 +258,10 @@ class TubeField:
         self._walk = (mesh, walk)
         return np.flatnonzero((negative > 0) & (negative < 3)), walk
 
-    def candidate_triangles(self, mesh: TriMesh):
-        """Triangles whose corner signs are mixed, zero counting positive, in
-        index order: exactly the triangles ``slice_field`` slices."""
-        return self._triangle_sets(mesh)[0].tolist()
+    def candidate_triangles(self, mesh: TriMesh) -> np.ndarray:
+        """Triangles whose corner signs are mixed, zero counting positive, as a
+        sorted index array: exactly the triangles ``slice_field`` slices."""
+        return self._triangle_sets(mesh)[0]
 
     def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
         """Triangles whose corners are not all of one strict sign, as a sorted
@@ -309,14 +309,14 @@ class _SegmentMap(Mapping):
         return self.steps[i][1:]
 
 
-@dataclass
+@dataclass(eq=False)
 class Loop:
     steps: Steps  # in walk order
     displacement: tuple  # integer 3-vector
     orientation_sign: int = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class SlicedCurves:
     mesh: TriMesh
     field: object

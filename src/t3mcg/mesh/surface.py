@@ -214,39 +214,38 @@ class EdgeTable:
 
     Half-edge ``h = 3*tri + s`` runs from corner ``s`` of triangle ``tri`` to
     corner ``s + 1`` (mod 3), with key ``low * size + high`` for its vertices
-    ``low < high``, in int64.  Sorted stably by key (``order``), each edge's half-edges
-    come in triangle order: edge ``e``, with vertices ``low[e]`` and ``high[e]``
-    in ascending key order, has half-edges ``order[start[e]:start[e] + count[e]]``.
+    ``low < high``, in int64.  Sorted by key (``order``, an unstable sort), the
+    half-edges of each edge come together, not in triangle order: edge ``e``,
+    with vertices ``low[e]`` and ``high[e]`` read off the sorted keys in
+    ascending key order, has half-edges ``order[start[e]:start[e] + count[e]]``.
     ``pairs`` holds the two half-edges of each edge on exactly two triangles,
-    and ``neighbour[h]`` the triangle across half-edge ``h`` on such an edge,
-    else -1.  ``low`` and ``high`` have the dtype of ``tris``, and the half-edge and
-    edge arrays are int32, which holds every id up to ``MAX_RESOLUTION``.
+    ascending, and ``neighbour[h]`` the triangle across half-edge ``h`` on such
+    an edge, else -1.  ``low`` and ``high`` have the dtype of ``tris``, and the
+    half-edge and edge arrays are int32, which holds every id up to ``MAX_RESOLUTION``.
     """
 
     def __init__(self, triangles):
         self.tris = triangles.reshape(-1, 3)
-        tail, head = self.tris.ravel(), self.tris[:, [1, 2, 0]].ravel()
+        tail, head = self.tris.ravel(), np.roll(self.tris, -1, axis=1).ravel()
         size = int(self.tris.max(initial=0)) + 1
         self.ascending = tail < head
-        low, high = np.minimum(tail, head), np.maximum(tail, head)
-        del tail, head
-        key = low.astype(np.int64)
+        key = np.minimum(tail, head).astype(np.int64)
         key *= size
-        key += high
-        self.order = np.argsort(key, kind="stable").astype(np.int32)
+        key += np.maximum(tail, head)
+        del tail, head
+        self.order = np.argsort(key).astype(np.int32)
         key = key[self.order]
         first = np.ones(len(key), bool)
         first[1:] = key[1:] != key[:-1]
-        del key
         self.start = np.flatnonzero(first).astype(np.int32)
-        half = self.order[self.start]  # the first half-edge of each edge
-        self.low, self.high = low[half], high[half]
-        del low, high
+        self.low, self.high = (x.astype(self.tris.dtype) for x in np.divmod(key[self.start], size))
+        del key
         self.count = np.diff(self.start, append=np.int32(len(self.order)))
         inner = self.start[self.count == 2]
-        self.pairs = np.stack((self.order[inner], self.order[inner + 1]), axis=1)
+        a, b = self.order[inner], self.order[inner + 1]
+        self.pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
         self.neighbour = np.full(len(self.order), -1, np.int32)
-        self.neighbour[self.pairs] = self.pairs[:, ::-1] // 3
+        self.neighbour[a], self.neighbour[b] = b // 3, a // 3
 
     def report(self, n_vertices: int) -> dict:
         """Closedness, orientability and Euler characteristic, in Python values.
@@ -366,22 +365,30 @@ def build_surface(n: int) -> TriMesh:
         raise SampleOnSurfaceError(f"a sample at resolution {n} lies exactly on the surface")
     active, tri_cell, tris, vertex_key = _triangulate(g)
 
-    # t = |glo| / d and each coordinate ((w + p/q) + t*a) / n mod 1, over 2n*d
-    base = np.stack(np.unravel_index(vertex_key >> 3, g.shape), axis=1)
-    axes = vertex_key[:, None] >> np.array([2, 1, 0]) & 1
-    tnum = np.abs(g[tuple(base.T)].astype(np.int64))
-    top = base + axes
-    top[top == n] = 0  # base + axes <= n, so one subtraction wraps it
-    d = tnum + np.abs(g[tuple(top.T)])
-    del top
+    # t = |glo| / d and each coordinate ((w + p/q) + t*a) / n mod 1, over 2n*d,
+    # one axis at a time: w and a read off the flat lower corner and axis bits
+    flat, g = vertex_key >> 3, g.ravel()
+    base = [flat // (n * n), flat // n % n, flat % n]
+    top = np.zeros_like(flat)  # the flat upper corner
+    for axis, w in enumerate(base):
+        w = w + (vertex_key >> (2 - axis) & 1)
+        w[w == n] = 0  # base + axes <= n, so one subtraction wraps it
+        top *= n
+        top += w
+    tnum = np.abs(g.take(flat)).astype(np.int64)
+    d = tnum + np.abs(g.take(top))
+    del flat, top
     p, q = TriMesh.offset_num, TriMesh.offset_den
     den = q * n * d
-    # 0 < num < 2 * den before its reduction mod den: as tnum <= d and p < q,
-    # num <= (q*(n - 1) + p)*d + q*d < 2qnd, so one subtraction reduces it
-    num = (q * base + p) * d[:, None] + q * tnum[:, None] * axes
-    np.subtract(num, den[:, None], out=num, where=num >= den[:, None])
+    tnum *= q
+    num = np.empty((len(d), 3), np.int64)
+    for axis, w in enumerate(base):
+        # 0 < w < 2 * den before its reduction mod den: as |glo| <= d and p < q,
+        # w <= (q*(n - 1) + p)*d + q*d < 2qnd, so one subtraction reduces it
+        w = (q * w + p) * d + tnum * (vertex_key >> (2 - axis) & 1)
+        num[:, axis] = np.subtract(w, den, out=w, where=w >= den)
 
-    cell_array = active.astype(np.int16)[tri_cell]
+    cell_array = active.astype(np.int16).take(tri_cell, axis=0)
     tris.flags.writeable = cell_array.flags.writeable = False
     return TriMesh(
         resolution=n,
@@ -401,13 +408,19 @@ def _ids(array) -> np.ndarray:
 
 def components(n: int, pairs) -> np.ndarray:
     """Connected-component label of each of n items joined by the given pairs:
-    the least item of its component.  Each round drops the pairs within one
-    component so far, hooks every root to the least root across the rest,
-    then jumps pointers to the roots; a component not yet one root hooks or
-    is hooked onto, so the roots at least halve.  Labels are int32."""
+    the least item of its component.  A first pass points every item at its
+    least partner.  Each round then jumps pointers to the roots, drops the
+    pairs within one component so far and hooks every root to the least root
+    across the rest; a component not yet one root hooks or is hooked onto, so
+    the roots at least halve.  Labels are int32."""
     u, v = _ids(pairs).reshape(-1, 2).T
     label = np.arange(n, dtype=np.int32)
+    np.minimum.at(label, u, v)
+    np.minimum.at(label, v, u)
     while True:
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
         lu, lv = label[u], label[v]
         across = lu != lv
         if not across.any():
@@ -415,9 +428,6 @@ def components(n: int, pairs) -> np.ndarray:
         u, v, lu, lv = u[across], v[across], lu[across], lv[across]
         np.minimum.at(label, lu, lv)  # labels of roots only
         np.minimum.at(label, lv, lu)
-        up = label[label]
-        while (up != label).any():
-            label, up = up, up[up]
 
 
 def validate_surface(mesh: TriMesh) -> dict:

@@ -12,7 +12,7 @@ import: each of the eight base tokens and the twelve macros, with and without
 too, inverted once at import, and ``expand_macro`` reads the same entries, so
 no parse or expansion builds a ``Generator`` or inverts a word.  Only a token
 the table lacks is matched against the token grammar, to say why it failed
-and where.
+and where.  Rendering reads each letter's token from a table built at import.
 """
 
 from __future__ import annotations
@@ -84,8 +84,12 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
+# The token of each of the 16 letters, by sign and then kind, read by ``render``.
+_LETTER_TOKENS = {s: {k: Generator(k, s).token() for k in BASE_TOKENS} for s in (1, -1)}
+
+
 def render(w: Word) -> str:
-    return " ".join(g.token() for g in w)
+    return " ".join([_LETTER_TOKENS[g.sign][g.kind] for g in w])
 
 
 # ---------------------------------------------------------------------------

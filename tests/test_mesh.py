@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -189,6 +190,31 @@ class TestComponents:
         assert report["euler_characteristic"] == -8
         assert report["genus"] is None
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_labels_equal_union_find(self, seed, dtype):
+        # sparse graphs leave items isolated; pairs repeat and join items to themselves
+        from t3mcg.mesh.surface import components
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+        pairs = np.concatenate((pairs, pairs[: len(pairs) // 4], np.repeat(pairs[:3, :1], 2, 1)))
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in pairs.tolist():
+            ru, rv = find(u), find(v)
+            parent[max(ru, rv)] = min(ru, rv)  # every root is the least item of its set
+        labels = components(n, pairs.astype(dtype))
+        assert labels.dtype == np.int32
+        assert labels.tolist() == [find(x) for x in range(n)]
+        assert components(n, pairs[:0].astype(dtype)).tolist() == list(range(n))
+
 
 # ---------------------------------------------------------------------------
 # The edge table against a dict-based reference validation.
@@ -269,6 +295,46 @@ def _variant(mesh16, name):
     elif name == "empty":
         tris = tris[:0]
     return dataclasses.replace(mesh16, triangles=tris)
+
+
+def reference_edge_table(triangles):
+    """The edge table's columns from a dict of each edge's half-edges, in
+    ascending key order and each edge's half-edges ascending."""
+    halves = {}
+    for h, (u, v) in enumerate((t[s], t[(s + 1) % 3]) for t in triangles for s in range(3)):
+        halves.setdefault((min(u, v), max(u, v)), []).append(h)
+    keys = sorted(halves)
+    count = [len(halves[k]) for k in keys]
+    pairs = [halves[k] for k in keys if len(halves[k]) == 2]
+    neighbour = [-1] * (3 * len(triangles))
+    for a, b in pairs:
+        neighbour[a], neighbour[b] = b // 3, a // 3
+    return {
+        "low": [k[0] for k in keys],
+        "high": [k[1] for k in keys],
+        "start": list(accumulate(count, initial=0))[:-1],
+        "count": count,
+        "pairs": pairs,
+        "neighbour": neighbour,
+    }, [halves[k] for k in keys]
+
+
+class TestEdgeTableReference:
+    @pytest.mark.parametrize(
+        "name", ["mesh8", "mesh16", "deleted", "listed-twice", "edge-on-four", "empty"]
+    )
+    def test_columns_equal_dict_reference(self, request, mesh16, name):
+        mesh = request.getfixturevalue(name) if name.startswith("mesh") else _variant(mesh16, name)
+        table, triangles = EdgeTable(mesh.triangles), mesh.triangles.tolist()
+        expected, halves = reference_edge_table(triangles)
+        for column, value in expected.items():
+            assert getattr(table, column).tolist() == value, column
+        assert (table.pairs[:, 0] < table.pairs[:, 1]).all()
+        # order groups each edge's half-edges, in no promised order within the group
+        order, ends = table.order.tolist(), zip(table.start.tolist(), table.count.tolist())
+        assert [sorted(order[s:s + c]) for s, c in ends] == halves
+        ascending = [t[s] < t[(s + 1) % 3] for t in triangles for s in range(3)]
+        assert table.ascending.tolist() == ascending
 
 
 class TestValidationReference:
