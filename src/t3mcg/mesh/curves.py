@@ -4,22 +4,22 @@ Curves are zero sets of exact scalar fields at mesh vertices, interpolated
 linearly over triangles: a coordinate plane, branch-corrected per triangle in
 its cell's unwrapped frame, or a distance tube, a pointwise PL stand-in
 certified by the radius-stability re-run.  All arithmetic is rational, so
-membership, crossing counts and the candidate prefilters are exact: a plane
-slices the triangles whose cell box holds the level mod 1
-(``cell_boxes_holding``), a tube those whose corner signs are mixed.  The one
-field protocol for values is ``corner_ratios``, the integer numerators and
-denominators of the corner values of a list of triangles (a tube gathers them
-from one vector over the vertices, ``TubeField.vertex_ratios``, whose
+membership, crossing counts and candidate sets are exact.  A field has two
+methods: ``candidate_triangles(mesh)``, the sorted triangles whose corners
+are not all of one strict sign (for a plane those whose closed cell box holds
+the level mod 1, ``cell_boxes_holding``; for a tube read off its vertex
+signs), and ``corner_ratios(mesh, tris)``, the integer numerators and
+denominators of the corner values of a list of triangles (a tube gathers
+them from one vector over the vertices, ``TubeField.vertex_ratios``, whose
 radius-free pass the three slices of a ``tube_section`` share).  Slicing
-calls it once over its candidates, and a target section once over its walk
-set (``SlicedCurves.walk_values``), for all the walks against it.  Slicing
-keeps each crossing point as integer columns ``(va, vb, p, q)``, ``t = p/q``
-reduced (``Steps``); ``Loop.steps`` and ``SlicedCurves.tri_segments`` read
-them as ``Fraction`` points only when a row is read.  Chaining steps across
-edges through the mesh's edge table (``TriMesh.edges``) and checks in numpy
-that both triangles on an edge share its crossing point; only the walk along
-the successor map runs in Python ints.  A walk finds its steps in the
-target's walk set (``walk_triangles``, a sorted index array) by
+calls each once and keeps both on the section (``SlicedCurves.walk_values``)
+for every walk against it.  Slicing keeps each crossing point as integer
+columns ``(va, vb, p, q)``, ``t = p/q`` reduced (``Steps``); ``Loop.steps``
+and ``SlicedCurves.tri_segments`` read them as ``Fraction`` points only when
+a row is read.  Chaining steps across edges through the mesh's edge table
+(``TriMesh.edges``) and checks in numpy that both triangles on an edge share
+its crossing point; only the walk along the successor map runs in Python
+ints.  A walk finds its steps in the target's candidate set by
 ``np.searchsorted`` and gathers their rows of ``walk_values``; the sign at
 each end is that of one integer (``_interpolant``), and a crossing on a
 target vertex is attributed through an index of the segment points on
@@ -69,7 +69,8 @@ class PlaneField:
 
     The representative of the level nearest the triangle decides the branch,
     so triangles near the antipodal plane get consistently signed values and
-    no spurious zero set appears there.
+    no spurious zero set appears there.  ``candidate_triangles`` is decided
+    on cell boxes alone, and ``corner_ratios`` reads only the axis coordinate.
     """
 
     def __init__(self, axis: int, level: Fraction):
@@ -107,23 +108,11 @@ class PlaneField:
         return x * ld - rn[:, None] * den, den * ld
 
     def candidate_triangles(self, mesh: TriMesh) -> np.ndarray:
-        """Triangles whose cell box meets the plane mod 1, as a sorted index array.
-
-        Mixed signs put ``rep`` between two corners, inside the box.
-        """
-        return np.flatnonzero(self._box_meets(mesh))
-
-    def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
-        """Triangles whose closed cell box meets the zero set, as a sorted index array.
-
-        Off them the box lies strictly between two representatives of the
-        level, so every corner value has one strict sign.  The candidate test
-        is closed already, so the two sets are equal.
-        """
-        return np.flatnonzero(self._box_meets(mesh))
-
-    def _box_meets(self, mesh: TriMesh):
-        return cell_boxes_holding(mesh.resolution, self.level)[mesh.cell_array[:, self.axis]]
+        """Triangles whose closed cell box holds the level mod 1, as a sorted
+        index array.  Off them the box lies strictly between two
+        representatives of the level, so every corner value has one strict sign."""
+        holding = cell_boxes_holding(mesh.resolution, self.level)
+        return np.flatnonzero(holding[mesh.cell_array[:, self.axis]])
 
 
 class TubeField:
@@ -134,7 +123,8 @@ class TubeField:
     each offset is the lesser of its two distances mod 1, so a vertex's value
     does not depend on the frame it is read in.  ``vertex_ratios`` gives the
     exact value at every vertex in one integer pass, ``vertex_signs`` their
-    signs; ``corner_ratios`` gathers from them, and cutting reads signs alone.
+    signs; ``candidate_triangles`` is read off the signs, ``corner_ratios``
+    gathers from the ratios, and cutting reads signs alone.
     ``point_value`` is the one exact formula at a point, and the fallback past
     the int64 bound.  The memo holds the ratios and signs of the last mesh read;
     the radius-free ``squared_offsets`` pass is kept only while ``tube_section``
@@ -148,7 +138,6 @@ class TubeField:
         self.radius = Fraction(radius)
         self._memo = (None,)  # (mesh, numerators, denominators, signs)
         self._line = None  # ``[mesh, squared_offsets]``, shared by ``tube_section``'s fields
-        self._walk = (None,)  # (mesh, walk triangles), from the last corner count
 
     def point_value(self, p):
         """``|x - u|**2 + |y - v|**2 - r**2`` as one ``Fraction`` at ``p``, each
@@ -246,29 +235,13 @@ class TubeField:
         corners = mesh.edges.tris[np.asarray(tris, np.int64)]
         return num[corners], den[corners]
 
-    def _triangle_sets(self, mesh: TriMesh) -> tuple:
-        """The candidate and the walk triangles of ``mesh`` in index order,
-        both read off one count of each triangle's negative and positive
-        corners; the walk triangles are kept for ``walk_triangles``."""
-        code = np.array([1, 0, 4], np.uint8)[self.vertex_signs(mesh) + 1]
-        tris = mesh.edges.tris
-        total = code[tris[:, 0]] + code[tris[:, 1]] + code[tris[:, 2]]
-        negative, positive = total & 3, total >> 2
-        walk = np.flatnonzero((negative < 3) & (positive < 3))
-        self._walk = (mesh, walk)
-        return np.flatnonzero((negative > 0) & (negative < 3)), walk
-
     def candidate_triangles(self, mesh: TriMesh) -> np.ndarray:
-        """Triangles whose corner signs are mixed, zero counting positive, as a
-        sorted index array: exactly the triangles ``slice_field`` slices."""
-        return self._triangle_sets(mesh)[0]
-
-    def walk_triangles(self, mesh: TriMesh) -> np.ndarray:
         """Triangles whose corners are not all of one strict sign, as a sorted
-        index array.  Unlike ``candidate_triangles`` this keeps those with zero
-        and no negative corners: slicing counts a zero corner positive, a walk
-        negative.  A field that sliced ``mesh`` reads them from that slice's count."""
-        return self._walk[1] if self._walk[0] is mesh else self._triangle_sets(mesh)[1]
+        index array, read off ``vertex_signs``: three corners of one strict
+        sign, and only they, sum to +-3."""
+        signs, tris = self.vertex_signs(mesh), mesh.edges.tris
+        total = signs[tris[:, 0]] + signs[tris[:, 1]] + signs[tris[:, 2]]
+        return np.flatnonzero(abs(total) < 3)
 
 
 class Steps(ExactRows):
@@ -318,23 +291,20 @@ class Loop:
 
 @dataclass(eq=False)
 class SlicedCurves:
+    """The zero set of ``field`` on ``mesh``.  ``walk_values`` is ``(tris, num,
+    den)``, the field's ``candidate_triangles`` and their ``corner_ratios`` as
+    slicing read them, for every walk against this section."""
+
     mesh: TriMesh
     field: object
     loops: list
     tri_loop: dict  # triangle -> loop index
     segments: Steps  # every sliced triangle, in index order
+    walk_values: tuple
 
     @property
     def tri_segments(self) -> Mapping:
         return _SegmentMap(self.segments)
-
-    @cached_property
-    def walk_values(self) -> tuple:
-        """The field's ``walk_triangles``, off which no walk step crosses the
-        field, and its ``corner_ratios`` on them, ``(tris, num, den)``: read
-        once, for every walk against this section."""
-        tris = self.field.walk_triangles(self.mesh)
-        return (tris, *self.field.corner_ratios(self.mesh, tris))
 
     @cached_property
     def _vertex_loops(self) -> dict:
@@ -375,10 +345,11 @@ def crossing_parameters(na, da, nb, db) -> tuple:
 def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     """All components of the zero set of the field's PL interpolant.
 
-    One kernel call reads every candidate's corners.  The mixed triangles and
-    their entry (``+ -> -``) and exit (``- -> +``) edges ``(a, a + 1)`` are
-    chosen on the numerators' signs, and every ``t = f_a / (f_a - f_b)`` is
-    reduced in one numpy pass (``crossing_parameters``) to the columns of ``Steps``."""
+    One kernel call reads every candidate's corners, kept as ``walk_values``.
+    The mixed triangles, zero counting positive, and their entry (``+ -> -``)
+    and exit (``- -> +``) edges ``(a, a + 1)`` are chosen on the numerators'
+    signs, and every ``t = f_a / (f_a - f_b)`` is reduced in one numpy pass
+    (``crossing_parameters``) to the columns of ``Steps``."""
     tris = np.asarray(fld.candidate_triangles(mesh), np.int64)
     num, den = fld.corner_ratios(mesh, tris)
     positive = num >= 0  # zero counts positive
@@ -391,7 +362,7 @@ def slice_field(mesh: TriMesh, fld) -> SlicedCurves:
     p, q = crossing_parameters(num[row, a], den[row, a], num[row, b], den[row, b])
     corners = mesh.edges.tris[sliced]
     ends = np.stack((corners[at, a], corners[at, b], p, q), axis=2)
-    return _chain(SlicedCurves(mesh, fld, [], {}, Steps(sliced, ends)))
+    return _chain(SlicedCurves(mesh, fld, [], {}, Steps(sliced, ends), (tris, num, den)))
 
 
 def _chain(curves: SlicedCurves) -> SlicedCurves:
@@ -453,9 +424,9 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
     combined with the slicing orientation this realizes an antisymmetric
     pairing on curves.
 
-    Only steps in the target's walk set read field values, gathered from
-    its ``walk_values``: off the set every corner value has one strict sign,
-    so both ends of the step get that sign and the step cannot cross.
+    Only steps in the target's candidate set read field values, gathered
+    from its ``walk_values``: off the set every corner value has one strict
+    sign, so both ends of the step get that sign and the step cannot cross.
     """
     out: dict[int, list] = {}
     walk, num, den = target.walk_values

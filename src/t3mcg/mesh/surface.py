@@ -214,11 +214,11 @@ class EdgeTable:
 
     Half-edge ``h = 3*tri + s`` runs from corner ``s`` of triangle ``tri`` to
     corner ``s + 1`` (mod 3), with key ``low * size + high`` for its vertices
-    ``low < high``, in int64.  Sorted by key (``order``, an unstable sort), the
-    half-edges of each edge come together, not in triangle order: edge ``e``,
-    with vertices ``low[e]`` and ``high[e]`` read off the sorted keys in
-    ascending key order, has half-edges ``order[start[e]:start[e] + count[e]]``.
-    ``pairs`` holds the two half-edges of each edge on exactly two triangles,
+    ``low < high``, in int64.  One unstable sort by key, not kept, brings the
+    half-edges of each edge together: edge ``e``, with vertices ``low[e]`` and
+    ``high[e]`` read off the sorted keys in ascending key order, has
+    ``count[e]`` half-edges, at sorted positions from ``start[e]``.  ``pairs``
+    holds the two half-edges of each edge on exactly two triangles,
     ascending, and ``neighbour[h]`` the triangle across half-edge ``h`` on such
     an edge, else -1.  ``low`` and ``high`` have the dtype of ``tris``, and the
     half-edge and edge arrays are int32, which holds every id up to ``MAX_RESOLUTION``.
@@ -233,18 +233,18 @@ class EdgeTable:
         key *= size
         key += np.maximum(tail, head)
         del tail, head
-        self.order = np.argsort(key).astype(np.int32)
-        key = key[self.order]
+        order = np.argsort(key).astype(np.int32)
+        key = key[order]
         first = np.ones(len(key), bool)
         first[1:] = key[1:] != key[:-1]
         self.start = np.flatnonzero(first).astype(np.int32)
         self.low, self.high = (x.astype(self.tris.dtype) for x in np.divmod(key[self.start], size))
         del key
-        self.count = np.diff(self.start, append=np.int32(len(self.order)))
+        self.count = np.diff(self.start, append=np.int32(len(order)))
         inner = self.start[self.count == 2]
-        a, b = self.order[inner], self.order[inner + 1]
+        a, b = order[inner], order[inner + 1]
         self.pairs = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
-        self.neighbour = np.full(len(self.order), -1, np.int32)
+        self.neighbour = np.full(len(order), -1, np.int32)
         self.neighbour[a], self.neighbour[b] = b // 3, a // 3
 
     def report(self, n_vertices: int) -> dict:

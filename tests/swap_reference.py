@@ -46,13 +46,14 @@ def triangle_map(edges: EdgeTable, vmap) -> list:
     of a triangle is the triangle on the image (a, b) of its least edge that holds
     the image c of its third vertex.  Edges are keyed ``a * len(vmap) + b`` in
     int64, whatever the dtype of the ids, so no key is a product of three ids."""
+    assert (edges.count == 2).all(), "mesh is not closed"  # so edge e is row e of pairs
     size, tris = len(vmap), edges.tris
     image = np.asarray(vmap, np.int64)[tris]
     image.sort(axis=1)
     keys = edges.low.astype(np.int64) * size + edges.high
     query = image[:, 0] * size + image[:, 1]
     edge = np.searchsorted(keys, query).clip(max=len(keys) - 1)
-    half = edges.order[edges.start[edge]]  # a half-edge on (a, b); its neighbour is across it
+    half = edges.pairs[edge, 0]  # a half-edge on (a, b); its neighbour is across it
     on_first = (tris[half // 3] == image[:, 2:]).any(axis=1)
     found = np.where(on_first, half // 3, edges.neighbour[half])
     missing = (keys[edge] != query) | (found < 0) | ~(tris[found] == image[:, 2:]).any(axis=1)

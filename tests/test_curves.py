@@ -325,7 +325,7 @@ class TestChaining:
         # read off a copy of the segment columns alone, the loops are the same
         sec = slice_field(mesh16, fld)
         columns = sec.segments.take(np.arange(len(sec.segments)))
-        again = _chain(SlicedCurves(mesh16, fld, [], {}, columns))
+        again = _chain(SlicedCurves(mesh16, fld, [], {}, columns, sec.walk_values))
         assert loop_rows(again.loops) == loop_rows(sec.loops)
         assert list(again.tri_loop.items()) == list(sec.tri_loop.items())
         assert [loop.steps[0][0] for loop in sec.loops] == [
@@ -334,10 +334,10 @@ class TestChaining:
 
     def test_chain_leaving_the_sliced_set_is_refused(self, mesh16):
         fld = PlaneField(0, HALF)
-        segments = slice_field(mesh16, fld).segments
-        segments = segments.take(np.arange(len(segments) - 1))  # drop the greatest triangle
+        sec = slice_field(mesh16, fld)
+        segments = sec.segments.take(np.arange(len(sec.segments) - 1))  # drop the greatest triangle
         with pytest.raises(DegeneracyError, match="left the sliced triangle set"):
-            _chain(SlicedCurves(mesh16, fld, [], {}, segments))
+            _chain(SlicedCurves(mesh16, fld, [], {}, segments, sec.walk_values))
 
     @pytest.mark.parametrize("fld", SLICED_FIELDS)
     def test_wrap_count_equals_frame_sum(self, mesh16, fld):
@@ -377,7 +377,7 @@ class TestChaining:
     def test_mutated_shared_point_breaks_the_chain(self, mesh16, fld, mutant):
         sec = slice_field(mesh16, fld)
         tri, ends = sec.segments.tri, sec.segments.ends.copy()
-        chained = _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends)))
+        chained = _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends), sec.walk_values))
         assert loop_rows(chained.loops) == loop_rows(sec.loops)
         # a triangle whose exit point lies strictly inside its edge, and the
         # next triangle, whose entry point is the same edge point
@@ -391,7 +391,7 @@ class TestChaining:
             # the same numerator over another denominator, coprime to it
             ends[nxt, 0] = (vb, va, q - p, (q - p) * q + 1)
         with pytest.raises(DegeneracyError, match="disagree on their shared point"):
-            _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends)))
+            _chain(SlicedCurves(mesh16, fld, [], {}, Steps(tri, ends), sec.walk_values))
 
     def test_tube_slicing_reads_no_frame(self, mesh16):
         # the displacements come from the cell wraps of the chain alone
@@ -513,9 +513,10 @@ class TestPrefilterExactness:
         corners = [[signs[v] for v in tri] for tri in mesh16.triangles.tolist()]
         candidates = fld.candidate_triangles(mesh16)
         assert type(candidates) is np.ndarray and candidates.dtype == np.int64
-        assert candidates.tolist() == [tri for tri, s in enumerate(corners) if min(s) < 0 <= max(s)]
         one_sign = {tri for tri, s in enumerate(corners) if min(s) > 0 or max(s) < 0}
-        assert set(fld.walk_triangles(mesh16).tolist()) == set(range(len(corners))) - one_sign
+        assert candidates.tolist() == sorted(set(range(len(corners))) - one_sign)
+        sliced = slice_field(mesh16, fld).segments.tri
+        assert sliced.tolist() == [tri for tri, s in enumerate(corners) if min(s) < 0 <= max(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,23 +543,49 @@ FAR_CORNER_TUBES = [
 def test_walk_set_holds_every_triangle_without_one_strict_sign(request, mesh_name, make_field):
     mesh = request.getfixturevalue(mesh_name)
     fld = make_field()
-    slice_field(mesh, fld)
-    walk = set(fld.walk_triangles(mesh).tolist())
+    sec = slice_field(mesh, fld)
+    walk = set(sec.walk_values[0].tolist())
     num, _ = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))
     for tri, vals in enumerate(num.tolist()):
         if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
             assert tri in walk, tri
-    assert set(fld.candidate_triangles(mesh)) <= walk
+    assert set(sec.segments.tri.tolist()) <= walk
 
 
 def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
     # columns whose box only touches the tube hold zero corners, which
     # slicing counts positive but a walk reads as negative
     fld = BOX_END_TUBE.values[0]()
-    slice_field(mesh16, fld)
-    touching = set(fld.walk_triangles(mesh16).tolist()) - set(fld.candidate_triangles(mesh16))
+    sec = slice_field(mesh16, fld)
+    touching = set(sec.walk_values[0].tolist()) - set(sec.segments.tri.tolist())
     num, _ = fld.corner_ratios(mesh16, sorted(touching))
     assert sum(any(v == 0 for v in row) for row in num.tolist()) == 7
+
+
+class MixedTriangles:
+    """A field's values over exactly its mixed triangles, zero counting
+    positive, found by brute force over every triangle of one mesh."""
+
+    def __init__(self, fld, mesh):
+        self.corner_ratios = fld.corner_ratios
+        num, _ = fld.corner_ratios(mesh, np.arange(len(mesh.triangles)))
+        self.mixed = [tri for tri, row in enumerate(num.tolist()) if len({v >= 0 for v in row}) == 2]
+
+    def candidate_triangles(self, mesh):
+        return self.mixed
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16"])
+@pytest.mark.parametrize("make_field", PREFILTERED_FIELDS + [BOX_END_TUBE] + FAR_CORNER_TUBES)
+def test_slicing_the_closed_set_equals_slicing_the_mixed_set(request, mesh_name, make_field):
+    # a closed candidate set adds only triangles that slicing drops itself
+    mesh = request.getfixturevalue(mesh_name)
+    fld = make_field()
+    mixed = MixedTriangles(fld, mesh)
+    sec, ref = slice_field(mesh, fld), slice_field(mesh, mixed)
+    assert set(mixed.mixed) <= set(sec.walk_values[0].tolist())
+    assert list(sec.tri_segments.items()) == list(ref.tri_segments.items())
+    assert loop_rows(sec.loops) == loop_rows(ref.loops)  # steps, displacements and signs
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +864,7 @@ class TestWalkPairingEquivalence:
             assert vertex_events  # the zero corners send crossings through a vertex
 
     def test_walk_reads_no_candidate_filter(self, mesh16, monkeypatch):
-        # the walk set is its own closed test, not the counted slicing filter
+        # a walk reads the candidate set its target kept at slicing
         plane = slice_field(mesh16, PlaneField(0, HALF))
         tube = slice_field(mesh16, TubeField(1, (Fraction(0), HALF), Fraction(1, 4)))
 
@@ -1128,7 +1155,7 @@ class TestWalkValues:
     def test_rows_are_the_corner_ratios_of_the_sorted_walk_set(self, mesh16, make_field):
         sec = slice_field(mesh16, make_field())
         tris, num, den = sec.walk_values
-        walk = make_field().walk_triangles(mesh16)  # a field that sliced nothing counts its own
+        walk = make_field().candidate_triangles(mesh16)  # a field that sliced nothing
         assert type(walk) is np.ndarray and walk.dtype == tris.dtype == np.int64
         walk = walk.tolist()
         assert tris.tolist() == walk == sorted(set(walk))
@@ -1152,12 +1179,12 @@ class TestWalkValues:
                 args = (walk_steps(loop), loop.orientation_sign)
                 assert walk_pairing(*args, target) == walk_pairing(*args, plain)
                 walks += 1
-        assert walks == 15 and counted.calls == 2
+        assert walks == 15 and counted.calls == 1
 
     def test_walk_against_an_empty_walk_set(self, mesh16):
         # a thin tube around the origin spine stays inside one handlebody
         target = slice_field(mesh16, TubeField(0, (Fraction(0), Fraction(0)), Fraction(1, 16)))
-        assert not len(target.field.walk_triangles(mesh16))
+        assert not len(target.field.candidate_triangles(mesh16))
         assert not target.loops and len(target.walk_values[0]) == 0
         for loop in plane_section(mesh16, 1, HALF).loops + tube_section(mesh16, 3, (HALF, Fraction(0))).loops:
             assert walk_pairing(walk_steps(loop), loop.orientation_sign, target) == {}
@@ -1165,7 +1192,8 @@ class TestWalkValues:
 
 @pytest.mark.parametrize("make_field", [BOX_END_TUBE] + FAR_CORNER_TUBES[:1])
 def test_a_sliced_walk_target_reads_its_signs_once(mesh16, make_field, monkeypatch):
-    # slicing counts each triangle's corner signs; the walk set reuses that count
+    # slicing reads the corner signs once; walks read the set the section keeps
+    walker = plane_section(mesh16, 3, HALF).loops[0]
     reads = []
     vertex_signs = TubeField.vertex_signs
     monkeypatch.setattr(
@@ -1173,9 +1201,10 @@ def test_a_sliced_walk_target_reads_its_signs_once(mesh16, make_field, monkeypat
     )
     target = slice_field(mesh16, make_field())
     tris, _, _ = target.walk_values
-    assert len(reads) == 1 and target.field.walk_triangles(mesh16) is tris
-    assert make_field().walk_triangles(mesh16).tolist() == tris.tolist()
-    assert len(reads) == 2  # a field that sliced nothing counts its own
+    walk_pairing(walk_steps(walker), walker.orientation_sign, target)
+    assert len(reads) == 1
+    assert make_field().candidate_triangles(mesh16).tolist() == tris.tolist()
+    assert len(reads) == 2  # a field that sliced nothing reads its own
 
 
 @pytest.fixture
@@ -1271,8 +1300,8 @@ def test_chain_equals_the_per_loop_walk(request, mesh_name):
             # without its first loop a tube's displacements are no palindrome
             segments.append(sec.segments.take(~np.isin(sec.segments.tri, sec.loops[0].steps.tri)))
         for seg in segments:
-            got = _chain(SlicedCurves(mesh, sec.field, [], {}, seg))
-            want = chain_reference(SlicedCurves(mesh, sec.field, [], {}, seg))
+            got = _chain(SlicedCurves(mesh, sec.field, [], {}, seg, sec.walk_values))
+            want = chain_reference(SlicedCurves(mesh, sec.field, [], {}, seg, sec.walk_values))
             assert chained_columns(got) == chained_columns(want)
             assert loop_rows(got.loops) == loop_rows(want.loops)
             assert all(type(x) is int for loop in got.loops for x in loop.displacement)

@@ -316,7 +316,7 @@ def reference_edge_table(triangles):
         "count": count,
         "pairs": pairs,
         "neighbour": neighbour,
-    }, [halves[k] for k in keys]
+    }
 
 
 class TestEdgeTableReference:
@@ -326,13 +326,10 @@ class TestEdgeTableReference:
     def test_columns_equal_dict_reference(self, request, mesh16, name):
         mesh = request.getfixturevalue(name) if name.startswith("mesh") else _variant(mesh16, name)
         table, triangles = EdgeTable(mesh.triangles), mesh.triangles.tolist()
-        expected, halves = reference_edge_table(triangles)
+        expected = reference_edge_table(triangles)
         for column, value in expected.items():
             assert getattr(table, column).tolist() == value, column
         assert (table.pairs[:, 0] < table.pairs[:, 1]).all()
-        # order groups each edge's half-edges, in no promised order within the group
-        order, ends = table.order.tolist(), zip(table.start.tolist(), table.count.tolist())
-        assert [sorted(order[s:s + c]) for s, c in ends] == halves
         ascending = [t[s] < t[(s + 1) % 3] for t in triangles for s in range(3)]
         assert table.ascending.tolist() == ascending
 
@@ -829,7 +826,7 @@ class TestIdDtypes:
         assert mesh16.cell_array.dtype == np.int16
         assert mesh16.vertex_key.dtype == np.int64
         table = mesh16.edges
-        for name in ("tris", "order", "start", "low", "high", "count", "pairs", "neighbour"):
+        for name in ("tris", "start", "low", "high", "count", "pairs", "neighbour"):
             assert getattr(table, name).dtype == np.int32, name
         assert components(len(mesh16.triangles), table.pairs // 3).dtype == np.int32
 
@@ -845,7 +842,7 @@ class TestIdDtypes:
         wide = EdgeTable(mesh16.triangles.astype(np.int64) + shift)
         assert narrow.low.dtype == np.int32 and wide.tris.dtype == np.int64
         assert int(narrow.low.max()) * (int(tris32.max()) + 1) > 2**31
-        for name in ("low", "high", "pairs", "neighbour", "order", "start", "count"):
+        for name in ("low", "high", "pairs", "neighbour", "start", "count"):
             assert (getattr(narrow, name) == getattr(wide, name)).all(), name
         size = len(mesh16.vertices) + shift
         assert narrow.report(size) == wide.report(size)
