@@ -54,10 +54,9 @@ def default_table_path(resolution: int) -> str:
     return f"t3mcg-table-n{resolution}.json"
 
 
-def print_matrix(m):
+def matrix_text(m) -> str:
     width = max(len(str(x)) for row in m for x in row)
-    for row in m:
-        print(" ".join(f"{x:>{width}}" for x in row))
+    return "\n".join(" ".join(f"{x:>{width}}" for x in row) for row in m)
 
 
 def read_table(path: str) -> GeneratorTable6:
@@ -118,10 +117,11 @@ def cmd_eval(args) -> int:
     else:
         table, _ = load_or_derive_table(args, derive_if_missing=False)
         m = word_image6(word, table)
-    if args.json:
-        print(json.dumps([list(r) for r in m]))
-    else:
-        print_matrix(m)
+    try:  # the whole text first, so a refusal prints nothing
+        text = json.dumps([list(r) for r in m]) if args.json else matrix_text(m)
+    except ValueError as exc:  # an entry past Python's int-to-str digit limit
+        raise UsageError(f"cannot print the matrix: {exc}") from exc
+    print(text)
     return 0
 
 
@@ -129,8 +129,8 @@ def cmd_decompose(args) -> int:
     text = sys.stdin.read() if args.matrix == "-" else args.matrix
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
-        raise UsageError(f"matrix is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting, too many digits
+        raise UsageError(f"cannot read the matrix JSON: {exc}") from exc
     if isinstance(data, list) and len(data) == 9:  # flat row-major form
         data = [data[0:3], data[3:6], data[6:9]]
     try:
@@ -241,7 +241,7 @@ def cmd_table_show(args) -> int:
         print(f"resolution {table.resolution}, handedness {table.handedness}")
         for tok in sorted(table.matrices):
             print(f"\n{tok}:")
-            print_matrix(table.matrices[tok])
+            print(matrix_text(table.matrices[tok]))
             note = table.provenance.get(tok)
             if note:
                 print(f"  ({note})")

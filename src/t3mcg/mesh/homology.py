@@ -7,9 +7,10 @@ per axis.  Crossing a mid-plane section is the same as winding once in that
 coordinate, so the Gram matrix has an identity off-diagonal block no matter
 what the tube longitudes do to each other; integer symplectic reduction then
 produces the canonical basis (a_1..a_3, b_1..b_3) with form [[0,I],[-I,0]],
-p(a_i) = 0 and p(b_i) = e_i.  Classes of arbitrary curves are recovered from
-crossing numbers against the generators, which keeps every computation an
-exact integer one; the matrix helpers are ``rep3``'s, and no matrix is inverted.
+p(a_i) = 0 and p(b_i) = e_i.  A closed loop's class is read off its exact
+crossing numbers with the generators: ``±displacement`` with the sections and
+three walks against the longitudes; the matrix helpers are ``rep3``'s, and no
+matrix is inverted.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class CurveRef:
 class HomologyData:
     """Distinguished curves, their Gram matrix ``G`` and the basis change ``B``
     with ``B^T G B = J``, which ``build_homology`` checks; neither is inverted.
-    ``curve_class`` walks a loop at most once, memoized on the identity of its
-    ``SlicedCurves`` (held, so the id is not reused) and its index; the six
+    A loop's class is ``±displacement`` plus three longitude walks, read once by
+    ``curve_class`` and memoized on the ``Loop`` (it hashes by identity); the six
     generators' classes are seeded from the rows of ``G``, with no walk.
     ``build_homology`` fixes every ``orientation_sign`` first, so no class goes stale."""
 
@@ -84,13 +85,16 @@ class HomologyData:
         """Canonical classes of the three x_i = 0 sections."""
         return tuple(self.curve_class(ref) for ref in self.disk_sections_b)
 
-    def pair_with_generators(self, steps, walker_sign: int):
-        """Crossing numbers of a directed path against the six generators."""
-        out = []
-        for ref in list(self.disk_sections_a) + list(self.longitudes):
-            res = walk_pairing(steps, walker_sign, ref.curves)
-            alg = res.get(ref.index, (0, 0))[0]
-            out.append(-alg)  # <generator, path> = -<path, generator>
+    def pair_with_generators(self, loop: Loop, walker_sign: int):
+        """``<generator, loop>`` for a closed loop walked with ``walker_sign``.  It meets
+        ``a_i = Σ ∩ {x_i = 1/2}`` where it crosses that plane and the algebraic count
+        does not depend on the symbolic perturbation, so ``<a_i, loop>`` is its winding
+        in x_i: the Gram check's walks ``G[T_i][a_j] = -δ_ij`` certify the sign on the
+        three longitudes.  Only those are walked."""
+        out = [walker_sign * d for d in loop.displacement]
+        for ref in self.longitudes:
+            res = walk_pairing(loop.steps, walker_sign, ref.curves)
+            out.append(-res.get(ref.index, (0, 0))[0])  # <T_k, loop> = -<loop, T_k>
         return tuple(out)
 
     def class_of_crossings(self, v):
@@ -99,15 +103,15 @@ class HomologyData:
         w = mat_vec(transpose(self.basis_change), v)
         return (-w[3], -w[4], -w[5], w[0], w[1], w[2])
 
-    def class_of_steps(self, steps, walker_sign: int):
-        return self.class_of_crossings(self.pair_with_generators(steps, walker_sign))
+    def class_of_loop(self, loop: Loop, walker_sign: int):
+        return self.class_of_crossings(self.pair_with_generators(loop, walker_sign))
 
     def curve_class(self, ref: CurveRef):
         """Canonical coordinates of a curve's homology class, walked once."""
-        loop, key = ref.loop, (id(ref.curves), ref.index)
-        if key not in self._memo:
-            self._memo[key] = ref.curves, self.class_of_steps(loop.steps, loop.orientation_sign)
-        return self._memo[key][1]
+        loop = ref.loop
+        if loop not in self._memo:
+            self._memo[loop] = self.class_of_loop(loop, loop.orientation_sign)
+        return self._memo[loop]
 
     def displacement_of_class(self, cls):
         return mat_vec(PROJECTION, cls)
@@ -267,24 +271,12 @@ def build_homology(mesh: TriMesh) -> HomologyData:
     # Row i of G is generator i's walk against each generator, so its crossing
     # vector is -G[i]: a generator walked against its own section crosses nothing.
     for ref, row in zip(generators, gram):
-        h._memo[id(ref.curves), ref.index] = ref.curves, h.class_of_crossings([-x for x in row])
+        h._memo[ref.loop] = h.class_of_crossings([-x for x in row])
 
-    # Projection sanity: p(a_i) = 0 and p(b_i) = e_i in canonical coordinates.
-    for i in range(3):
-        cls = h.curve_class(sections_a[i])
-        if cls != tuple(1 if c == i else 0 for c in range(6)):
-            raise DegeneracyError(f"a_{i + 1} does not coordinatize to a basis vector: {cls}")
-    for i in range(3):
-        ref = longitudes[i]
-        cls = h.curve_class(ref)
-        if h.displacement_of_class(cls) != tuple(1 if c == i else 0 for c in range(3)):
-            raise DegeneracyError(f"longitude {i + 1} projects incorrectly: {cls}")
-
-    # The B-side disk boundaries must span the same lattice as the A-side ones.
+    # B^T G B = J makes the seeded classes the columns of B^-1 = [[I, -Y], [0, I]], so
+    # a_i is the basis vector e_i and p(b_i) = e_i; a B-side class's winding part is
+    # its displacement, checked 0 above.  Its meridian parts must span the lattice.
     b_classes = h.disk_b_classes
-    for i, cls in enumerate(b_classes):
-        if any(cls[3 + c] != 0 for c in range(3)):
-            raise DegeneracyError(f"B-side section {i + 1} has nonzero winding part: {cls}")
     if det3(tuple(cls[:3] for cls in b_classes)) not in (1, -1):
         raise DegeneracyError(
             f"B-side disk classes do not span the meridian lattice: {b_classes}"

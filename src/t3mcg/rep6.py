@@ -108,7 +108,7 @@ def derive_swap6(h: HomologyData) -> Mat6:
     cols = []
     for g, (ref, section) in enumerate(zip(h.disk_sections_a + h.longitudes, images)):
         image, sign = _image_loop(mesh, ref.loop, section)
-        cls = h.disk_b_classes[g] if g < 3 else h.class_of_steps(image.steps, 1)
+        cls = h.disk_b_classes[g] if g < 3 else h.class_of_loop(image, 1)
         cols.append(tuple(sign * ref.loop.orientation_sign * x for x in cls))
     return mat_mul(transpose(tuple(cols)), h.basis_change)  # column g: swapped generator g
 

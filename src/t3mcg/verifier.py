@@ -72,15 +72,20 @@ FULL_ALPHABET = tuple(Generator(k, s) for k in BASE_TOKENS for s in (1, -1))
 SHEAR_ALPHABET = tuple(Generator(k, s) for k in SHEAR_TOKENS for s in (1, -1))
 
 
+def _mismatches(key: str, rows):
+    """``(ok, witness)`` of ``(name, got, want)`` rows: ``{key: name, "got": got}``
+    for each row with ``got != want``, or the row count when none differs."""
+    bad = [{key: name, "got": got} for name, got, want in rows if got != want]
+    return not bad, bad or {"count": len(rows)}
+
+
 def check_shear_images(table, h, seed):
-    bad = []
+    rows = []
     for i, j in AXIS_PAIRS:
-        m = word_image3((Generator(f"a{i}{j}", 1),))
         expect = [list(r) for r in IDENTITY3]
         expect[j - 1][i - 1] = 1
-        if _rows(m) != expect:
-            bad.append({"generator": f"a{i}{j}", "got": _rows(m)})
-    return not bad, bad or {"count": 6}
+        rows.append((f"a{i}{j}", _rows(word_image3((Generator(f"a{i}{j}", 1),))), expect))
+    return _mismatches("generator", rows)
 
 
 def check_kernel_generators(table, h, seed):
@@ -88,24 +93,19 @@ def check_kernel_generators(table, h, seed):
 
 
 def check_twist_macros(table, h, seed):
-    bad = []
-    for i, j in AXIS_PAIRS:
-        w = expand_macro(Macro(f"t{i}{j}", 1))
-        if not is_kernel3(w):
-            bad.append({"macro": f"t{i}{j}", "got": _rows(word_image3(w))})
-    return not bad, bad or {"count": 6}
+    images = [(f"t{i}{j}", word_image3(expand_macro(Macro(f"t{i}{j}", 1)))) for i, j in AXIS_PAIRS]
+    return _mismatches("macro", [(name, _rows(m), _rows(IDENTITY3)) for name, m in images])
 
 
 def check_rotations(table, h, seed):
-    bad = []
+    rows = []
     for i, j in AXIS_PAIRS:
         m = word_image3(expand_macro(Macro(f"r{i}{j}", 1)))
         k = 6 - i - j
         expect = [[0] * 3 for _ in range(3)]  # e_i -> e_j, e_j -> -e_i, e_k -> e_k
         expect[j - 1][i - 1], expect[i - 1][j - 1], expect[k - 1][k - 1] = 1, -1, 1
-        if _rows(m) != expect:
-            bad.append({"macro": f"r{i}{j}", "got": _rows(m)})
-    return not bad, bad or {"count": 6}
+        rows.append((f"r{i}{j}", _rows(m), expect))
+    return _mismatches("macro", rows)
 
 
 def check_swap_involution(table, h, seed):
@@ -116,13 +116,12 @@ def check_swap_involution(table, h, seed):
 
 
 def check_twist_pairs(table, h, seed):
-    bad = []
+    rows = []
     for i, j in AXIS_PAIRS:
         m1 = word_image6(expand_macro(Macro(f"t{i}{j}", 1)), table)
         m2 = word_image6(expand_macro(Macro(f"t{j}{i}", 1)), table)
-        if mat_mul(m2, m1) != IDENTITY6:
-            bad.append({"pair": f"t{i}{j}*t{j}{i}", "got": _rows(mat_mul(m2, m1))})
-    return not bad, bad or {"count": 6}
+        rows.append((f"t{i}{j}*t{j}{i}", _rows(mat_mul(m2, m1)), _rows(IDENTITY6)))
+    return _mismatches("pair", rows)
 
 
 def check_handedness(table, h, seed):

@@ -1,6 +1,7 @@
 """``Fraction`` reference for surface points: the exact vertex rows, each
 triangle's unwrapped frame, step positions in it, and the side of the surface
-a point lies on; and the per-loop chaining of sliced segments.
+a point lies on; the per-loop chaining of sliced segments; and a path's
+homology class from its walks against all six generators.
 
 The program reads a surface point as integer columns (``TriMesh.vertex_num``
 over ``vertex_den``, and the ``(va, vb, p, q)`` rows of ``Steps``); these
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from t3mcg.mesh.curves import Loop
+from t3mcg.mesh.curves import Loop, walk_pairing
 from t3mcg.mesh.surface import DegeneracyError, _sample_field
 
 
@@ -135,3 +136,19 @@ def chain_reference(curves):
             disp = tuple(shift[order].sum(axis=0).tolist())
             curves.loops.append(Loop(steps=seg.take(order), displacement=disp))
     return curves
+
+
+def pair_with_generators(h, steps, walker_sign: int):
+    """Crossing numbers of a directed path against the six generators."""
+    out = []
+    for ref in list(h.disk_sections_a) + list(h.longitudes):
+        res = walk_pairing(steps, walker_sign, ref.curves)
+        alg = res.get(ref.index, (0, 0))[0]
+        out.append(-alg)  # <generator, path> = -<path, generator>
+    return tuple(out)
+
+
+def class_of_steps(h, steps, walker_sign: int):
+    """A path's class from six walks: the sections are walked, not read off its
+    displacement, so a path need not be a loop of any section."""
+    return h.class_of_crossings(pair_with_generators(h, steps, walker_sign))

@@ -7,7 +7,7 @@ every vertex and triangle, the invariance its match relies on.
 
 import numpy as np
 
-from mesh_reference import crossing_numerators
+from mesh_reference import class_of_steps, crossing_numerators
 from t3mcg.mesh.curves import Steps
 from t3mcg.rep3 import mat_mul, transpose
 from t3mcg.mesh.surface import DegeneracyError, EdgeTable, TriMesh
@@ -64,12 +64,12 @@ def triangle_map(edges: EdgeTable, vmap) -> list:
 
 def reference_swap6(h):
     """The swap matrix with every generator loop pushed through the whole-mesh
-    vertex and triangle permutations, then read off by its crossings."""
+    vertex and triangle permutations, then read off by its six generator walks."""
     vmap = half_translation_vertex_map(h.mesh)
     tmap, vmap = np.asarray(triangle_map(h.mesh.edges, vmap)), np.asarray(vmap)
     cols = []
     for ref in list(h.disk_sections_a) + list(h.longitudes):
         steps, ends = ref.loop.steps, ref.loop.steps.ends.copy()
         ends[:, :, :2] = vmap[ends[:, :, :2].astype(np.int64)]
-        cols.append(h.class_of_steps(Steps(tmap[steps.tri], ends), ref.loop.orientation_sign))
+        cols.append(class_of_steps(h, Steps(tmap[steps.tri], ends), ref.loop.orientation_sign))
     return mat_mul(transpose(tuple(cols)), h.basis_change)

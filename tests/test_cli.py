@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -605,6 +606,40 @@ class TestInputRefusals:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write table {tmp_path}: ")
         assert err.count("\n") == 1
+
+
+    @pytest.fixture
+    def digit_limit(self):
+        # Python's limit on int-string conversion, set to its default for the test
+        get = getattr(sys, "get_int_max_str_digits", None)
+        if get is None:
+            pytest.skip("this Python has no int-string digit limit")
+        old = get()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    def test_matrix_entry_past_the_digit_limit(self, digit_limit, capsys):
+        matrix = f"[[1,{'1' * (digit_limit + 700)},0],[0,1,0],[0,0,1]]"
+        code, out, err = run_cli(["decompose", matrix], capsys)
+        assert (code, out) == (2, "")
+        assert _error_lines(err) == err.splitlines()
+        assert len(err.splitlines()) == 1 and f"({digit_limit} digits)" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("level", ["3", "6"])
+    def test_eval_answer_past_the_digit_limit(
+        self, level, json_flag, digit_limit, table32, tmp_path, capsys
+    ):
+        # the entries of (a12 a21)^12000 have over 5000 digits; nothing is printed
+        path = str(tmp_path / "table.json")
+        table32.save(path)
+        word = " ".join(["a12 a21"] * 12000)
+        argv = [*json_flag, "--table", path, "eval", "--level", level, word]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot print the matrix: ") and err.count("\n") == 1
+        assert f"({digit_limit} digits)" in err
 
 
 class TestTextOutput:

@@ -167,7 +167,6 @@ class TestAlternatingPattern:
 
 class TestClassOfSteps:
     def test_closed_form_matches_gauss_jordan(self, homology16):
-        from t3mcg.mesh.curves import walk_steps
         from matrix_reference import invert_unimodular
         from t3mcg.rep3 import mat_vec
 
@@ -180,16 +179,46 @@ class TestClassOfSteps:
         for ref in refs:
             loop = ref.loop
             for sign in (loop.orientation_sign, -loop.orientation_sign):
-                steps = walk_steps(loop)
-                v = h.pair_with_generators(steps, sign)
-                assert h.class_of_steps(steps, sign) == mat_vec(basis_inv, mat_vec(gram_inv, v))
+                v = h.pair_with_generators(loop, sign)
+                assert h.class_of_loop(loop, sign) == mat_vec(basis_inv, mat_vec(gram_inv, v))
+
+
+class TestClassOfLoopOracle:
+    # a loop's A-coordinates are its displacement: the class equals the one the
+    # six-walk oracle reads, on every loop the program classifies, either way round
+
+    @staticmethod
+    def sections(h):
+        from t3mcg.mesh.curves import TubeField, slice_field
+        from t3mcg.mesh.homology import HALF, pair_tube
+
+        out = [ref.curves for ref in h.disk_sections_a + h.disk_sections_b] + list(h.tubes)
+        out += [pair_tube(h.mesh, i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+        for f in (tube.field for tube in h.tubes):  # the swap's image tubes
+            image = TubeField(f.axis, [c + HALF for c in f.center], f.radius)
+            out.append(slice_field(h.mesh, image))
+        return out
+
+    @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+    def test_equals_the_six_walk_oracle(self, mesh_name, request):
+        from mesh_reference import class_of_steps
+        from t3mcg.mesh.homology import build_homology
+
+        h = build_homology(request.getfixturevalue(mesh_name))
+        sections = self.sections(h)
+        assert len(sections) == 6 + 3 + 6 + 3
+        loops = [loop for sec in sections for loop in sec.loops]
+        assert len(loops) == 6 + 4 * 12
+        for loop in loops:
+            for sign in (1, -1):
+                assert h.class_of_loop(loop, sign) == class_of_steps(h, loop.steps, sign)
 
 
 class TestCurveClassMemo:
     def test_memoized_classes_equal_fresh_walks(self, homology16, monkeypatch):
         from fractions import Fraction
 
-        from t3mcg.mesh.curves import TUBE_RADIUS, tube_section, walk_steps
+        from t3mcg.mesh.curves import TUBE_RADIUS, tube_section
         from t3mcg.mesh.homology import HomologyData
 
         h = homology16
@@ -201,17 +230,17 @@ class TestCurveClassMemo:
             loop.orientation_sign = -1
         refs = [CurveRef(sec, i) for sec in sections + pair for i in range(len(sec.loops))]
         assert len(refs) == 6 + 12 + 8
-        fresh = [h.class_of_steps(walk_steps(ref.loop), ref.loop.orientation_sign) for ref in refs]
+        fresh = [h.class_of_loop(ref.loop, ref.loop.orientation_sign) for ref in refs]
         assert fresh[22:] == [tuple(-x for x in cls) for cls in fresh[18:22]]
 
         walks = []
-        original = HomologyData.class_of_steps
+        original = HomologyData.class_of_loop
 
-        def counted(self, steps, walker_sign):
-            walks.append(steps)
-            return original(self, steps, walker_sign)
+        def counted(self, loop, walker_sign):
+            walks.append(loop)
+            return original(self, loop, walker_sign)
 
-        monkeypatch.setattr(HomologyData, "class_of_steps", counted)
+        monkeypatch.setattr(HomologyData, "class_of_loop", counted)
         assert [h.curve_class(ref) for ref in refs[18:]] == fresh[18:]
         assert len(walks) == 8  # each pair-tube loop once: the two sections apart
         assert [h.curve_class(ref) for ref in refs] == fresh
@@ -226,23 +255,22 @@ class TestSeededClasses:
 
     @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
     def test_seeded_classes_equal_fresh_walks(self, mesh_name, request):
-        from t3mcg.mesh.curves import walk_steps
         from t3mcg.mesh.homology import build_homology
 
         h = build_homology(request.getfixturevalue(mesh_name))
         generators = list(h.disk_sections_a) + list(h.longitudes)
         for i, ref in enumerate(generators):
             loop = ref.loop
-            fresh = h.class_of_steps(walk_steps(loop), loop.orientation_sign)
+            fresh = h.class_of_loop(loop, loop.orientation_sign)
             assert h.curve_class(ref) == fresh
-            assert h.pair_with_generators(loop.steps, loop.orientation_sign) == tuple(
+            assert h.pair_with_generators(loop, loop.orientation_sign) == tuple(
                 -x for x in h.gram[i]
             )
 
     @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
     def test_build_walk_count(self, mesh_name, request, monkeypatch):
-        # 3 orient the A-side sections, 30 fill the Gram matrix and 18 give
-        # the three B-side section classes
+        # 3 orient the A-side sections, 30 fill the Gram matrix and 9 give the
+        # three B-side section classes: each walks the three longitudes
         import t3mcg.mesh.homology as homology
 
         mesh = request.getfixturevalue(mesh_name)
@@ -255,7 +283,7 @@ class TestSeededClasses:
 
         monkeypatch.setattr(homology, "walk_pairing", counted)
         homology.build_homology(mesh)
-        assert len(walks) == 51
+        assert len(walks) == 42
 
 
 class TestPairHelpers:

@@ -354,10 +354,10 @@ class TestPersistence:
         assert GeneratorTable6.from_json(data).tube_radius == radius
 
     def test_json_is_deterministic(self, table32, tmp_path):
-        p1, p2 = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
-        table32.save(p1)
-        table32.save(p2)
-        assert open(p1).read() == open(p2).read()
+        p1, p2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        table32.save(str(p1))
+        table32.save(str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_saved_bytes_match_pinned_digest(self, table32, tmp_path):
         # the exactness contract: the n = 32 table is byte-identical across

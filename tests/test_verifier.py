@@ -93,9 +93,9 @@ def test_suite_walk_count_on_fresh_homology(mesh16, monkeypatch):
 
     monkeypatch.setattr(homology, "walk_pairing", counted)
     assert run_suite(table, h).passed
-    # 24 for the (1,3) pair tube's four classes and 15 disk pairs; the nine
-    # defining-pair verdicts reuse the 15 counts
-    assert len(walks) == 39
+    # 12 for the (1,3) pair tube's four classes, three longitude walks each,
+    # and 15 disk pairs; the nine defining-pair verdicts reuse the 15 counts
+    assert len(walks) == 27
 
 
 class TestNoRaiseContract:
