@@ -76,10 +76,14 @@ def write_table(table: GeneratorTable6, path: str):
 
 
 def check_table_directory(path: str):
-    """Refuse a table path in a missing directory before any derivation."""
+    """Refuse a table path that cannot be written before any derivation."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise UsageError(f"cannot write table {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write table {path}: it is a directory")
+    if not os.access(directory, os.W_OK):
+        raise UsageError(f"cannot write table {path}: directory {directory} is not writable")
 
 
 def derive_and_write_table(resolution: int, path: str):
@@ -110,6 +114,11 @@ def load_or_derive_table(args, derive_if_missing: bool):
     return derive_and_write_table(args.resolution, path)
 
 
+def digit_limit_text() -> str:
+    limit = sys.get_int_max_str_digits()  # only the environment can raise it for the CLI
+    return f"an integer exceeds the limit ({limit} digits); set PYTHONINTMAXSTRDIGITS to raise it"
+
+
 def cmd_eval(args) -> int:
     word = W.parse_word(args.word)
     if args.level == 3:
@@ -120,7 +129,7 @@ def cmd_eval(args) -> int:
     try:  # the whole text first, so a refusal prints nothing
         text = json.dumps([list(r) for r in m]) if args.json else matrix_text(m)
     except ValueError as exc:  # an entry past Python's int-to-str digit limit
-        raise UsageError(f"cannot print the matrix: {exc}") from exc
+        raise UsageError(f"cannot print the matrix: {digit_limit_text()}") from exc
     print(text)
     return 0
 
@@ -130,7 +139,8 @@ def cmd_decompose(args) -> int:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting, too many digits
-        raise UsageError(f"cannot read the matrix JSON: {exc}") from exc
+        reason = digit_limit_text() if type(exc) is ValueError else exc  # not JSONDecodeError
+        raise UsageError(f"cannot read the matrix JSON: {reason}") from exc
     if isinstance(data, list) and len(data) == 9:  # flat row-major form
         data = [data[0:3], data[3:6], data[6:9]]
     try:

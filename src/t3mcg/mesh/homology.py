@@ -159,36 +159,40 @@ def twist_matrix(h: HomologyData, loops):
 
 
 def winding_signs(tube: SlicedCurves) -> list:
-    """Each loop's travel ``+-1`` along the tube axis ``e_k``, refusing any other displacement."""
+    """Each loop's travel ``+-1`` along ``e_k``: every caller's test that a tube is four
+    ``+-e_k`` longitudes, two each way, as the boundary of the field-positive side must be."""
     k = tube.field.axis
+    if len(tube.loops) != 4:
+        raise DegeneracyError(f"tube along axis {k + 1} has {len(tube.loops)} loops, expected 4")
     e_k = tuple(int(c == k) for c in range(3))
     for loop in tube.loops:
         if loop.displacement not in (e_k, tuple(-x for x in e_k)):
             raise DegeneracyError(f"tube loop displacement {loop.displacement} is not +-e_{k + 1}")
-    return [loop.displacement[k] for loop in tube.loops]
+    eps = [loop.displacement[k] for loop in tube.loops]
+    if sum(eps) != 0:
+        raise DegeneracyError(f"tube along axis {k + 1} is unbalanced: {eps}")
+    return eps
 
 
 def tube_pattern(h: HomologyData, tube: SlicedCurves, kind: str):
     """Handedness pattern for the loops of one tube section.
 
-    ``all_plus`` twists every loop the same way; ``alternating`` twists each loop
-    by its ``winding_signs``, which is the geometric side rule.  Slicing keeps the
-    field-positive side, outside the tube, on the left of each segment, so in a
-    triangle with normal ``N`` and PL gradient ``g`` the loop runs along ``g x N``.
-    The side rule takes the sign of ``N . (e_k x r)``, ``r`` the transverse offset
-    of a loop point: the sign of ``N . (e_k x g) = e_k . (g x N)``, the loop's
-    travel along ``e_k``, as ``g`` is ``r`` up to a multiple of ``N``.  Read off
-    the triangle frames, the side rule gave these signs on all 36 loops of the
-    three homology tubes and six pair tubes at n = 8, 16, 32, 64, 128, 256, 512.
+    ``all_plus`` twists every loop the same way; ``alternating`` twists each loop by its
+    ``winding_signs``, which refuses a tube that is not four ``+-e_k`` longitudes, two
+    each way, and is the geometric side rule.  Slicing keeps the field-positive side,
+    outside the tube, on the left of each segment, so in a triangle with normal ``N``
+    and PL gradient ``g`` the loop runs along ``g x N``.  The side rule takes the sign
+    of ``N . (e_k x r)``, ``r`` the transverse offset of a loop point: the sign of
+    ``N . (e_k x g) = e_k . (g x N)``, the loop's travel along ``e_k``, as ``g`` is
+    ``r`` up to a multiple of ``N``.  Read off the triangle frames, the side rule gave
+    these signs on all 36 loops of the three homology tubes and six pair tubes at
+    n = 8, 16, 32, 64, 128, 256, 512.
     """
     if kind == "all_plus":
         return [1] * len(tube.loops)
     if kind != "alternating":
         raise ValueError(f"unknown pattern {kind!r}")
-    eps = winding_signs(tube)
-    if sum(eps) != 0:
-        raise DegeneracyError(f"alternating pattern is unbalanced: {eps}")
-    return eps
+    return winding_signs(tube)
 
 
 def tube_twist(h: HomologyData, tube: SlicedCurves, pattern: str):
@@ -222,10 +226,6 @@ def build_homology(mesh: TriMesh) -> HomologyData:
     longitudes = []
     for k in (1, 2, 3):
         tube = pair_tube(mesh, k % 3 + 1, (k + 1) % 3 + 1)
-        if len(tube.loops) != 4:
-            raise DegeneracyError(
-                f"tube along axis {k} has {len(tube.loops)} loops, expected 4"
-            )
         tube.loops[0].orientation_sign = winding_signs(tube)[0]
         tubes.append(tube)
         longitudes.append(CurveRef(tube, 0))

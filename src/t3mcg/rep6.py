@@ -270,8 +270,6 @@ class GeneratorTable6:
         for tok in BASE_TOKENS:
             if not intertwines(matrices[tok], gen_image3(Generator(tok, 1))):
                 raise ValueError(f"matrix {tok} does not intertwine with the projection")
-        if mat_mul(matrices["s"], matrices["s"]) != IDENTITY6:
-            raise ValueError("matrix s is not an involution")
         meta = {
             "provenance": data.get("provenance", {}),
             "candidate_counts": data.get("candidate_counts", {}),
@@ -286,7 +284,7 @@ class GeneratorTable6:
         ):
             if not ok:
                 raise ValueError(f"malformed {key}: {meta[key]!r}")
-        # construction checks the signed law
+        # construction checks the signed law: with intertwining, it forces s * s = I
         return cls(matrices=matrices, resolution=data["resolution"], **meta)
 
     def save(self, path: str):
@@ -315,8 +313,6 @@ def resolve_handedness(h: HomologyData, table_matrices: dict) -> tuple:
     defaults it.
     """
     tube = pair_tube(h.mesh, 1, 3)
-    if len(tube.loops) != 4:
-        raise HandednessError(f"(1,3) tube has {len(tube.loops)} loops")
     word_t13 = expand_macro(Macro("t13", 1))
 
     winners = []

@@ -20,7 +20,7 @@ from functools import partial
 from .words import AXIS_PAIRS, BASE_TOKENS, SHEAR_TOKENS, Generator, Macro, Word
 from .words import expand_macro, render
 from .rep3 import IDENTITY3, decompose_sl3, is_kernel3, mat_mul, word_image3
-from .mesh.homology import HomologyData, PROJECTION, intersection_number
+from .mesh.homology import HomologyData, PROJECTION, intersection_number, winding_signs
 from .mesh.curves import cut_along
 from .rep6 import GeneratorTable6, IDENTITY6, intertwines, resolve_handedness, word_image6
 
@@ -158,13 +158,13 @@ def check_intertwining(table, h, seed):
 
 
 def check_mesh_facts(table, h, seed):
+    """The 15 section counts carry the defining-pair verdicts; ``winding_signs`` tests the tube."""
     problems = []
     refs = list(h.disk_sections_a) + list(h.disk_sections_b)
     names = [f"A{i}" for i in (1, 2, 3)] + [f"B{i}" for i in (1, 2, 3)]
-    counts = {}
     for x in range(6):
         for y in range(x + 1, 6):
-            alg, geo = counts[x, y] = intersection_number(h, refs[x], refs[y])
+            alg, geo = intersection_number(h, refs[x], refs[y])
             same_family = (x < 3) == (y < 3)
             expect_geo = 0 if same_family or (x % 3 == y % 3) else 2
             if alg != 0 or geo != expect_geo:
@@ -175,16 +175,8 @@ def check_mesh_facts(table, h, seed):
                         "geometric": geo,
                     }
                 )
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):  # (A_i, B_j) is pair (i - 1, 2 + j)
-            if (counts[i - 1, 2 + j][1] == 0) != (i == j):
-                problems.append({"defining_pair": (i, j)})
     tube = h.tubes[2]
-    if len(tube.loops) != 4:
-        problems.append({"tube_loops": len(tube.loops)})
-    for loop in tube.loops:
-        if loop.displacement not in ((0, 0, 1), (0, 0, -1)):
-            problems.append({"loop_displacement": loop.displacement})
+    winding_signs(tube)  # raises unless four +-e_3 longitudes, two each way
     pieces = cut_along(h.mesh, tube)
     if not (
         len(pieces) == 2

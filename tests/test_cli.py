@@ -515,7 +515,7 @@ class TestTableRefusals:
         (_extra_matrix, "unknown matrix 'x12'"),
         (_string_resolution, "resolution must be an integer, got '32'"),
         (_a12_as_a13, "matrix a12 does not intertwine with the projection"),
-        (_s_not_an_involution, "matrix s is not an involution"),
+        (_s_not_an_involution, "matrix s is not antisymplectic"),
         (_without("matrices"), "missing key 'matrices'"),
         (_without("resolution"), "missing key 'resolution'"),
         (_without("handedness"), "missing key 'handedness'"),
@@ -607,6 +607,29 @@ class TestInputRefusals:
         assert err.startswith(f"error: cannot write table {tmp_path}: ")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def derive_without_building(path, capsys, monkeypatch):
+        def no_build(resolution):
+            raise AssertionError("the surface was built")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", no_build)
+        return run_cli(["--resolution", "64", "--table", str(path), "table", "derive"], capsys)
+
+    def test_table_directory_is_refused_before_the_derivation(self, tmp_path, capsys, monkeypatch):
+        code, out, err = self.derive_without_building(tmp_path, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write table {tmp_path}: it is a directory\n"
+
+    def test_unwritable_directory_is_refused_before_the_derivation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # os.access grants root everything, so the denial is patched in
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        path = tmp_path / "t64.json"
+        code, out, err = self.derive_without_building(path, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write table {path}: directory {tmp_path} is not writable\n"
+
 
     @pytest.fixture
     def digit_limit(self):
@@ -625,6 +648,7 @@ class TestInputRefusals:
         assert (code, out) == (2, "")
         assert _error_lines(err) == err.splitlines()
         assert len(err.splitlines()) == 1 and f"({digit_limit} digits)" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("level", ["3", "6"])
@@ -640,6 +664,7 @@ class TestInputRefusals:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot print the matrix: ") and err.count("\n") == 1
         assert f"({digit_limit} digits)" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err
 
 
 class TestTextOutput:

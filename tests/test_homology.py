@@ -164,6 +164,46 @@ class TestAlternatingPattern:
         with pytest.raises(DegeneracyError, match=r"displacement \(0, 0, 0\) is not \+-e_3$"):
             tube_pattern(homology16, replace(tube, loops=loops), "alternating")
 
+    def _refused(self, h, tube, message):
+        from t3mcg.mesh.curves import DegeneracyError
+        from t3mcg.mesh.homology import winding_signs
+
+        for refuse in (winding_signs, lambda t: tube_pattern(h, t, "alternating")):
+            with pytest.raises(DegeneracyError, match=message):
+                refuse(tube)
+
+    def test_three_loop_tube_is_refused(self, homology16):
+        from dataclasses import replace
+
+        tube = homology16.tubes[2]
+        three = replace(tube, loops=tube.loops[:3])
+        self._refused(homology16, three, "^tube along axis 3 has 3 loops, expected 4$")
+
+    def test_unbalanced_tube_is_refused(self, homology16):
+        from dataclasses import replace
+
+        tube = homology16.tubes[2]
+        loops = list(tube.loops)
+        i = next(i for i, loop in enumerate(loops) if loop.displacement == (0, 0, -1))
+        loops[i] = replace(loops[i], displacement=(0, 0, 1))
+        self._refused(homology16, replace(tube, loops=loops), r"^tube along axis 3 is unbalanced: ")
+
+    def test_build_homology_refuses_a_three_loop_tube(self, mesh16, monkeypatch):
+        from dataclasses import replace
+
+        import t3mcg.mesh.homology as homology
+        from t3mcg.mesh.curves import DegeneracyError
+
+        original = homology.pair_tube
+
+        def three_loops(*args):
+            tube = original(*args)
+            return replace(tube, loops=tube.loops[:3])
+
+        monkeypatch.setattr(homology, "pair_tube", three_loops)
+        with pytest.raises(DegeneracyError, match="^tube along axis 1 has 3 loops, expected 4$"):
+            homology.build_homology(mesh16)
+
 
 class TestClassOfSteps:
     def test_closed_form_matches_gauss_jordan(self, homology16):

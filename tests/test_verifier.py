@@ -94,8 +94,22 @@ def test_suite_walk_count_on_fresh_homology(mesh16, monkeypatch):
     monkeypatch.setattr(homology, "walk_pairing", counted)
     assert run_suite(table, h).passed
     # 12 for the (1,3) pair tube's four classes, three longitude walks each,
-    # and 15 disk pairs; the nine defining-pair verdicts reuse the 15 counts
+    # and 15 disk pairs, whose counts carry the nine defining-pair verdicts
     assert len(walks) == 27
+
+
+def test_three_loop_reference_tube_fails_mesh_facts(homology32, table32):
+    # winding_signs refuses the tube for mesh_facts, and for the arbiter, whose t
+    # candidates twist along the same tube; every other check still passes
+    from dataclasses import replace
+
+    t1, t2, t3 = homology32.tubes
+    h = replace(homology32, tubes=[t1, t2, replace(t3, loops=t3.loops[:3])])
+    report = run_suite(table32, h, seed=0)
+    failed = {c["name"]: c["witness"] for c in report.checks if c["status"] == "fail"}
+    message = {"exception": "DegeneracyError: tube along axis 3 has 3 loops, expected 4"}
+    assert failed == {"handedness_arbiter": message, "mesh_facts": message}
+    assert [c["name"] for c in report.checks] == EXPECTED_CHECKS
 
 
 class TestNoRaiseContract:
