@@ -75,20 +75,27 @@ def write_table(table: GeneratorTable6, path: str):
         raise UsageError(f"cannot write table {path}: {exc}") from exc
 
 
-def check_table_directory(path: str):
-    """Refuse a table path that cannot be written before any derivation."""
+def check_writable(path: str, kind: str = ""):
+    """Refuse a path that cannot be written before any work is spent on it.  A path
+    that exists is tested itself, so a writable file or device passes; a new one is
+    tested by its directory.  ``kind`` names the file in the message, as in
+    ``cannot write table t.json``."""
+    lead = f"cannot write {kind} {path}" if kind else f"cannot write {path}"
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
-        raise UsageError(f"cannot write table {path}: no directory {directory}")
+        raise UsageError(f"{lead}: no directory {directory}")
     if os.path.isdir(path):
-        raise UsageError(f"cannot write table {path}: it is a directory")
-    if not os.access(directory, os.W_OK):
-        raise UsageError(f"cannot write table {path}: directory {directory} is not writable")
+        raise UsageError(f"{lead}: it is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise UsageError(f"{lead}: it is not writable")
+    elif not os.access(directory, os.W_OK):
+        raise UsageError(f"{lead}: directory {directory} is not writable")
 
 
 def derive_and_write_table(resolution: int, path: str):
     """Derive the table at ``resolution`` and persist it; returns it with its homology."""
-    check_table_directory(path)
+    check_writable(path, "table")
     h = build_homology(build_surface(resolution))
     table = derive_table(h)
     write_table(table, path)
@@ -203,6 +210,7 @@ def cmd_mesh_curves(args) -> int:
 
 
 def cmd_mesh_export(args) -> int:
+    check_writable(args.out)
     mesh = build_surface(args.resolution)
     try:
         export_off(mesh, args.out)

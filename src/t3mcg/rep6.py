@@ -206,8 +206,12 @@ class GeneratorTable6:
     """The eight generator matrices; construction builds all 16 letters once.
 
     A letter's inverse is its ``signed_inverse``, with ``sigma = -1`` for ``s`` alone and
-    ``1`` for the rest, kept only if ``inv M = I``, the signed law itself.  An int64 array
-    is made only when ``6 |M| < 2^62``.
+    ``1`` for the rest, kept only if ``inv M = I``, the signed law itself.  ``_letters``
+    holds, for each of the 16 letters ``g``, four values read off its exact matrix:
+    the matrix itself; its int64 array, made only when ``6 |g| < 2^62``, else ``None``;
+    its admission limit ``(2^62 - 1) // (6 |g|)``, the largest ``|A|`` with
+    ``6 |A| |g| < 2^62``, which is 0 exactly when there is no array; and its growth
+    ``||g||_inf``, the largest row sum of ``|g|``.  Here ``|X|`` is the largest ``|entry|``.
     """
 
     matrices: dict  # token -> Mat6 (sign +1)
@@ -217,7 +221,7 @@ class GeneratorTable6:
     resolution: int
     tube_radius: str
 
-    # (kind, sign) -> (exact Mat6, int64 array or None, largest |entry|)
+    # (kind, sign) -> (exact Mat6, int64 array or None, admission limit, growth)
     _letters: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,9 +231,10 @@ class GeneratorTable6:
             if mat_mul(inv, m) != IDENTITY6:
                 raise ValueError(f"matrix {tok} is not {'anti' * (tok == 's')}symplectic")
             for sign, x in ((1, m), (-1, inv)):
-                xmax = max(abs(v) for row in x for v in row)
-                arr = np.array(x, dtype=np.int64) if 6 * xmax < 2**62 else None
-                self._letters[tok, sign] = (x, arr, xmax)
+                limit = (2**62 - 1) // (6 * max(abs(v) for row in x for v in row))
+                arr = np.array(x, dtype=np.int64) if limit else None
+                growth = max(sum(map(abs, row)) for row in x)
+                self._letters[tok, sign] = (x, arr, limit, growth)
 
     def image(self, g: Generator) -> Mat6:
         """The exact matrix of one letter, inverses included, built at construction."""
@@ -392,24 +397,28 @@ def _int64_segment(w: Word, table: GeneratorTable6, start: int) -> tuple:
     not admit, or ``len(w)``.  ``stop == start`` means that letter is too
     large even on its own; it is never converted to int64.
 
-    ``bound`` is carried forward by that same inequality and replaced by the
-    exact entry maximum only when it trips the test, which is then made
-    again.  It never falls below the exact maximum, so the cut points are
-    those of testing the exact maximum after every letter.  A letter with no
-    int64 array in the table's ``_letters`` has ``6 |g| >= 2^62``: it trips.
+    The rule ``6 |A| |g| < 2^62`` is read as ``|A| <= limit``, the letter's
+    admission limit ``(2^62 - 1) // (6 |g|)``.  ``bound`` is carried forward
+    by the induced inf-norm inequality ``|gA| <= ||g||_inf |A|``, the letter's
+    growth, which is at most ``6 |g|``, and replaced by the exact entry
+    maximum only when it passes the limit; the test is then made again.  It
+    never falls below the exact maximum, so the cut points are those of
+    testing the exact maximum after every letter.  A letter with no int64
+    array in the table's ``_letters`` has ``6 |g| >= 2^62``: its limit is 0,
+    so it trips.
     """
     letters = table._letters
     acc = np.eye(6, dtype=np.int64)
     bound = 1
     for i in range(start, len(w)):
         g = w[i]
-        _, gm, gmax = letters[g.kind, g.sign]
-        if 6 * bound * gmax >= 2**62:
+        _, gm, limit, growth = letters[g.kind, g.sign]
+        if bound > limit:
             bound = int(np.abs(acc).max())
-            if 6 * bound * gmax >= 2**62:
+            if bound > limit:
                 return acc, i
-        acc = gm @ acc
-        bound *= 6 * gmax
+        acc = gm.dot(acc)
+        bound *= growth
     return acc, len(w)
 
 

@@ -350,6 +350,41 @@ class TestMissingTableDirectory:
         assert err.startswith(f"error: cannot write table {path}")
 
 
+class TestExportRefusals:
+    @staticmethod
+    def export_without_building(path, capsys, monkeypatch):
+        def no_build(resolution):
+            raise AssertionError("the surface was built for an unwritable export path")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", no_build)
+        return run_cli(["--resolution", "128", "mesh", "export", str(path)], capsys)
+
+    def test_directory_path_is_refused_before_the_build(self, tmp_path, capsys, monkeypatch):
+        code, out, err = self.export_without_building(tmp_path, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+
+    def test_missing_directory_is_refused_before_the_build(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "missing" / "s.off"
+        code, out, err = self.export_without_building(path, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: no directory {tmp_path / 'missing'}\n"
+
+    def test_unwritable_existing_file_is_refused_before_the_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # os.access grants root everything, so the denial is patched in; an
+        # existing path is probed itself, not its directory
+        path = tmp_path / "s.off"
+        path.write_text("")
+        probed = []
+        monkeypatch.setattr("os.access", lambda p, mode: probed.append(p) or False)
+        code, out, err = self.export_without_building(path, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: it is not writable\n"
+        assert probed == [str(path)]
+
+
 class TestMeshCurvesBytes:
     @pytest.mark.parametrize(
         "n, digest",

@@ -523,6 +523,55 @@ class TestHugeTableEntries:
         assert word_image6(parse_word("t"), table)[0][3] == entry
 
 
+def row_sum_norm(m):
+    return max(sum(abs(x) for x in row) for row in m)
+
+
+class TestLetterLimitAndGrowth:
+    """Each letter's stored admission limit and growth, against the rules they state."""
+
+    def test_growth_is_attained_on_the_heaviest_row(self, table32):
+        # A = M * sign(g[r][k]) in every column, r the heaviest row of g: row r of
+        # g A is M times that row's sum in every column, so |g A| = ||g||_inf * M
+        big = 10**30
+        for g in FULL:
+            m, (_, _, _, growth) = table32.image(g), table32._letters[g.kind, g.sign]
+            r = max(range(6), key=lambda i: sum(abs(x) for x in m[i]))
+            a = tuple(tuple(big * (-1 if m[r][k] < 0 else 1) for _ in range(6)) for k in range(6))
+            assert entry_max(mat_mul(m, a)) == growth * big, g
+
+    def test_growth_bounds_random_products(self, table32):
+        rng = random.Random(42)
+        for g in FULL:
+            m, (_, _, _, growth) = table32.image(g), table32._letters[g.kind, g.sign]
+            assert growth <= 6 * entry_max(m)
+            for _ in range(25):
+                size = rng.choice((1, 7, 2**40, 2**70))
+                a = tuple(tuple(rng.randint(-size, size) for _ in range(6)) for _ in range(6))
+                assert entry_max(mat_mul(m, a)) <= growth * entry_max(a), g
+
+    def test_limit_is_the_largest_admitted_entry(self, table32):
+        for g in FULL:
+            gmax, (_, _, limit, _) = entry_max(table32.image(g)), table32._letters[g.kind, g.sign]
+            assert 6 * limit * gmax < 2**62 <= 6 * (limit + 1) * gmax, g
+
+    # -2^63 fits int64, but numpy's abs of it wraps to -2^63
+    @pytest.mark.parametrize("entry", [2**61, -2**63, 2**64], ids=["2^61", "-2^63", "2^64"])
+    def test_huge_letters_have_limit_zero_and_no_array(self, entry, table32):
+        table = huge_twist_table(table32, entry)
+        for g in FULL:
+            m, arr, limit, growth = table._letters[g.kind, g.sign]
+            assert type(limit) is int and type(growth) is int
+            assert (limit == 0) == (arr is None), g
+            assert limit == (2**62 - 1) // (6 * entry_max(m))
+            assert growth == row_sum_norm(m)
+        for sign in (1, -1):
+            _, arr, limit, growth = table._letters["t", sign]
+            assert (arr, limit, growth) == (None, 0, abs(entry) + 1)
+            assert _int64_segment((G("t", sign),), table, 0)[1] == 0
+            assert _int64_segment((G("a12"), G("t", sign)), table, 0)[1] == 1
+
+
 _letters6 = st.sampled_from(FULL).map(lambda g: (g,))
 # (a12 a21)^k with k >= 20 has entries past 2^27, so a concatenation of a
 # few blocks crosses at least one int64 segment cut
