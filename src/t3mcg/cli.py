@@ -29,7 +29,7 @@ from .mesh.curves import TUBE_RADIUS, DegeneracyError, TransversalityError
 from .mesh.curves import plane_section
 from .mesh.homology import CurveRef, build_homology, crossings
 from .mesh.surface import MAX_RESOLUTION
-from .rep6 import GeneratorTable6, HandednessError, derive_table, word_image6
+from .rep6 import INPUT_LIMIT, GeneratorTable6, HandednessError, derive_table, word_image6
 from .verifier import run_suite
 
 
@@ -142,7 +142,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    text = sys.stdin.read() if args.matrix == "-" else args.matrix
+    text = args.matrix
+    if text == "-":  # an argument is already held whole; stdin may never end
+        text = sys.stdin.read(INPUT_LIMIT + 1)
+        if len(text) > INPUT_LIMIT:
+            raise UsageError(f"cannot read stdin: it is longer than {INPUT_LIMIT} characters")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting, too many digits

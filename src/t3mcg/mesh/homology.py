@@ -10,7 +10,8 @@ produces the canonical basis (a_1..a_3, b_1..b_3) with form [[0,I],[-I,0]],
 p(a_i) = 0 and p(b_i) = e_i.  A closed loop's class is read off its exact
 crossing numbers with the generators: ``±displacement`` with the sections and
 three walks against the longitudes; the matrix helpers are ``rep3``'s, and no
-matrix is inverted.
+matrix is inverted.  The Gram walks themselves orient the A-side sections, and a
+loop crosses its own section nowhere, so the diagonal of ``G`` is not walked.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ def crossings(walker: CurveRef, target: CurveRef) -> tuple:
 
 
 def intersection_number(h: HomologyData, c1: CurveRef, c2: CurveRef):
-    """(algebraic, geometric) crossing counts of two curves on the mesh."""
-    if c1.curves is c2.curves and c1.index == c2.index:
-        return 0, 0
+    """(algebraic, geometric) crossing counts of two curves on the mesh.  Walked against its
+    own section, a loop reads 0 at both ends of every step, and zero counts negative: (0, 0)."""
     return crossings(c1, c2)
 
 
@@ -204,7 +204,8 @@ def tube_twist(h: HomologyData, tube: SlicedCurves, pattern: str):
 def build_homology(mesh: TriMesh) -> HomologyData:
     """Distinguished curves, canonical basis and exact intersection data.  The basis
     change is ``B = [[I, Y], [0, I]]``, so the one check ``B^T G B = J`` of the crossing
-    Gram matrix ``G`` holds exactly when ``G = [[0, I], [-I, Y - Y^T]]``."""
+    Gram matrix ``G`` holds exactly when ``G = [[0, I], [-I, Y - Y^T]]``.  Its 30
+    off-diagonal walks also orient the A-side sections, so that ``<a_i, T_i> = +1``."""
     sections_a = []
     sections_b = []
     for axis in (1, 2, 3):
@@ -230,20 +231,16 @@ def build_homology(mesh: TriMesh) -> HomologyData:
         tubes.append(tube)
         longitudes.append(CurveRef(tube, 0))
 
-    # Orient the A-side plane sections so they pair +1 with their longitude.
-    for i, (ref, longitude) in enumerate(zip(sections_a, longitudes)):
-        d, _ = crossings(longitude, ref)
-        if d not in (1, -1):
-            raise DegeneracyError(
-                f"winding pairing of longitude {i + 1} with its plane section is {d}"
-            )
-        # <section, longitude> = -<longitude, section> must equal +1
-        ref.loop.orientation_sign = -d
-
+    # The 30 walks run with the A-side sections unoriented.  A walk's count is linear in
+    # the walker's sign and the target's, so orienting a_i by s_i = -<T_i, a_i> scales row
+    # and column i of G by s_i.  The oriented G[T_i][a_i] = -<T_i, a_i>^2 is -1 only when
+    # that walk reads +-1, so B^T G B = J below refuses any other count.
     generators = list(sections_a) + list(longitudes)
-    gram = tuple(
-        tuple(0 if g1 is g2 else crossings(g1, g2)[0] for g2 in generators) for g1 in generators
-    )
+    walked = [[0 if g1 is g2 else crossings(g1, g2)[0] for g2 in generators] for g1 in generators]
+    signs = [-walked[3 + i][i] for i in range(3)] + [1, 1, 1]
+    for ref, s in zip(sections_a, signs):
+        ref.loop.orientation_sign = s
+    gram = tuple(tuple(signs[r] * signs[c] * walked[r][c] for c in range(6)) for r in range(6))
 
     # b_i = T_i + sum_{j<i} (-w_ij) a_j, with w_ij = gram[3 + i][3 + j], symplectically
     # reduces the longitudes: column 3 + i of the basis change holds -w_ij in row j < i

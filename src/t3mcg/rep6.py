@@ -181,6 +181,9 @@ def solve_shear6(r_block) -> ShearSolution:
 # ---------------------------------------------------------------------------
 
 TWIST_PATTERNS = ("all_plus", "alternating")  # the handedness candidates
+# characters read of a table file or a matrix on stdin; a table is 4.4 KB at every
+# resolution, and a longer input, such as an endless device, is refused unread
+INPUT_LIMIT = 1 << 20
 
 
 def _str_map(value, value_type) -> bool:
@@ -300,7 +303,10 @@ class GeneratorTable6:
     @classmethod
     def load(cls, path: str) -> "GeneratorTable6":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            text = fh.read(INPUT_LIMIT + 1)
+        if len(text) > INPUT_LIMIT:
+            raise ValueError(f"the file is longer than {INPUT_LIMIT} characters")
+        return cls.from_json(json.loads(text))
 
 
 class HandednessError(RuntimeError):

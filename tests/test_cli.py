@@ -8,7 +8,7 @@ import pytest
 from t3mcg.cli import main
 from t3mcg.mesh import SampleOnSurfaceError
 from t3mcg.mesh.curves import DegeneracyError, TransversalityError
-from t3mcg.rep6 import HandednessError
+from t3mcg.rep6 import INPUT_LIMIT, HandednessError
 
 
 def run_cli(argv, capsys):
@@ -759,3 +759,80 @@ class TestTextOutput:
             _, *rows, note = block.split("\n")
             assert len(rows) == 6 and all(len(row.split()) == 6 for row in rows)
             assert note.startswith("  (") and note.endswith(")")
+
+
+class TestInputBound:
+    # a table file or a stdin matrix is read to INPUT_LIMIT characters and one more, so
+    # an endless input is refused without being held whole
+    @staticmethod
+    def long_table(tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(" " * (INPUT_LIMIT + 1))
+        return path
+
+    def test_table_show_refuses_a_long_file(self, tmp_path, capsys):
+        path = self.long_table(tmp_path)
+        code, out, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read table {path}: "
+            f"the file is longer than {INPUT_LIMIT} characters\n"
+        )
+
+    def test_verify_refuses_a_long_file_before_the_build(self, tmp_path, capsys, monkeypatch):
+        def no_build(resolution):
+            raise AssertionError("the surface was built for an unreadable table")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", no_build)
+        path = self.long_table(tmp_path)
+        code, out, err = run_cli(["--resolution", "8", "--table", str(path), "verify"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read table {path}: ") and err.count("\n") == 1
+        assert f"longer than {INPUT_LIMIT} characters" in err
+
+    def test_a_file_at_the_bound_is_read(self, tmp_path, capsys):
+        # one character less is parsed, and refused only as no table
+        path = tmp_path / "spaces.json"
+        path.write_text("3" + " " * (INPUT_LIMIT - 1))
+        code, _, err = run_cli(["--table", str(path), "table", "show"], capsys)
+        assert code == 2 and "longer than" not in err and err.count("\n") == 1
+
+    def test_decompose_refuses_a_long_stdin(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(" " * (INPUT_LIMIT + 1)))
+        code, out, err = run_cli(["decompose", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read stdin: it is longer than {INPUT_LIMIT} characters\n"
+
+    def test_decompose_reads_a_stdin_at_the_bound(self, capsys, monkeypatch):
+        import io
+
+        text = "[[1,2,0],[0,1,0],[0,0,1]]"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.ljust(INPUT_LIMIT)))
+        code, out, _ = run_cli(["decompose", "-"], capsys)
+        assert code == 0 and "a21" in out
+
+
+class TestExportWrites:
+    def test_text_output_is_one_wrote_line(self, tmp_path, capsys):
+        path = tmp_path / "m.off"
+        code, out, err = run_cli(["--resolution", "8", "mesh", "export", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 and out.startswith(f"wrote {path}: {{")
+        assert "'closed': True" in out and "'euler_characteristic': -4" in out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_is_refused_at_write_time(self, capsys):
+        # check_writable passes the writable device; the write itself fails with ENOSPC
+        code, out, err = run_cli(["--resolution", "8", "mesh", "export", "/dev/full"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+        assert "No space left on device" in err
+
+
+def test_decompose_refuses_a_failed_round_trip(capsys, monkeypatch):
+    monkeypatch.setattr("t3mcg.rep3.decompose_sl3", lambda m: ())
+    code, out, err = run_cli(["decompose", "[[1,1,0],[0,1,0],[0,0,1]]"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: decomposition failed its own round-trip\n"

@@ -1306,3 +1306,30 @@ def test_chain_equals_the_per_loop_walk(request, mesh_name):
             assert loop_rows(got.loops) == loop_rows(want.loops)
             assert all(type(x) is int for loop in got.loops for x in loop.displacement)
             assert all(type(k) is int and type(v) is int for k, v in got.tri_loop.items())
+
+
+class TestRefusals:
+    def test_cutting_along_a_plane_section_is_refused(self, mesh16):
+        with pytest.raises(ValueError, match="^cutting needs a pointwise field$"):
+            cut_along(mesh16, plane_section(mesh16, 1, HALF))
+
+    def test_cutting_an_open_mesh_is_refused(self, mesh16):
+        import dataclasses
+
+        tube = tube_section(mesh16, 3, (HALF, Fraction(0)))
+        open_mesh = dataclasses.replace(mesh16, triangles=mesh16.triangles[1:],
+                                        cell_array=mesh16.cell_array[1:])
+        with pytest.raises(ValueError, match="^mesh is not closed$"):
+            cut_along(open_mesh, tube)
+
+    def test_an_unsliced_triangle_has_no_segment(self, mesh16):
+        sec = plane_section(mesh16, 1, HALF)
+        sliced = set(sec.segments.tri.tolist())
+        tri = next(t for t in range(len(mesh16.triangles)) if t not in sliced)
+        with pytest.raises(KeyError) as info:
+            sec.tri_segments[tri]
+        assert info.value.args == (tri,)
+        past = len(mesh16.triangles)  # past the last sliced triangle
+        with pytest.raises(KeyError) as info:
+            sec.tri_segments[past]
+        assert info.value.args == (past,)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from t3mcg.mesh.curves import DegeneracyError
 from t3mcg.mesh.homology import (
     CANONICAL_J,
     CurveRef,
@@ -309,7 +312,7 @@ class TestSeededClasses:
 
     @pytest.mark.parametrize("mesh_name", ["mesh16", "mesh32"])
     def test_build_walk_count(self, mesh_name, request, monkeypatch):
-        # 3 orient the A-side sections, 30 fill the Gram matrix and 9 give the
+        # the 30 Gram walks also orient the A-side sections, and 9 give the
         # three B-side section classes: each walks the three longitudes
         import t3mcg.mesh.homology as homology
 
@@ -323,7 +326,7 @@ class TestSeededClasses:
 
         monkeypatch.setattr(homology, "walk_pairing", counted)
         homology.build_homology(mesh)
-        assert len(walks) == 42
+        assert len(walks) == 39
 
 
 class TestPairHelpers:
@@ -389,10 +392,62 @@ class TestGramRefusal:
         def perturbed(walker, target):
             alg, geo = original(walker, target)
             calls.append((walker, target))
-            # the first 3 walks orient the A-side sections; the next 30 fill G
-            return (alg + 1, geo) if len(calls) == 4 + position else (alg, geo)
+            # the 30 walks fill G, and the (T_i, a_i) ones also orient a_i
+            return (alg + 1, geo) if len(calls) == 1 + position else (alg, geo)
 
         monkeypatch.setattr(homology, "crossings", perturbed)
         with pytest.raises(DegeneracyError, match="symplectic reduction failed"):
             homology.build_homology(mesh8)
-        assert len(calls) == 33
+        assert len(calls) == 30
+
+
+class TestBuildRefusals:
+    @staticmethod
+    def build_with_sections(mesh, monkeypatch, change):
+        import t3mcg.mesh.homology as homology
+
+        original = homology.plane_section
+        monkeypatch.setattr(
+            homology, "plane_section", lambda m, axis, level: change(original(m, axis, level))
+        )
+        return homology.build_homology(mesh)
+
+    def test_a_two_component_section_is_refused(self, mesh8, monkeypatch):
+        with pytest.raises(DegeneracyError, match=r"^plane section x1=1/2 has 2 components, "
+                                                  r"expected 1$"):
+            self.build_with_sections(mesh8, monkeypatch, lambda s: replace(s, loops=s.loops * 2))
+
+    def test_a_winding_section_is_refused(self, mesh8, monkeypatch):
+        def winding(sec):
+            return replace(sec, loops=[replace(sec.loops[0], displacement=(1, 0, 0))])
+
+        with pytest.raises(DegeneracyError, match="^plane section x1=1/2 has nonzero displacement$"):
+            self.build_with_sections(mesh8, monkeypatch, winding)
+
+    def test_b_side_classes_that_do_not_span_are_refused(self, mesh8, monkeypatch):
+        import t3mcg.mesh.homology as homology
+
+        zero = ((0,) * 6,) * 3
+        monkeypatch.setattr(homology.HomologyData, "disk_b_classes", property(lambda h: zero))
+        with pytest.raises(DegeneracyError, match=r"^B-side disk classes do not span the "
+                                                  r"meridian lattice: \(\(0, 0, 0, 0, 0, 0\),"):
+            homology.build_homology(mesh8)
+
+    def test_an_unknown_pattern_is_refused(self, homology16):
+        with pytest.raises(ValueError, match="^unknown pattern 'twisted'$"):
+            tube_pattern(homology16, homology16.tubes[2], "twisted")
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+def test_a_loop_crosses_its_own_section_nowhere(mesh_name, request):
+    # the walk itself, with no self-pair shortcut: the six plane sections, the four
+    # loops of each homology tube and the four of the (1,3) pair tube
+    from t3mcg.mesh.homology import build_homology, crossings, pair_tube
+
+    mesh = request.getfixturevalue(mesh_name)
+    h = build_homology(mesh)
+    refs = list(h.disk_sections_a) + list(h.disk_sections_b)
+    for tube in list(h.tubes) + [pair_tube(mesh, 1, 3)]:
+        refs += [CurveRef(tube, i) for i in range(len(tube.loops))]
+    assert len(refs) == 22
+    assert [crossings(ref, ref) for ref in refs] == [(0, 0)] * 22

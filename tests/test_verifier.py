@@ -180,3 +180,48 @@ def test_check_names_match_the_benchmark_trace():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tuple(name for name, _, _ in CHECKS) == tracing.SUITE_CHECKS
+
+
+class TestFailureWitnesses:
+    # each patch makes one check fail on a working model; its witness is pinned,
+    # and the other nine checks keep their pass
+    @staticmethod
+    def failures(table, h):
+        report = run_suite(table, h, seed=0)
+        assert [c["name"] for c in report.checks] == EXPECTED_CHECKS
+        return {c["name"]: c["witness"] for c in report.checks if c["status"] == "fail"}
+
+    def test_a_wrong_section_count_is_its_pair(self, homology32, table32, monkeypatch):
+        import t3mcg.verifier as verifier
+
+        h, original = homology32, verifier.intersection_number
+
+        def misread(hd, c1, c2):
+            if c1 is h.disk_sections_a[0] and c2 is h.disk_sections_b[1]:
+                return 1, 2
+            return original(hd, c1, c2)
+
+        monkeypatch.setattr(verifier, "intersection_number", misread)
+        assert self.failures(table32, h) == {
+            "mesh_facts": [{"pair": "A1,B2", "algebraic": 1, "geometric": 2}]
+        }
+
+    def test_a_one_piece_cut_is_its_pieces(self, homology32, table32, monkeypatch):
+        from t3mcg.mesh.curves import cut_along
+
+        piece = cut_along(homology32.mesh, homology32.tubes[2])[:1]
+        monkeypatch.setattr("t3mcg.verifier.cut_along", lambda mesh, curves: piece)
+        assert self.failures(table32, homology32) == {"mesh_facts": [{"cut_pieces": piece}]}
+
+    def test_a_failed_round_trip_names_three_words(self, homology32, table32, monkeypatch):
+        from t3mcg.rep3 import IDENTITY3, word_image3
+        from t3mcg.words import parse_word
+
+        monkeypatch.setattr("t3mcg.verifier.decompose_sl3", lambda m: ())
+        failed = self.failures(table32, homology32)
+        assert list(failed) == ["decomposition_roundtrip"]
+        bad = failed["decomposition_roundtrip"]
+        assert len(bad) == 3 and all(sorted(b) == ["index", "word"] for b in bad)
+        indices = [b["index"] for b in bad]
+        assert indices == sorted(set(indices)) and 0 <= indices[0] and indices[-1] < 1000
+        assert all(word_image3(parse_word(b["word"])) != IDENTITY3 for b in bad)

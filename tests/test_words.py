@@ -200,3 +200,17 @@ class TestTokenTable:
         got = {m.kind: expand_macro(m) for m in macros}
         assert not inverted
         assert got == expected
+
+
+class TestLetterRefusals:
+    @pytest.mark.parametrize("cls, name", [(Generator, "generator"), (Macro, "macro")])
+    def test_unknown_kind(self, cls, name):
+        with pytest.raises(ValueError, match=f"^unknown {name} kind 'x12'$"):
+            cls("x12", 1)
+
+    @pytest.mark.parametrize("cls, kind, name", [(Generator, "a12", "generator"),
+                                                 (Macro, "t12", "macro")])
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_one(self, cls, kind, name, sign):
+        with pytest.raises(ValueError, match=f"^{name} sign must be \\+1 or -1, got {sign}$"):
+            cls(kind, sign)
