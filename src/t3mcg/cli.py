@@ -78,16 +78,18 @@ def write_table(table: GeneratorTable6, path: str):
 def check_writable(path: str, kind: str = ""):
     """Refuse a path that cannot be written before any work is spent on it.  A path
     that exists is tested itself, so a writable file or device passes; a new one is
-    tested by its directory.  ``kind`` names the file in the message, as in
-    ``cannot write table t.json``."""
+    tested by its directory.  Symbolic links are resolved first, so a link whose
+    target's directory is missing is refused too.  ``kind`` names the file in the
+    message, as in ``cannot write table t.json``."""
     lead = f"cannot write {kind} {path}" if kind else f"cannot write {path}"
-    directory = os.path.dirname(path) or "."
+    real = os.path.realpath(path)
+    directory = os.path.dirname(real)
     if not os.path.isdir(directory):
         raise UsageError(f"{lead}: no directory {directory}")
-    if os.path.isdir(path):
+    if os.path.isdir(real):
         raise UsageError(f"{lead}: it is a directory")
-    if os.path.exists(path):
-        if not os.access(path, os.W_OK):
+    if os.path.exists(real):
+        if not os.access(real, os.W_OK):
             raise UsageError(f"{lead}: it is not writable")
     elif not os.access(directory, os.W_OK):
         raise UsageError(f"{lead}: directory {directory} is not writable")

@@ -21,14 +21,14 @@ a row is read.  Chaining steps across edges through the mesh's edge table
 its crossing point; only the walk along the successor map runs in Python
 ints.  A walk finds its steps in the target's candidate set by
 ``np.searchsorted`` and gathers their rows of ``walk_values``; the sign at
-each end is that of one integer (``_interpolant``), and a crossing on a
-target vertex is attributed through an index of the segment points on
-vertices.
+each end is that of one integer (``_interpolant``).
 
 Sign conventions, fixed once:
-  * slicing treats a zero vertex value as positive;
-  * a walk along a curve treats a zero field value as negative (this is the
-    symbolic perturbation that resolves shared points and shared segments);
+  * slicing, walking and cutting read an exact zero field value as positive,
+    one symbolic perturbation (Edelsbrunner & Mücke, "Simulation of
+    simplicity", 1990) for shared points and shared segments.  A step whose
+    ends differ in sign then lies in a triangle with a corner below zero and
+    one at or above it, which slicing slices, so every crossing is on a loop;
   * each segment is directed from the edge whose values pass + -> - (in the
     triangle's boundary order) to the edge passing - -> +, which keeps the
     field-positive side on the left of the curve.
@@ -40,7 +40,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -306,17 +306,6 @@ class SlicedCurves:
     def tri_segments(self) -> Mapping:
         return _SegmentMap(self.segments)
 
-    @cached_property
-    def _vertex_loops(self) -> dict:
-        """Vertex -> ids of the loops with a segment point on it (t = 0 or 1)."""
-        seg, index = self.segments, {}
-        p, q = seg.ends[:, :, 2], seg.ends[:, :, 3]
-        rows, end = np.nonzero((p == 0) | (p == q))
-        verts = seg.ends[rows, end, (p[rows, end] != 0).astype(int)]
-        for tri, v in zip(seg.tri[rows].tolist(), verts.tolist()):
-            index.setdefault(v, set()).add(self.tri_loop[tri])
-        return index
-
 
 def crossing_parameters(na, da, nb, db) -> tuple:
     """``t = f_a / (f_a - f_b)`` for ``f_a = na/da``, ``f_b = nb/db`` of opposite
@@ -419,7 +408,8 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
     """Signed and unsigned crossings of a directed path with target loops.
 
     Returns {loop_index: [algebraic, geometric]}.  A zero field value along
-    the walk counts as negative, which is the fixed symbolic perturbation.
+    the walk counts as positive, as in slicing, so a step that changes sign
+    lies in a sliced triangle and ``tri_loop`` names the loop it crosses.
     Event signs are +1 when the target field changes - to + along the walk;
     combined with the slicing orientation this realizes an antisymmetric
     pairing on curves.
@@ -445,13 +435,7 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
         s_out = _edge_sign(vals, verts, pt_out)
         if s_in == s_out:
             continue
-        li = target.tri_loop.get(tri)
-        if li is None:
-            # The crossing sits exactly on a mesh vertex of the target curve
-            # (both fields vanish there); the perturbed curve is crossed in a
-            # neighboring triangle's closure, so attribute the event to the
-            # loop through that vertex.
-            li = _loop_through_zero_vertex(target, vals, verts, (pt_in, pt_out))
+        li = target.tri_loop[tri]
         rec = out.setdefault(li, [0, 0])
         direction = 1 if s_out > 0 else -1
         rec[0] += direction * walker_sign * target.loops[li].orientation_sign
@@ -460,7 +444,7 @@ def walk_pairing(path_steps: Steps, walker_sign: int, target: SlicedCurves):
 
 
 def _edge_sign(vals, verts, pt) -> int:
-    """Sign of the PL interpolant at an edge point ``(va, vb, p, q)``, zero counting negative.
+    """Sign of the PL interpolant at an edge point ``(va, vb, p, q)``, zero counting positive.
 
     Ends of one strict sign decide it without the interpolant: for ``t = p/q``
     in [0, 1] it is a convex combination of them.  Otherwise it is the sign of
@@ -472,37 +456,13 @@ def _edge_sign(vals, verts, pt) -> int:
         return 1
     if fa < 0 and fb < 0:
         return -1
-    return 1 if _interpolant(fa, fb, p, q) > 0 else -1
+    return 1 if _interpolant(fa, fb, p, q) >= 0 else -1
 
 
 def _interpolant(fa, fb, p, q):
     """``fa + t*(fb - fa)`` times ``q > 0`` for ``t = p/q``: the integer
     ``(q - p)*fa + p*fb`` for integer ``fa`` and ``fb``."""
     return (q - p) * fa + p * fb
-
-
-def _loop_through_zero_vertex(target: SlicedCurves, vals, verts, points):
-    """The one target loop through a vertex where an edge point's value vanishes.
-
-    ``vals`` are the target field's values at the corners ``verts`` of the
-    triangle holding the edge points ``(va, vb, p, q)``.
-    """
-    zero_verts = set()
-    for va, vb, p, q in points:
-        fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-        if _interpolant(fa, fb, p, q) != 0:
-            continue
-        for v, f in ((va, fa), (vb, fb)):
-            if f == 0:
-                zero_verts.add(v)
-    loop_ids = set()
-    for v in zero_verts:
-        loop_ids |= target._vertex_loops.get(v, set())
-    if len(loop_ids) != 1:
-        raise DegeneracyError(
-            f"cannot attribute a vertex crossing to a unique loop: {sorted(loop_ids)}"
-        )
-    return loop_ids.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ produces the canonical basis (a_1..a_3, b_1..b_3) with form [[0,I],[-I,0]],
 p(a_i) = 0 and p(b_i) = e_i.  A closed loop's class is read off its exact
 crossing numbers with the generators: ``±displacement`` with the sections and
 three walks against the longitudes; the matrix helpers are ``rep3``'s, and no
-matrix is inverted.  The Gram walks themselves orient the A-side sections, and a
-loop crosses its own section nowhere, so the diagonal of ``G`` is not walked.
+matrix is inverted.  The Gram walks themselves orient the A-side sections.  A loop
+crosses its own section nowhere, because every step end reads 0 there and a walk
+counts 0 positive, so the diagonal of ``G`` is not walked.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ def crossings(walker: CurveRef, target: CurveRef) -> tuple:
     loop = walker.loop
     res = walk_pairing(loop.steps, loop.orientation_sign, target.curves)
     return tuple(res.get(target.index, (0, 0)))
-
-
-def intersection_number(h: HomologyData, c1: CurveRef, c2: CurveRef):
-    """(algebraic, geometric) crossing counts of two curves on the mesh.  Walked against its
-    own section, a loop reads 0 at both ends of every step, and zero counts negative: (0, 0)."""
-    return crossings(c1, c2)
 
 
 def twist_matrix(h: HomologyData, loops):
@@ -266,7 +261,8 @@ def build_homology(mesh: TriMesh) -> HomologyData:
         tube_radius=TUBE_RADIUS,
     )
     # Row i of G is generator i's walk against each generator, so its crossing
-    # vector is -G[i]: a generator walked against its own section crosses nothing.
+    # vector is -G[i]: walked against its own section, a generator reads 0 at every
+    # step end, which counts positive, so it crosses nothing.
     for ref, row in zip(generators, gram):
         h._memo[ref.loop] = h.class_of_crossings([-x for x in row])
 

@@ -20,7 +20,7 @@ from functools import partial
 from .words import AXIS_PAIRS, BASE_TOKENS, SHEAR_TOKENS, Generator, Macro, Word
 from .words import expand_macro, render
 from .rep3 import IDENTITY3, decompose_sl3, is_kernel3, mat_mul, word_image3
-from .mesh.homology import HomologyData, PROJECTION, intersection_number, winding_signs
+from .mesh.homology import HomologyData, PROJECTION, crossings, winding_signs
 from .mesh.curves import cut_along
 from .rep6 import GeneratorTable6, IDENTITY6, intertwines, resolve_handedness, word_image6
 
@@ -164,7 +164,7 @@ def check_mesh_facts(table, h, seed):
     names = [f"A{i}" for i in (1, 2, 3)] + [f"B{i}" for i in (1, 2, 3)]
     for x in range(6):
         for y in range(x + 1, 6):
-            alg, geo = intersection_number(h, refs[x], refs[y])
+            alg, geo = crossings(refs[x], refs[y])
             same_family = (x < 3) == (y < 3)
             expect_geo = 0 if same_family or (x % 3 == y % 3) else 2
             if alg != 0 or geo != expect_geo:

@@ -349,6 +349,18 @@ class TestMissingTableDirectory:
         assert out == ""
         assert err.startswith(f"error: cannot write table {path}")
 
+    def test_a_link_into_a_missing_directory_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the link's own directory is writable; its target's is missing
+        def derive(resolution):
+            raise AssertionError("the surface was built for an unwritable table")
+
+        monkeypatch.setattr("t3mcg.cli.build_surface", derive)
+        link = tmp_path / "t.json"
+        link.symlink_to(tmp_path / "missing" / "t.json")
+        code, out, err = run_cli(["--resolution", "64", "--table", str(link), "table", "derive"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write table {link}: no directory {tmp_path / 'missing'}\n"
+
 
 class TestExportRefusals:
     @staticmethod

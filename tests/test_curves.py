@@ -267,14 +267,14 @@ class TestEdgeSign:
         fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
         exact = fa + t * (fb - fa)
         pt = (va, vb, t.numerator, t.denominator)
-        assert _edge_sign(vals, verts, pt) == (1 if exact > 0 else -1)
+        assert _edge_sign(vals, verts, pt) == (1 if exact >= 0 else -1)
 
     @settings(max_examples=300, deadline=None)
     @given(_big_values, _big_values, _fine_params)
     def test_sign_at_the_probe_radius_scale(self, fa, fb, t):
         exact = fa + t * (fb - fa)
         p, q = t.numerator, t.denominator
-        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or -1)
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or 1)
         assert sign(_interpolant(fa, fb, p, q)) == sign(exact)
 
     @settings(max_examples=300, deadline=None)
@@ -287,7 +287,7 @@ class TestEdgeSign:
         t = min(max(fa / (fa - fb) + Fraction(shift, 2**40), Fraction(0)), Fraction(1))
         exact = fa + t * (fb - fa)
         p, q = t.numerator, t.denominator
-        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or -1)
+        assert _edge_sign((fa, fb, Fraction(1)), (10, 20, 30), (10, 20, p, q)) == sign(exact or 1)
         assert sign(_interpolant(fa, fb, p, q)) == sign(exact)
         if shift == 0:
             assert _interpolant(fa, fb, p, q) == 0
@@ -553,8 +553,8 @@ def test_walk_set_holds_every_triangle_without_one_strict_sign(request, mesh_nam
 
 
 def test_box_end_tube_walks_zero_corners_that_slicing_skips(mesh16):
-    # columns whose box only touches the tube hold zero corners, which
-    # slicing counts positive but a walk reads as negative
+    # columns whose box only touches the tube hold zero corners; slicing and
+    # walking count them positive, so these triangles hold no segment
     fld = BOX_END_TUBE.values[0]()
     sec = slice_field(mesh16, fld)
     touching = set(sec.walk_values[0].tolist()) - set(sec.segments.tri.tolist())
@@ -762,10 +762,11 @@ def assert_kernel_bound(mesh, fld, past):
     assert past or peak < 2**63
 
 
-def reference_sign(vals, verts, pt):
+def reference_sign(vals, verts, pt, zero):
     va, vb, t = pt
     fa, fb = vals[verts.index(va)], vals[verts.index(vb)]
-    return 1 if fa + t * (fb - fa) > 0 else -1
+    value = fa + t * (fb - fa)
+    return zero if value == 0 else 1 if value > 0 else -1
 
 
 def reference_zero_vertices(vals, verts, points):
@@ -790,26 +791,31 @@ def reference_vertex_loop(target, zero_verts):
     return loop_ids.pop()
 
 
-def reference_walk(steps, walker_sign, target, vertex_events):
-    # reads the target's values at every step; records each vertex crossing's
-    # vanishing vertices in ``vertex_events``
+def reference_walk(steps, walker_sign, target, events, zero=1):
+    # reads the target's values at every step, an exact zero as ``zero``, and
+    # records each crossing's triangle in ``events``; read as -1, a zero can put
+    # a crossing in an unsliced triangle, attributed through its vanishing vertices
     out = {}
     tris = [tri for tri, _, _ in steps]
     values = kernel_values(*target.field.corner_ratios(target.mesh, tris))
     for (tri, pt_in, pt_out), vals in zip(steps, values, strict=True):
         verts = target.mesh.triangles[tri].tolist()
-        s_in, s_out = reference_sign(vals, verts, pt_in), reference_sign(vals, verts, pt_out)
+        s_in, s_out = (reference_sign(vals, verts, pt, zero) for pt in (pt_in, pt_out))
         if s_in == s_out:
             continue
+        events.append(tri)
         li = target.tri_loop.get(tri)
         if li is None:
             zero_verts = reference_zero_vertices(vals, verts, (pt_in, pt_out))
-            vertex_events.append(zero_verts)
             li = reference_vertex_loop(target, zero_verts)
         rec = out.setdefault(li, [0, 0])
         rec[0] += (1 if s_out > 0 else -1) * walker_sign * target.loops[li].orientation_sign
         rec[1] += 1
     return out
+
+
+def algebraic(counts):
+    return {li: alg for li, (alg, _) in counts.items() if alg}
 
 
 def walk_outcome(walk, *args):
@@ -854,14 +860,31 @@ class TestWalkPairingEquivalence:
     def test_walk_equals_walk_over_every_step(self, walked_sections, mesh_name, target_index):
         sections = walked_sections(mesh_name)
         target = sections[target_index]
-        vertex_events = []
+        events = []
         for walker in sections:
             for loop in walker.loops:
                 args = (walk_steps(loop), loop.orientation_sign, target)
-                expected = walk_outcome(reference_walk, *args, vertex_events)
+                expected = walk_outcome(reference_walk, *args, events)
                 assert walk_outcome(walk_pairing, *args) == expected
-        if isinstance(target.field, TubeField) and target.field.radius == Fraction(1, 4):
-            assert vertex_events  # the zero corners send crossings through a vertex
+        assert set(events) <= target.tri_loop.keys()  # every crossing is in a sliced triangle
+
+    @pytest.mark.parametrize("mesh_name", ["mesh8", "mesh16", "mesh32"])
+    @pytest.mark.parametrize("target_index", range(len(WALKED_FIELDS)), ids=WALKED_IDS)
+    def test_walk_equals_the_zero_negative_walk(self, walked_sections, mesh_name, target_index):
+        # a walk that reads a zero as -1, as walks once did, gives the same outcomes
+        # off the critical radius 1/4; there it may refuse or count other
+        # crossings, but wherever it counts its algebraic counts are the same
+        sections = walked_sections(mesh_name)
+        target = sections[target_index]
+        critical = isinstance(target.field, TubeField) and target.field.radius == Fraction(1, 4)
+        for walker in sections:
+            for loop in walker.loops:
+                args = (walk_steps(loop), loop.orientation_sign, target)
+                got, old = walk_pairing(*args), walk_outcome(reference_walk, *args, [], -1)
+                if not critical:
+                    assert got == old
+                elif old is not DegeneracyError:
+                    assert algebraic(got) == algebraic(old)
 
     def test_walk_reads_no_candidate_filter(self, mesh16, monkeypatch):
         # a walk reads the candidate set its target kept at slicing
@@ -877,27 +900,6 @@ class TestWalkPairingEquivalence:
             for loop in walker.loops:
                 args = (walk_steps(loop), loop.orientation_sign, target)
                 assert walk_pairing(*args) == reference_walk(*args, [])
-
-    def test_vertex_crossing_on_two_loops_is_degenerate(self, mesh16):
-        import dataclasses
-
-        walker = slice_field(mesh16, TubeField(0, (HALF, Fraction(0)), TUBE_RADIUS))
-        target = slice_field(mesh16, TubeField(1, (HALF, Fraction(0)), TUBE_RADIUS))
-        hits = []
-        for loop in walker.loops:
-            reference_walk(walk_steps(loop), loop.orientation_sign, target, hits)
-        assert hits
-        # move one sliced triangle through a crossed zero vertex to another loop
-        moved = next(
-            tri for tri, segment in target.tri_segments.items()
-            if any((t == 0 and a in hits[0]) or (t == 1 and b in hits[0]) for a, b, t in segment)
-        )
-        tri_loop = dict(target.tri_loop)
-        tri_loop[moved] = (tri_loop[moved] + 1) % len(target.loops)
-        split = dataclasses.replace(target, tri_loop=tri_loop)
-        with pytest.raises(DegeneracyError, match="unique loop"):
-            for loop in walker.loops:
-                walk_pairing(walk_steps(loop), loop.orientation_sign, split)
 
 
 def test_tube_field_read_on_a_second_mesh_reads_that_mesh(mesh8, mesh16):

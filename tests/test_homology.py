@@ -6,7 +6,7 @@ from t3mcg.mesh.curves import DegeneracyError
 from t3mcg.mesh.homology import (
     CANONICAL_J,
     CurveRef,
-    intersection_number,
+    crossings,
     tube_pattern,
     twist_matrix,
 )
@@ -64,9 +64,7 @@ class TestIntersections:
         h = homology32
         for i in range(1, 4):
             for j in range(1, 4):
-                alg, geo = intersection_number(
-                    h, h.disk_sections_a[i - 1], h.disk_sections_b[j - 1]
-                )
+                alg, geo = crossings(h.disk_sections_a[i - 1], h.disk_sections_b[j - 1])
                 assert alg == 0
                 assert geo == (0 if i == j else 2)
 
@@ -78,19 +76,19 @@ class TestIntersections:
             for y in range(len(refs)):
                 if refs[x].curves is refs[y].curves:
                     continue
-                alg, _ = intersection_number(h, refs[x], refs[y])
+                alg, _ = crossings(refs[x], refs[y])
                 assert alg == form_product(classes[x], classes[y])
 
     def test_defining_pairs(self, homology32):
         h = homology32
         for i, a in enumerate(h.disk_sections_a):
             for j, b in enumerate(h.disk_sections_b):
-                assert (intersection_number(h, a, b)[1] == 0) == (i == j)
+                assert (crossings(a, b)[1] == 0) == (i == j)
 
     def test_algebraic_self_intersection_zero(self, homology32):
         h = homology32
         for ref in list(h.disk_sections_a) + list(h.longitudes):
-            alg, geo = intersection_number(h, ref, ref)
+            alg, geo = crossings(ref, ref)
             assert alg == 0 and geo == 0
 
 
@@ -349,16 +347,6 @@ class TestPairHelpers:
         assert [tube.field.axis for tube in homology16.tubes] == [0, 1, 2]
         assert homology16.tube_radius == TUBE_RADIUS
         assert all(ref.index == 0 for ref in homology16.longitudes)
-
-    def test_crossings_match_intersection_numbers(self, homology16):
-        from t3mcg.mesh.homology import crossings
-
-        h = homology16
-        generators = list(h.disk_sections_a) + list(h.longitudes)
-        pairs = [(g1, g2) for g1 in generators for g2 in generators if g1 is not g2]
-        assert len(pairs) == 30
-        for g1, g2 in pairs:
-            assert crossings(g1, g2) == intersection_number(h, g1, g2)
 
     def test_tube_twist_is_the_reference_twist(self, homology32):
         from t3mcg.mesh.homology import tube_twist

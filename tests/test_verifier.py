@@ -194,14 +194,14 @@ class TestFailureWitnesses:
     def test_a_wrong_section_count_is_its_pair(self, homology32, table32, monkeypatch):
         import t3mcg.verifier as verifier
 
-        h, original = homology32, verifier.intersection_number
+        h, original = homology32, verifier.crossings
 
-        def misread(hd, c1, c2):
+        def misread(c1, c2):
             if c1 is h.disk_sections_a[0] and c2 is h.disk_sections_b[1]:
                 return 1, 2
-            return original(hd, c1, c2)
+            return original(c1, c2)
 
-        monkeypatch.setattr(verifier, "intersection_number", misread)
+        monkeypatch.setattr(verifier, "crossings", misread)
         assert self.failures(table32, h) == {
             "mesh_facts": [{"pair": "A1,B2", "algebraic": 1, "geometric": 2}]
         }
